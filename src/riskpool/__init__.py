@@ -12,7 +12,6 @@ from .asymptotics import (
     theorem2_limit,
 )
 from .distributions import (
-    Bernoulli,
     DiscreteDistribution,
     Distribution,
     EmpiricalSample,
@@ -41,7 +40,6 @@ from .preferences import (
     UtilityDomainError,
     UtilityFunction,
     certainty_equivalent,
-    certainty_equivalent_family,
     equivalent_utility_premium,
     risk_premium,
 )

@@ -222,14 +222,9 @@ def _cmd_limit(args) -> int:
     return EXIT_OK
 
 
-def _curve_rows(curve: PremiumCurve, comparison: LimitComparison):
-    for point, row in zip(curve.points, comparison.rows):
-        yield point, row
-
-
 def write_curve_csv(path: Path, curve: PremiumCurve, comparison: LimitComparison) -> None:
     lines = ["n,estimate,stderr,limit,abs_gap,z_score"]
-    for _, row in _curve_rows(curve, comparison):
+    for row in comparison.rows:
         lines.append(
             ",".join(
                 [
@@ -247,7 +242,7 @@ def write_curve_csv(path: Path, curve: PremiumCurve, comparison: LimitComparison
 
 def curve_to_dict(config_dict: dict, curve: PremiumCurve, comparison: LimitComparison) -> dict:
     points = []
-    for point, row in _curve_rows(curve, comparison):
+    for point, row in zip(curve.points, comparison.rows):
         points.append(
             {
                 "n": point.n,

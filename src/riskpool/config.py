@@ -9,10 +9,10 @@ through ``json`` (shortest-representation encoding), so parse -> serialize
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 from .distributions import (
-    Bernoulli,
     DiscreteDistribution,
     Distribution,
     EmpiricalSample,
@@ -94,11 +94,13 @@ def dist_from_dict(obj, path: str = "distribution") -> Distribution:
                 _as_float(_get(obj, "high", path), f"{path}.high"),
             )
         if family == "bernoulli":
-            return Bernoulli(
-                _as_float(_get(obj, "p", path), f"{path}.p"),
-                _as_float(_get(obj, "loc", path, 0.0), f"{path}.loc"),
-                _as_float(_get(obj, "scale", path, 1.0), f"{path}.scale"),
-            )
+            # Input alias: loc + scale * B with B a p-coin is a two-point law.
+            p = _as_float(_get(obj, "p", path), f"{path}.p")
+            loc = _as_float(_get(obj, "loc", path, 0.0), f"{path}.loc")
+            scale = _as_float(_get(obj, "scale", path, 1.0), f"{path}.scale")
+            if not (0.0 < p < 1.0 and math.isfinite(loc) and loc < loc + scale < math.inf):
+                raise ValueError("bernoulli law requires 0 < p < 1 and scale > 0")
+            return TwoPoint(loc, loc + scale, p)
         if family == "exponential":
             return Exponential(
                 _as_float(_get(obj, "rate", path), f"{path}.rate"),
@@ -121,20 +123,18 @@ def dist_from_dict(obj, path: str = "distribution") -> Distribution:
 
 
 def dist_to_dict(dist: Distribution) -> dict:
+    if isinstance(dist, TwoPoint):
+        return {"family": "two_point", "low": dist.low, "high": dist.high, "p_high": dist.p_high}
+    if isinstance(dist, EmpiricalSample):
+        return {"family": "empirical", "values": list(dist.values)}
     if isinstance(dist, DiscreteDistribution):
         return {"family": "discrete", "outcomes": list(dist.outcomes), "probs": list(dist.probabilities)}
     if isinstance(dist, Normal):
         return {"family": "normal", "mean": dist.loc, "sd": dist.scale}
     if isinstance(dist, Uniform):
         return {"family": "uniform", "low": dist.low, "high": dist.high}
-    if isinstance(dist, Bernoulli):
-        return {"family": "bernoulli", "p": dist.p, "loc": dist.loc, "scale": dist.scale}
     if isinstance(dist, Exponential):
         return {"family": "exponential", "rate": dist.rate, "shift": dist.shift}
-    if isinstance(dist, TwoPoint):
-        return {"family": "two_point", "low": dist.low, "high": dist.high, "p_high": dist.p_high}
-    if isinstance(dist, EmpiricalSample):
-        return {"family": "empirical", "values": list(dist.values)}
     raise TypeError(f"unsupported distribution type {type(dist).__name__}")
 
 

@@ -1,12 +1,17 @@
 """Laws of a single risk and of pooled averages.
 
-Three representations share one interface: finite discrete laws, a closed
-set of parametric families, and empirical samples. Quantile functions
-follow the left-continuous convention q(t) = inf{m : P[X <= m] >= t};
-integration of the quantile over a lower tail is exact (up to rounding)
-for discrete and empirical laws and closed-form for every parametric
-family. All types are immutable and all operations are pure given their
-inputs and an :class:`RngSpec`, so concurrent use needs no locking.
+Every finite law is a :class:`DiscreteDistribution`: nondecreasing atoms
+with their masses and cumulative masses, held as read-only arrays.
+Empirical samples (equal masses 1/k) and two-point laws are the same
+representation with their own constructors, so quantiles, tail integrals,
+moments, translation and sampling are written once. The parametric
+families (normal, uniform, exponential) use closed forms. Quantile
+functions follow the left-continuous convention
+q(t) = inf{m : P[X <= m] >= t}; integration of the quantile over a lower
+tail is exact (up to rounding) for finite laws and closed-form for every
+parametric family. All types are immutable and all operations are pure
+given their inputs and an :class:`RngSpec`, so concurrent use needs no
+locking.
 
 Unbounded laws (normal, exponential) are admitted even though the limit
 theory is phrased for bounded risks; the only operational consequence is
@@ -120,20 +125,25 @@ class Distribution:
         return EmpiricalSample(self._draw(rng.generator(), count))
 
 
-@dataclass(frozen=True)
 class DiscreteDistribution(Distribution):
-    """Finite law given by atoms; duplicates merged, outcomes kept sorted."""
+    """Finite law on nondecreasing atoms with strictly positive masses.
 
-    outcomes: tuple[float, ...]
-    probabilities: tuple[float, ...]
+    The constructor sorts the outcomes and merges duplicates. Atoms, masses
+    and cumulative masses are stored as read-only float64 arrays; the
+    prefix sums of mass x outcome are cached on first use, so every tail
+    integral is one binary search. Laws derived by an order-preserving map
+    (:meth:`translate`, a utility transform) skip the sort and may carry
+    tied atoms. ``outcomes`` and ``probabilities`` are tuple views.
+    """
 
-    def __post_init__(self):
-        out = np.asarray(self.outcomes, dtype=float)
-        prob = np.asarray(self.probabilities, dtype=float)
+    def __init__(self, outcomes, probabilities):
+        out = np.asarray(outcomes, dtype=float)
+        prob = np.asarray(probabilities, dtype=float)
         if out.ndim != 1 or prob.shape != out.shape:
             raise ValueError("outcomes and probabilities must be equal-length 1-d sequences")
         if out.size == 0:
             raise ValueError("at least one atom is required")
+        # Before the merge, where a NaN (sorted last) would fold into its neighbour.
         if not np.all(np.isfinite(out)):
             raise ValueError("outcomes must be finite")
         if np.any(prob <= 0.0) or not np.all(np.isfinite(prob)):
@@ -150,123 +160,138 @@ class DiscreteDistribution(Distribution):
             idx = np.flatnonzero(keep)
             prob = np.add.reduceat(prob, idx)
             out = out[idx]
-        object.__setattr__(self, "outcomes", tuple(float(x) for x in out))
-        object.__setattr__(self, "probabilities", tuple(float(p) for p in prob))
+        self._fill(out, prob, np.cumsum(prob))
+
+    def _fill(self, atoms: np.ndarray, masses: np.ndarray, cum: np.ndarray) -> None:
+        if not np.all(np.isfinite(atoms)):
+            raise ValueError("outcomes must be finite")
+        for arr in (atoms, masses, cum):
+            arr.flags.writeable = False
+        self.__dict__.update(_atoms=atoms, _masses=masses, _cum=cum)
+
+    @classmethod
+    def _sorted(cls, atoms: np.ndarray, masses: np.ndarray, cum: np.ndarray):
+        """Law of the given type on atoms already in nondecreasing order."""
+        law = object.__new__(cls)
+        law._fill(atoms, masses, cum)
+        return law
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self):
+        # + 0.0 turns -0.0 into 0.0, so atoms equal as numbers give equal bytes.
+        return type(self), (self._atoms + 0.0).tobytes(), self._masses.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, DiscreteDistribution) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(outcomes={self.outcomes!r}, probabilities={self.probabilities!r})"
+
+    @property
+    def outcomes(self) -> tuple[float, ...]:
+        return tuple(self._atoms.tolist())
+
+    @property
+    def probabilities(self) -> tuple[float, ...]:
+        return tuple(self._masses.tolist())
 
     @cached_property
-    def _out_arr(self) -> np.ndarray:
-        return np.asarray(self.outcomes)
-
-    @cached_property
-    def _prob_arr(self) -> np.ndarray:
-        return np.asarray(self.probabilities)
-
-    @cached_property
-    def _cum(self) -> np.ndarray:
-        return np.cumsum(self._prob_arr)
+    def _prefix(self) -> np.ndarray:
+        return np.cumsum(self._masses * self._atoms)
 
     def quantile(self, t: float) -> float:
         t = _check_level(t)
         if t <= 0.0:
-            return self.outcomes[0]
+            return float(self._atoms[0])
         idx = int(np.searchsorted(self._cum, t - _LEVEL_TOL, side="left"))
-        return self.outcomes[min(idx, len(self.outcomes) - 1)]
+        return float(self._atoms[min(idx, self._atoms.size - 1)])
 
     def lower_quantile_integral(self, lam: float) -> float:
         lam = _check_tail(lam)
         j = int(np.searchsorted(self._cum, lam - _LEVEL_TOL, side="left"))
-        j = min(j, len(self.outcomes) - 1)
-        below = float(self._prob_arr[:j] @ self._out_arr[:j])
-        prev = float(self._cum[j - 1]) if j else 0.0
-        partial = min(max(lam - prev, 0.0), self.probabilities[j])
-        return below + partial * self.outcomes[j]
+        j = min(j, self._atoms.size - 1)
+        below, prev = (float(self._prefix[j - 1]), float(self._cum[j - 1])) if j else (0.0, 0.0)
+        partial = min(max(lam - prev, 0.0), float(self._masses[j]))
+        return below + partial * float(self._atoms[j])
 
     def mean(self) -> float:
-        return float(self._prob_arr @ self._out_arr)
+        return float(self._masses @ self._atoms)
 
     def variance(self) -> float:
-        m = self.mean()
-        return float(self._prob_arr @ np.square(self._out_arr - m))
+        return float(self._masses @ np.square(self._atoms - self.mean()))
 
     def support_lower_bound(self) -> float:
-        return self.outcomes[0]
+        return float(self._atoms[0])
 
     def translate(self, c: float) -> "DiscreteDistribution":
-        return DiscreteDistribution(tuple(x + c for x in self.outcomes), self.probabilities)
+        return self._sorted(self._atoms + c, self._masses, self._cum)
 
     def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         u = gen.random(count)
-        idx = np.minimum(np.searchsorted(self._cum, u, side="left"), len(self.outcomes) - 1)
-        return self._out_arr[idx]
+        idx = np.minimum(np.searchsorted(self._cum, u, side="left"), self._atoms.size - 1)
+        return self._atoms[idx]
 
 
-@dataclass(frozen=True)
-class EmpiricalSample(Distribution):
+class EmpiricalSample(DiscreteDistribution):
     """Equal-weight law of a stored sample; values kept sorted ascending.
 
-    The quantile convention is q(t) = value at index ceil(t*k) (1-based)
-    for a sample of size k, i.e. Eq-style left continuity applied to the
-    empirical law; the tail integral is computed exactly over the
-    resulting step function, never by averaging a sub-sample.
+    Every value keeps its own atom of mass 1/k, ties included, and the
+    cumulative masses are exactly i/k, so q(t) is the value at index
+    ceil(t*k) (1-based) and the tail integral is exact over that step
+    function, never an average of a sub-sample. The variance is the law's
+    own (denominator k, not k-1).
     """
-
-    values: tuple[float, ...]
 
     def __init__(self, values):
         arr = np.sort(np.asarray(values, dtype=float).ravel())
         if arr.size == 0:
             raise ValueError("at least one value is required")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", tuple(float(v) for v in arr))
+        k = arr.size
+        self._fill(arr, np.full(k, 1.0 / k), np.arange(1, k + 1, dtype=float) / k)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return self.outcomes
 
     @property
     def size(self) -> int:
-        return len(self.values)
+        return self._atoms.size
 
-    @cached_property
-    def _val_arr(self) -> np.ndarray:
-        return np.asarray(self.values)
 
-    @cached_property
-    def _cum(self) -> np.ndarray:
-        k = len(self.values)
-        return np.arange(1, k + 1, dtype=float) / k
+class TwoPoint(DiscreteDistribution):
+    """Law on {low, high} with P[X = high] = p_high."""
 
-    def quantile(self, t: float) -> float:
-        t = _check_level(t)
-        if t <= 0.0:
-            return self.values[0]
-        idx = int(np.searchsorted(self._cum, t - _LEVEL_TOL, side="left"))
-        return self.values[min(idx, self.size - 1)]
+    def __init__(self, low: float, high: float, p_high: float):
+        ok = (
+            math.isfinite(low)
+            and math.isfinite(high)
+            and high > low
+            and 0.0 < p_high < 1.0
+        )
+        if not ok:
+            raise ValueError("two-point law requires high > low and 0 < p_high < 1")
+        masses = np.array([1.0 - p_high, p_high])
+        self._fill(np.array([low, high], dtype=float), masses, np.cumsum(masses))
 
-    def lower_quantile_integral(self, lam: float) -> float:
-        lam = _check_tail(lam)
-        k = self.size
-        j = int(np.searchsorted(self._cum, lam - _LEVEL_TOL, side="left"))
-        j = min(j, k - 1)
-        below = float(self._val_arr[:j].sum()) / k
-        prev = float(self._cum[j - 1]) if j else 0.0
-        partial = min(max(lam - prev, 0.0), 1.0 / k)
-        return below + partial * self.values[j]
+    @property
+    def low(self) -> float:
+        return float(self._atoms[0])
 
-    def mean(self) -> float:
-        return float(self._val_arr.mean())
+    @property
+    def high(self) -> float:
+        return float(self._atoms[1])
 
-    def variance(self) -> float:
-        # Variance of the empirical law itself (denominator k, not k-1).
-        return float(self._val_arr.var())
+    @property
+    def p_high(self) -> float:
+        return float(self._masses[1])
 
-    def support_lower_bound(self) -> float:
-        return self.values[0]
-
-    def translate(self, c: float) -> "EmpiricalSample":
-        return EmpiricalSample(self._val_arr + c)
-
-    def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        u = gen.random(count)
-        idx = np.minimum(np.searchsorted(self._cum, u, side="left"), self.size - 1)
-        return self._val_arr[idx]
+    def translate(self, c: float) -> "TwoPoint":
+        return TwoPoint(self.low + c, self.high + c, self.p_high)
 
 
 @dataclass(frozen=True)
@@ -378,89 +403,6 @@ class Exponential(Distribution):
         return self.shift + gen.standard_exponential(count) / self.rate
 
 
-class _TwoAtomLaw(Distribution):
-    """Shared behavior of the two-outcome parametric families."""
-
-    def as_discrete(self) -> DiscreteDistribution:
-        raise NotImplementedError
-
-    def quantile(self, t: float) -> float:
-        return self.as_discrete().quantile(t)
-
-    def lower_quantile_integral(self, lam: float) -> float:
-        return self.as_discrete().lower_quantile_integral(lam)
-
-    def mean(self) -> float:
-        return self.as_discrete().mean()
-
-    def variance(self) -> float:
-        return self.as_discrete().variance()
-
-    def support_lower_bound(self) -> float:
-        return self.as_discrete().outcomes[0]
-
-    def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        return self.as_discrete()._draw(gen, count)
-
-
-@dataclass(frozen=True)
-class TwoPoint(_TwoAtomLaw):
-    """Law on {low, high} with P[X = high] = p_high."""
-
-    low: float
-    high: float
-    p_high: float
-
-    def __post_init__(self):
-        ok = (
-            math.isfinite(self.low)
-            and math.isfinite(self.high)
-            and self.high > self.low
-            and 0.0 < self.p_high < 1.0
-        )
-        if not ok:
-            raise ValueError("two-point law requires high > low and 0 < p_high < 1")
-
-    @cached_property
-    def _discrete(self) -> DiscreteDistribution:
-        return DiscreteDistribution((self.low, self.high), (1.0 - self.p_high, self.p_high))
-
-    def as_discrete(self) -> DiscreteDistribution:
-        return self._discrete
-
-    def translate(self, c: float) -> "TwoPoint":
-        return TwoPoint(self.low + c, self.high + c, self.p_high)
-
-
-@dataclass(frozen=True)
-class Bernoulli(_TwoAtomLaw):
-    """loc + scale * B with B a p-coin; equals TwoPoint(loc, loc+scale, p)."""
-
-    p: float
-    loc: float = 0.0
-    scale: float = 1.0
-
-    def __post_init__(self):
-        ok = (
-            0.0 < self.p < 1.0
-            and math.isfinite(self.loc)
-            and math.isfinite(self.scale)
-            and self.scale > 0.0
-        )
-        if not ok:
-            raise ValueError("bernoulli law requires 0 < p < 1 and scale > 0")
-
-    @cached_property
-    def _discrete(self) -> DiscreteDistribution:
-        return DiscreteDistribution((self.loc, self.loc + self.scale), (1.0 - self.p, self.p))
-
-    def as_discrete(self) -> DiscreteDistribution:
-        return self._discrete
-
-    def translate(self, c: float) -> "Bernoulli":
-        return Bernoulli(self.p, self.loc + c, self.scale)
-
-
 def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
     """Equal-probability discretization on the midpoint grid t_i = (i-1/2)/N.
 
@@ -507,9 +449,10 @@ def pool_average_sample(
     For a normal law the pooled average is again normal, so the exact law
     Normal(loc, scale/sqrt(n)) is returned instead of a sample (callers can
     detect the shortcut by the returned type); pass allow_exact=False to
-    force sampling. Two-outcome and finite discrete laws draw pooled sums
-    through binomial/multinomial counts, which is distributionally exact;
-    other laws sum n draws per replicate.
+    force sampling. Two-point laws draw pooled sums through binomial counts
+    and other discrete laws through multinomial counts, which is
+    distributionally exact; empirical samples and the continuous families
+    sum n draws per replicate.
     """
     if n < 1:
         raise ValueError("pool size n must be >= 1")
@@ -521,13 +464,15 @@ def pool_average_sample(
     gen = rng.generator()
     if isinstance(dist, Normal):
         values = dist.loc + dist.scale / math.sqrt(n) * gen.standard_normal(replications)
-    elif isinstance(dist, _TwoAtomLaw):
-        law = dist.as_discrete()
-        counts = gen.binomial(n, law.probabilities[1], size=replications)
-        values = law.outcomes[0] + (law.outcomes[1] - law.outcomes[0]) * counts / n
-    elif isinstance(dist, DiscreteDistribution):
-        counts = gen.multinomial(n, dist._prob_arr, size=replications)
-        values = counts @ dist._out_arr / n
+    elif isinstance(dist, TwoPoint):
+        low, high = dist._atoms
+        counts = gen.binomial(n, dist._masses[1], size=replications)
+        values = low + (high - low) * counts / n
+    elif isinstance(dist, DiscreteDistribution) and not isinstance(dist, EmpiricalSample):
+        # A sample has an atom per value; multinomial counts over them would
+        # take replications x size memory, so samples sum draws below.
+        counts = gen.multinomial(n, dist._masses, size=replications)
+        values = counts @ dist._atoms / n
     else:
         values = _pool_chunked(dist, n, replications, gen)
     return EmpiricalSample(values)

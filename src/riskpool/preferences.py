@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    DiscreteDistribution,
-    Distribution,
-    EmpiricalSample,
-    Normal,
-    _TwoAtomLaw,
-    quantile_grid_sample,
-)
+from .distributions import DiscreteDistribution, Distribution, Normal, quantile_grid_sample
 from .risk_measures import DELTA_ONE, KusuokaFamily, MixtureMeasure, kusuoka_value, mixture_value
 
 DEFAULT_CE_GRID_POINTS = 2**14
@@ -210,10 +203,10 @@ def _check_parametric_support(dist: Distribution, u: UtilityFunction) -> None:
         )
 
 
-def _transformed_law(dist, u: UtilityFunction):
-    if isinstance(dist, DiscreteDistribution):
-        return DiscreteDistribution(u.apply(dist._out_arr), dist.probabilities)
-    return EmpiricalSample(u.apply(dist._val_arr))
+def _transformed_law(dist: DiscreteDistribution, u: UtilityFunction) -> DiscreteDistribution:
+    # u is strictly increasing, so the image keeps the atoms' order (rounding
+    # may tie neighbours, which the nondecreasing-atom law admits).
+    return DiscreteDistribution._sorted(u.apply(dist._atoms), dist._masses, dist._cum)
 
 
 def _value_functional(transformed, preference):
@@ -237,10 +230,8 @@ def _pullback_value(law, preference, u: UtilityFunction) -> float:
 
 
 def _certainty_equivalent_any(dist, preference, u, grid_points) -> float:
-    if isinstance(dist, (DiscreteDistribution, EmpiricalSample)):
+    if isinstance(dist, DiscreteDistribution):
         return _pullback_value(dist, preference, u)
-    if isinstance(dist, _TwoAtomLaw):
-        return _certainty_equivalent_any(dist.as_discrete(), preference, u, grid_points)
     # Parametric laws: closed forms where they exist, otherwise the
     # deterministic quantile-grid discretization.
     if isinstance(u, LinearUtility):
@@ -258,31 +249,21 @@ def _certainty_equivalent_any(dist, preference, u, grid_points) -> float:
 
 def certainty_equivalent(
     dist: Distribution,
-    mu: MixtureMeasure,
+    mu: MixtureMeasure | KusuokaFamily,
     u: UtilityFunction,
     *,
     grid_points: int = DEFAULT_CE_GRID_POINTS,
 ) -> float:
     """Sure amount with the same distorted expected utility as the risk.
 
-    Discrete and empirical laws are evaluated exactly by transforming their
-    outcomes; two-outcome parametric laws reduce to discrete ones. Other
-    parametric laws use a closed form when one exists (linear u; cara u on
-    a normal law with the point mass at level 1) and the equal-probability
-    quantile grid of ``grid_points`` midpoints otherwise.
+    ``mu`` is a mixture, or a family whose minimum replaces the mixture.
+    Finite laws (discrete, empirical, two-point) are evaluated exactly by
+    transforming their outcomes. Parametric laws use a closed form when one
+    exists (linear u; cara u on a normal law with the point mass at level
+    1) and the equal-probability quantile grid of ``grid_points`` midpoints
+    otherwise.
     """
     return _certainty_equivalent_any(dist, mu, u, grid_points)
-
-
-def certainty_equivalent_family(
-    dist: Distribution,
-    family: KusuokaFamily,
-    u: UtilityFunction,
-    *,
-    grid_points: int = DEFAULT_CE_GRID_POINTS,
-) -> float:
-    """Certainty equivalent with the family minimum replacing the mixture."""
-    return _certainty_equivalent_any(dist, family, u, grid_points)
 
 
 def risk_premium(

@@ -166,7 +166,7 @@ def dual_avar_discrete(dist: DiscreteDistribution, lam: float) -> DualSolution:
     :func:`avar` up to rounding.
     """
     lam = _check_tail(lam)
-    probs = dist._prob_arr
+    probs = dist._masses
     caps = probs / lam
     q_mass = np.zeros(len(probs))
     remaining = 1.0
@@ -177,7 +177,7 @@ def dual_avar_discrete(dist: DiscreteDistribution, lam: float) -> DualSolution:
         if remaining <= 0.0:
             break
     density = q_mass / probs
-    value = float(q_mass @ dist._out_arr)
+    value = float(q_mass @ dist._atoms)
     return DualSolution(tuple(float(d) for d in density), value)
 
 

@@ -10,6 +10,7 @@ from riskpool.config import (
     experiment_config_from_dict,
     experiment_config_to_dict,
 )
+from riskpool.distributions import DiscreteDistribution, EmpiricalSample, TwoPoint
 from riskpool.risk_measures import MixtureMeasure
 
 DISCRETE_1234 = '{"family":"discrete","outcomes":[1,2,3,4],"probs":[0.25,0.25,0.25,0.25]}'
@@ -276,3 +277,31 @@ class TestConfigRoundTrip:
         }
         config = experiment_config_from_dict(payload)
         assert experiment_config_from_dict(experiment_config_to_dict(config)) == config
+
+    @pytest.mark.parametrize("dist, law", [
+        ({"family": "discrete", "outcomes": [2.0, 1.0], "probs": [0.75, 0.25]},
+         DiscreteDistribution((1.0, 2.0), (0.25, 0.75))),
+        ({"family": "empirical", "values": [3.0, 1.0, 1.0]}, EmpiricalSample([1.0, 1.0, 3.0])),
+        ({"family": "bernoulli", "p": 0.3, "loc": 1.0, "scale": 2.0}, TwoPoint(1.0, 3.0, 0.3)),
+    ])
+    def test_finite_law_families_round_trip(self, dist, law):
+        config = experiment_config_from_dict(dict(MC_CONFIG, distribution=dist))
+        assert config.distribution == law
+        emitted = experiment_config_to_dict(config)
+        assert emitted["distribution"]["family"] == {"bernoulli": "two_point"}.get(
+            dist["family"], dist["family"]
+        )
+        assert experiment_config_from_dict(emitted) == config
+
+    @pytest.mark.parametrize("bad", [
+        {"p": 1.0}, {"p": 0.5, "scale": 0.0}, {"p": 0.5, "scale": -1.0},
+        {"p": 0.5, "loc": 1e16, "scale": 1.0}, {"p": 0.5, "loc": math.nan},
+    ])
+    def test_bernoulli_alias_validation(self, bad):
+        with pytest.raises(ConfigError, match="bernoulli law requires"):
+            experiment_config_from_dict(dict(MC_CONFIG, distribution={"family": "bernoulli", **bad}))
+
+    def test_nan_outcome_rejected(self):
+        dist = json.loads('{"family": "discrete", "outcomes": [1, 2, NaN], "probs": [0.3, 0.3, 0.4]}')
+        with pytest.raises(ConfigError, match="outcomes must be finite"):
+            experiment_config_from_dict(dict(MC_CONFIG, distribution=dist))

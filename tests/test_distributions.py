@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from riskpool.distributions import (
-    Bernoulli,
     DiscreteDistribution,
     EmpiricalSample,
     Exponential,
@@ -80,7 +79,7 @@ class TestLowerQuantileIntegral:
     def test_full_integral_equals_mean(self):
         for dist in (UNIFORM_1234, Normal(1.5, 2.0), Uniform(-2.0, 5.0),
                      Exponential(0.5, -1.0), TwoPoint(0.0, 1.0, 0.3),
-                     Bernoulli(0.4, loc=2.0, scale=3.0), EmpiricalSample([3.0, 1.0, 2.0])):
+                     TwoPoint(2.0, 5.0, 0.4), EmpiricalSample([3.0, 1.0, 2.0])):
             assert dist.lower_quantile_integral(1.0) == pytest.approx(dist.mean(), abs=1e-10)
 
     @pytest.mark.parametrize("lam", [0.05, 0.3, 0.5, 0.9, 0.999])
@@ -118,8 +117,8 @@ class TestMoments:
         assert Uniform(0.0, 1.0).variance() == pytest.approx(1.0 / 12.0)
         assert Exponential(4.0, shift=1.0).mean() == 1.25
         assert Exponential(4.0).variance() == pytest.approx(1.0 / 16.0)
-        assert Bernoulli(0.3, loc=1.0, scale=2.0).mean() == pytest.approx(1.6)
-        assert Bernoulli(0.3, loc=1.0, scale=2.0).variance() == pytest.approx(4 * 0.3 * 0.7)
+        assert TwoPoint(1.0, 3.0, 0.3).mean() == pytest.approx(1.6)
+        assert TwoPoint(1.0, 3.0, 0.3).variance() == pytest.approx(4 * 0.3 * 0.7)
 
 
 class TestConstruction:
@@ -137,6 +136,10 @@ class TestConstruction:
             DiscreteDistribution((1.0,), (0.5, 0.5))
         with pytest.raises(ValueError):
             DiscreteDistribution((), ())
+        with pytest.raises(ValueError, match="outcomes must be finite"):
+            DiscreteDistribution((1.0, math.nan), (0.5, 0.5))
+        with pytest.raises(ValueError, match="outcomes must be finite"):
+            DiscreteDistribution((1.0, 2.0, math.nan), (0.3, 0.3, 0.4))
         with pytest.raises(ValueError):
             Normal(0.0, 0.0)
         with pytest.raises(ValueError):
@@ -145,6 +148,34 @@ class TestConstruction:
             TwoPoint(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             Exponential(0.0)
+
+    def test_equality_and_hash_ignore_input_order(self):
+        a = DiscreteDistribution((3.0, 1.0, 2.0), (0.5, 0.25, 0.25))
+        b = DiscreteDistribution((1.0, 2.0, 3.0), (0.25, 0.25, 0.5))
+        assert a == b and hash(a) == hash(b)
+        assert a != DiscreteDistribution((1.0, 2.0, 3.0), (0.25, 0.5, 0.25))
+        c, d = EmpiricalSample([2.0, 1.0, 2.0]), EmpiricalSample([2.0, 2.0, 1.0])
+        assert c == d and hash(c) == hash(d)
+        assert TwoPoint(0.0, 1.0, 0.5) == TwoPoint(0.0, 1.0, 0.5)
+        assert len({a, b, c, d}) == 2
+        e, f = DiscreteDistribution((0.0,), (1.0,)), DiscreteDistribution((-0.0,), (1.0,))
+        assert e == f and hash(e) == hash(f)
+
+    def test_empirical_differs_from_equal_weight_discrete(self):
+        sample = EmpiricalSample([1.0, 2.0])
+        law = DiscreteDistribution((1.0, 2.0), (0.5, 0.5))
+        assert sample.outcomes == law.outcomes and sample.probabilities == law.probabilities
+        assert sample != law and law != sample
+        assert TwoPoint(1.0, 2.0, 0.5) != law
+
+    def test_immutable(self):
+        law = DiscreteDistribution((1.0, 2.0), (0.5, 0.5))
+        with pytest.raises(AttributeError):
+            law.extra = 1.0
+        with pytest.raises(ValueError):
+            law._atoms[0] = 5.0
+        assert law.translate(1.0).outcomes == (2.0, 3.0)
+        assert law.outcomes == (1.0, 2.0)
 
     def test_rng_spec_validation(self):
         with pytest.raises(ValueError):
@@ -158,6 +189,8 @@ class TestConstruction:
         assert Uniform(0.0, 1.0).translate(-1.0) == Uniform(-1.0, 0.0)
         assert Exponential(2.0, 0.0).translate(3.0) == Exponential(2.0, 3.0)
         assert TwoPoint(0.0, 1.0, 0.5).translate(1.0) == TwoPoint(1.0, 2.0, 0.5)
+        with pytest.raises(ValueError, match="high > low"):
+            TwoPoint(0.0, 1e-20, 0.5).translate(1.0)
         assert EmpiricalSample([1.0, 2.0]).translate(0.5).values == (1.5, 2.5)
 
 

@@ -17,7 +17,6 @@ from riskpool.preferences import (
     LogUtility,
     UtilityDomainError,
     certainty_equivalent,
-    certainty_equivalent_family,
     equivalent_utility_premium,
     risk_premium,
 )
@@ -145,8 +144,18 @@ class TestCertaintyEquivalent:
         tp = TwoPoint(0.0, 1.0, 0.4)
         u = CaraUtility(1.5)
         assert certainty_equivalent(tp, MIX, u) == pytest.approx(
-            certainty_equivalent(tp.as_discrete(), MIX, u), abs=1e-15
+            certainty_equivalent(DiscreteDistribution((0.0, 1.0), (0.6, 0.4)), MIX, u), abs=1e-15
         )
+
+    def test_atoms_tied_by_the_transform(self):
+        # All three outcomes map to one float under log; the transformed law
+        # keeps them as tied atoms instead of re-sorting and merging.
+        law = DiscreteDistribution((1e15, 1e15 + 1, 1e15 + 2), (0.2, 0.3, 0.5))
+        u = LogUtility()
+        assert len(set(u.apply(np.asarray(law.outcomes)).tolist())) == 1
+        ce = certainty_equivalent(law, MIX, u)
+        assert ce == certainty_equivalent(DiscreteDistribution((1e15,), (1.0,)), MIX, u)
+        assert ce == 999999999999998.8
 
     def test_empirical_path(self):
         sample = EmpiricalSample([1.0, 2.0, 3.0, 4.0])
@@ -171,19 +180,19 @@ class TestFamilyCertaintyEquivalent:
     def test_singleton_family(self):
         family = KusuokaFamily((MIX,))
         for u in (LinearUtility(), CaraUtility(1.0)):
-            assert certainty_equivalent_family(UNIFORM_1234, family, u) == pytest.approx(
+            assert certainty_equivalent(UNIFORM_1234, family, u) == pytest.approx(
                 certainty_equivalent(UNIFORM_1234, MIX, u), abs=1e-12
             )
 
     def test_linear_on_normal_matches_kusuoka_example(self):
         family = KusuokaFamily((MixtureMeasure.point(0.3), MixtureMeasure.point(0.7)))
-        ce = certainty_equivalent_family(Normal(0.0, 1.0), family, LinearUtility())
+        ce = certainty_equivalent(Normal(0.0, 1.0), family, LinearUtility())
         assert ce == pytest.approx(-1.1589753806669127, abs=1e-12)
 
     def test_degenerate_law(self):
         family = KusuokaFamily((MixtureMeasure.point(0.3), MIX))
         point = DiscreteDistribution((1.75,), (1.0,))
-        assert certainty_equivalent_family(point, family, CaraUtility(1.0)) == pytest.approx(
+        assert certainty_equivalent(point, family, CaraUtility(1.0)) == pytest.approx(
             1.75, abs=1e-12
         )
 
@@ -191,9 +200,9 @@ class TestFamilyCertaintyEquivalent:
         small = KusuokaFamily((MIX,))
         large = KusuokaFamily((MIX, MixtureMeasure.point(0.2)))
         for u in (LinearUtility(), CaraUtility(1.0)):
-            assert certainty_equivalent_family(
+            assert certainty_equivalent(
                 UNIFORM_1234, large, u
-            ) <= certainty_equivalent_family(UNIFORM_1234, small, u) + 1e-12
+            ) <= certainty_equivalent(UNIFORM_1234, small, u) + 1e-12
 
 
 class TestRiskPremium:

@@ -6,12 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riskpool.distributions import DiscreteDistribution, EmpiricalSample
-from riskpool.preferences import (
-    CaraUtility,
-    LinearUtility,
-    certainty_equivalent,
-    certainty_equivalent_family,
-)
+from riskpool.preferences import CaraUtility, LinearUtility, certainty_equivalent
 from riskpool.risk_measures import (
     KusuokaFamily,
     MixtureMeasure,
@@ -180,9 +175,22 @@ def test_linear_certainty_equivalent_is_mixture_value(law, mu):
 @given(discrete_laws(), mixtures(), mixtures())
 def test_family_growth_never_increases_certainty_equivalent(law, mu_a, mu_b):
     u = CaraUtility(0.5)
-    small = certainty_equivalent_family(law, KusuokaFamily((mu_a,)), u)
-    large = certainty_equivalent_family(law, KusuokaFamily((mu_a, mu_b)), u)
+    small = certainty_equivalent(law, KusuokaFamily((mu_a,)), u)
+    large = certainty_equivalent(law, KusuokaFamily((mu_a, mu_b)), u)
     assert large <= small + 1e-12
+
+
+@given(discrete_laws(), st.floats(-100.0, 100.0))
+def test_translate_matches_freshly_built_law(law, c):
+    shifted = [x + c for x in law.outcomes]
+    assume(len(set(shifted)) == len(shifted))  # a fresh law would merge ties
+    moved = law.translate(c)
+    fresh = DiscreteDistribution(tuple(shifted), law.probabilities)
+    np.testing.assert_array_max_ulp(np.array(moved.outcomes), np.array(fresh.outcomes), maxulp=1)
+    assert moved.probabilities == fresh.probabilities
+    assert moved.lower_quantile_integral(0.5) == pytest.approx(
+        fresh.lower_quantile_integral(0.5), rel=1e-12, abs=1e-12
+    )
 
 
 @given(st.lists(finite_values, min_size=1, max_size=40), tail_levels)
