@@ -5,7 +5,8 @@ Experiment A: normal risks, cara utility, a half/half mixture of the median
 tail block and the mean. Experiment B: fair-coin risks under the worst of
 two point masses (a two-member family). Both estimate sqrt(n) times the
 pooled premium across a geometric n grid and report the gap to the
-closed-form limit constant.
+closed-form limit constant. The experiments are the shipped configs
+``configs/normal_cara_mixture.json`` and ``configs/twopoint_family.json``.
 
 Usage: python scripts/run_limit_experiments.py [--seed S] [--out-dir DIR]
 """
@@ -22,41 +23,17 @@ except ImportError:  # running from a checkout without installation
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import riskpool
 
-from riskpool import (
-    CaraUtility,
-    ExperimentConfig,
-    KusuokaFamily,
-    LinearUtility,
-    MixtureMeasure,
-    Normal,
-    TwoPoint,
-    compare_to_limit,
-    run_curve,
-)
+from riskpool import ExperimentConfig, compare_to_limit, run_curve
 from riskpool.cli import curve_to_dict, write_curve_csv
-from riskpool.config import experiment_config_to_dict
+from riskpool.config import experiment_config_from_dict, experiment_config_to_dict, with_master_seed
+
+CONFIGS = Path(__file__).resolve().parent / "configs"
 
 
-def experiment_a(seed: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        distribution=Normal(0.0, 1.0),
-        utility=CaraUtility(1.0),
-        mixture=MixtureMeasure(((0.5, 0.5), (1.0, 0.5))),
-        replications=100_000,
-        batches=20,
-        master_seed=seed,
-    )
-
-
-def experiment_b(seed: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        distribution=TwoPoint(0.0, 1.0, 0.5),
-        utility=LinearUtility(),
-        family=KusuokaFamily((MixtureMeasure.point(0.3), MixtureMeasure.point(0.7))),
-        replications=100_000,
-        batches=20,
-        master_seed=seed,
-    )
+def load_config(name: str, seed: int) -> ExperimentConfig:
+    """The shipped config ``configs/<name>.json`` with its master seed replaced."""
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    return with_master_seed(experiment_config_from_dict(raw), seed)
 
 
 def run_one(name: str, config: ExperimentConfig, out_dir: Path, threads: int) -> None:
@@ -86,8 +63,8 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
     out_dir = Path(args.out_dir)
-    run_one("normal_cara_mixture", experiment_a(args.seed), out_dir, args.threads)
-    run_one("twopoint_family", experiment_b(args.seed), out_dir, args.threads)
+    for name in ("normal_cara_mixture", "twopoint_family"):
+        run_one(name, load_config(name, args.seed), out_dir, args.threads)
     return 0
 
 

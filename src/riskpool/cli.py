@@ -160,7 +160,7 @@ def parse_dist_text(text: str, path: str = "dist"):
     return dist_from_dict(obj, path)
 
 
-def _resolve_seed(flag_value, fallback: int = 0) -> int:
+def _resolve_seed(flag_value) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get(SEED_ENV_VAR)
@@ -169,7 +169,7 @@ def _resolve_seed(flag_value, fallback: int = 0) -> int:
             return int(env)
         except ValueError as exc:
             raise ConfigError(SEED_ENV_VAR, f"not an integer: {env!r}") from exc
-    return fallback
+    return 0
 
 
 def _cmd_measure(args) -> int:
@@ -322,16 +322,6 @@ def _cmd_premium_curve(args) -> int:
     return EXIT_OK
 
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (int, str, bool)) or obj is None:
-        return obj
-    return float(obj)
-
-
 def _cmd_verify(args) -> int:
     if args.trials < 0:
         raise ConfigError("trials", "must be nonnegative")
@@ -339,12 +329,9 @@ def _cmd_verify(args) -> int:
     if args.trials == 0:
         print("warning: 0 trials requested; vacuous pass")
         return EXIT_OK
-    if args.suite == "duality":
-        results = run_duality_suite(args.trials, seed)
-    else:
-        results = run_property_suite(args.trials, seed)
+    suite = run_duality_suite if args.suite == "duality" else run_property_suite
     failed = False
-    for result in results:
+    for result in suite(args.trials, seed):
         status = "ok" if result.passed else "FAIL"
         print(
             f"{result.name}: {result.trials} trials, {result.failures} failures, "
@@ -352,22 +339,16 @@ def _cmd_verify(args) -> int:
         )
         if not result.passed:
             failed = True
-            print(
-                "minimal failing instance: "
-                + json.dumps(_sanitize(result.counterexample)),
-                file=sys.stderr,
-            )
+            print("minimal failing instance: " + json.dumps(result.counterexample), file=sys.stderr)
     return EXIT_PROPERTY if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None,
-                        help=f"master seed (fallback: ${SEED_ENV_VAR})")
-    shared.add_argument("--json", action="store_true", help="machine-readable output")
-    shared.add_argument("--out-dir", default=".", help="directory for result files")
-    shared.add_argument("--threads", type=int, default=1,
-                        help="worker threads (speed only, never results)")
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="machine-readable output")
+    seed_flag = argparse.ArgumentParser(add_help=False)
+    seed_flag.add_argument("--seed", type=int, default=None,
+                           help=f"master seed in [0, 2**64) (fallback: ${SEED_ENV_VAR})")
 
     parser = argparse.ArgumentParser(
         prog="riskpool",
@@ -375,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    measure = sub.add_parser("measure", parents=[shared],
+    measure = sub.add_parser("measure", parents=[json_flag],
                              help="evaluate a tail average, mixture, or family value")
     measure.add_argument("--dist", required=True,
                          help="distribution JSON or the shorthand 'normal01'")
@@ -387,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="family: JSON or '{deltaL, w@L + w@L, ...}'")
     measure.set_defaults(func=_cmd_measure)
 
-    limit = sub.add_parser("limit", parents=[shared],
+    limit = sub.add_parser("limit", parents=[json_flag],
                            help="closed-form limit of the scaled pooled premium")
     limit.add_argument("--sigma", type=float, required=True,
                        help="single-risk standard deviation")
@@ -395,12 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
     limit.add_argument("--family", default=None, help="family shorthand or JSON")
     limit.set_defaults(func=_cmd_limit)
 
-    curve = sub.add_parser("premium-curve", parents=[shared],
+    curve = sub.add_parser("premium-curve", parents=[seed_flag],
                            help="run a premium-curve experiment from a config file")
     curve.add_argument("--config", required=True, help="experiment config JSON path")
+    curve.add_argument("--out-dir", default=".", help="directory for result files")
+    curve.add_argument("--threads", type=int, default=1,
+                       help="worker threads (speed only, never results)")
     curve.set_defaults(func=_cmd_premium_curve)
 
-    verify = sub.add_parser("verify", parents=[shared],
+    verify = sub.add_parser("verify", parents=[seed_flag],
                             help="randomized self-checks of the measure implementations")
     verify.add_argument("suite", choices=("duality", "properties"))
     verify.add_argument("--trials", type=int, default=1000)

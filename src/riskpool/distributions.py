@@ -60,6 +60,7 @@ class RngSpec:
     Streams are realized as Philox generators keyed by the pair, so
     identical specs yield identical draws regardless of execution order,
     thread count, or how many other streams were consumed in between.
+    Both fields are Philox key words in [0, 2**64).
     """
 
     master_seed: int
@@ -68,18 +69,12 @@ class RngSpec:
     def __post_init__(self):
         for field in ("master_seed", "stream_id"):
             value = getattr(self, field)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{field} must be a nonnegative integer")
+            if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 1 << 64:
+                raise ValueError(f"{field} must be an integer in [0, 2**64)")
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.master_seed % (1 << 64), self.stream_id % (1 << 64)],
-            dtype=np.uint64,
-        )
+        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def child(self, stream_id: int) -> "RngSpec":
-        return RngSpec(self.master_seed, stream_id)
 
 
 class Distribution:
@@ -237,6 +232,11 @@ class DiscreteDistribution(Distribution):
         return self._atoms[idx]
 
 
+def _equal_masses(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masses 1/k and their exact cumulative masses i/k."""
+    return np.full(k, 1.0 / k), np.arange(1, k + 1, dtype=float) / k
+
+
 class EmpiricalSample(DiscreteDistribution):
     """Equal-weight law of a stored sample; values kept sorted ascending.
 
@@ -251,8 +251,7 @@ class EmpiricalSample(DiscreteDistribution):
         arr = np.sort(np.asarray(values, dtype=float).ravel())
         if arr.size == 0:
             raise ValueError("at least one value is required")
-        k = arr.size
-        self._fill(arr, np.full(k, 1.0 / k), np.arange(1, k + 1, dtype=float) / k)
+        self._fill(arr, *_equal_masses(arr.size))
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -408,7 +407,8 @@ def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
 
     The returned sample has exactly these quantile values with weight 1/N
     each; it is the deterministic stand-in used when a law has no closed
-    form for a downstream functional.
+    form for a downstream functional. Quantile values are nondecreasing in
+    t, so the sample is built without a sort.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -421,7 +421,7 @@ def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
         values = dist.shift - np.log1p(-t) / dist.rate
     else:
         values = np.array([dist.quantile(float(ti)) for ti in t])
-    return EmpiricalSample(values)
+    return EmpiricalSample._sorted(values, *_equal_masses(n_points))
 
 
 def _pool_chunked(dist: Distribution, n: int, count: int, gen: np.random.Generator) -> np.ndarray:

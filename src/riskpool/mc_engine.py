@@ -80,8 +80,8 @@ class ExperimentConfig:
             raise ValueError("replications must be divisible by batches")
         if self.replications // self.batches < 2:
             raise ValueError("need at least 2 replications per batch")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
+        if type(self.master_seed) is not int or not 0 <= self.master_seed < 1 << 64:
+            raise ValueError("master_seed must be an integer in [0, 2**64)")
 
     @property
     def preference(self):

@@ -1,20 +1,23 @@
 """Seeded randomized checks behind the ``verify`` subcommand.
 
-Each suite draws random finite discrete laws and checks identities that
-hold by theory, so any violation is an implementation bug. Failures are
-shrunk by greedily dropping atoms while the violation persists, and the
-smallest failing instance is reported.
-
-The functionals under test can be swapped out (``avar_fn`` /
-``mixture_fn``), which the test-suite uses to confirm that an injected
-bug is actually caught.
+Every property draws a case (outcome arrays on a few common states, the
+states' probabilities, and parameters such as tail levels or a mixture),
+measures how far an identity that holds by theory is violated on it, and
+fails where the violation exceeds its bound, so any failure is an
+implementation bug. One runner counts failures, keeps the worst violation,
+and shrinks the first failing case by greedily dropping states while it
+still fails; the shrunk case is the reported counterexample. The
+functionals are looked up in this module on every call, so a test can
+monkeypatch ``avar`` or ``mixture_value`` here to inject a bug.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .preferences import CaraUtility, risk_premium
 from .risk_measures import MixtureMeasure, avar, dual_avar_discrete, mixture_value
 
 DUALITY_TOL = 1e-12
+VERTEX_TOL = 1e-9
 PROPERTY_TOL = 1e-10
 
 # Stream ids of the verify suites within a master seed.
@@ -43,18 +47,104 @@ class PropertyResult:
         return self.failures == 0
 
 
-def _random_law(gen: np.random.Generator, max_atoms: int) -> DiscreteDistribution:
-    k = int(gen.integers(1, max_atoms + 1))
+@dataclass(frozen=True)
+class Case:
+    """Named outcome arrays on common states, their probabilities, parameters."""
+
+    probs: np.ndarray
+    outcomes: dict[str, np.ndarray]
+    params: dict
+
+    def law(self, values=None) -> DiscreteDistribution:
+        """Law of ``values`` (default: the ``outcomes`` array) on the states."""
+        return DiscreteDistribution(self.outcomes["outcomes"] if values is None else values, self.probs)
+
+    def drop(self, i: int) -> "Case":
+        keep = np.arange(self.probs.size) != i
+        probs = self.probs[keep]
+        return Case(probs / probs.sum(), {k: v[keep] for k, v in self.outcomes.items()}, self.params)
+
+    def payload(self) -> dict:
+        params = {k: v.atoms if isinstance(v, MixtureMeasure) else v for k, v in self.params.items()}
+        arrays = {k: v.tolist() for k, v in self.outcomes.items()}
+        return {**arrays, "probabilities": self.probs.tolist(), **params}
+
+
+@dataclass(frozen=True)
+class _Property:
+    """Draw the states, then the parameters; fail where violation > bound."""
+
+    name: str
+    states: Callable[[np.random.Generator], tuple[np.ndarray, dict]]
+    params: Callable[[np.random.Generator], dict]
+    violation: Callable[[Case], float]
+    bound: Callable[[Case], float]
+
+
+def _run(prop: _Property, trials: int, gen: np.random.Generator) -> PropertyResult:
+    failures, worst, counterexample = 0, 0.0, None
+    for _ in range(trials):
+        case = Case(*prop.states(gen), prop.params(gen))  # states first, then parameters
+        error = prop.violation(case)
+        worst = max(worst, error)
+        if error > prop.bound(case):
+            failures += 1
+            if counterexample is None:
+                shrunk = _shrink(prop, case)
+                counterexample = {**shrunk.payload(), "violation": prop.violation(shrunk)}
+    return PropertyResult(prop.name, trials, failures, worst, counterexample)
+
+
+def _shrink(prop: _Property, case: Case) -> Case:
+    progress = True
+    while progress and case.probs.size > 1:
+        progress = False
+        for i in range(case.probs.size):
+            candidate = case.drop(i)
+            if prop.violation(candidate) > prop.bound(candidate):
+                case, progress = candidate, True
+                break
+    return case
+
+
+def _one_law(gen: np.random.Generator, max_states: int = 16):
+    k = int(gen.integers(1, max_states + 1))
     outcomes = np.round(gen.normal(0.0, 5.0, size=k), 6)
     weights = gen.random(k) + 1e-3
-    return DiscreteDistribution(tuple(outcomes), tuple(weights / weights.sum()))
+    return weights / weights.sum(), {"outcomes": outcomes}
 
 
-def _random_mixture(gen: np.random.Generator, max_atoms: int = 4) -> MixtureMeasure:
-    k = int(gen.integers(1, max_atoms + 1))
+def _two_laws(gen: np.random.Generator):
+    # Outcomes for X and Y on a shared finite sample space.
+    k = int(gen.integers(1, 17))
+    weights = gen.random(k) + 1e-3
+    x = np.round(gen.normal(0.0, 5.0, size=k), 6)
+    y = np.round(gen.normal(0.0, 5.0, size=k), 6)
+    return weights / weights.sum(), {"x_outcomes": x, "y_outcomes": y}
+
+
+def _sorted_x(gen: np.random.Generator):
+    probs, arrays = _two_laws(gen)  # X nondecreasing across states: comonotone with f(X)
+    return probs, {"outcomes": np.sort(arrays["x_outcomes"])}
+
+
+def _random_mixture(gen: np.random.Generator) -> MixtureMeasure:
+    k = int(gen.integers(1, 5))
     levels = gen.random(k) * 0.999 + 0.001
     weights = gen.random(k) + 1e-3
     return MixtureMeasure(tuple(zip(levels, weights / weights.sum())))
+
+
+def _level(gen: np.random.Generator) -> dict:
+    return {"lambda": float(gen.random() * 0.999 + 0.001)}
+
+
+def _relative(tol: float):
+    return lambda case: tol * max(1.0, float(np.abs(case.outcomes["outcomes"]).max()))
+
+
+def _absolute(case: Case) -> float:
+    return PROPERTY_TOL
 
 
 def enumerate_dual_vertices(dist: DiscreteDistribution, lam: float) -> float:
@@ -64,8 +154,7 @@ def enumerate_dual_vertices(dist: DiscreteDistribution, lam: float) -> float:
     coordinate pinned by total Q-mass 1; enumerating all of them is exact
     for small laws and independent of the greedy construction.
     """
-    probs = np.asarray(dist.probabilities)
-    outs = np.asarray(dist.outcomes)
+    probs, outs = dist._masses, dist._atoms
     k = len(probs)
     best = math.inf
     indices = range(k)
@@ -87,201 +176,97 @@ def enumerate_dual_vertices(dist: DiscreteDistribution, lam: float) -> float:
     return best
 
 
-def _shrink(law: DiscreteDistribution, still_fails) -> DiscreteDistribution:
-    # Greedily drop atoms (renormalizing) while the violation persists.
-    current = law
-    progress = True
-    while progress and len(current.outcomes) > 1:
-        progress = False
-        for i in range(len(current.outcomes)):
-            outs = current.outcomes[:i] + current.outcomes[i + 1 :]
-            probs = np.array(current.probabilities[:i] + current.probabilities[i + 1 :])
-            candidate = DiscreteDistribution(outs, tuple(probs / probs.sum()))
-            if still_fails(candidate):
-                current = candidate
-                progress = True
-                break
-    return current
+def _greedy_gap(case: Case) -> float:
+    law, lam = case.law(), case.params["lambda"]
+    return abs(dual_avar_discrete(law, lam).value - avar(law, lam))
 
 
-def _law_payload(law: DiscreteDistribution) -> dict:
-    return {"outcomes": list(law.outcomes), "probabilities": list(law.probabilities)}
+def _vertex_gap(case: Case) -> float:
+    law, lam = case.law(), case.params["lambda"]
+    return abs(enumerate_dual_vertices(law, lam) - avar(law, lam))
 
 
-def _run_single_property(name, trials, gen, check, max_atoms=16) -> PropertyResult:
-    failures = 0
-    worst = 0.0
-    counterexample = None
-    for _ in range(trials):
-        law = _random_law(gen, max_atoms)
-        error, context, still_fails = check(law, gen)
-        worst = max(worst, error)
-        if still_fails is not None:
-            failures += 1
-            if counterexample is None:
-                shrunk = _shrink(law, still_fails)
-                counterexample = {**_law_payload(shrunk), **context}
-    return PropertyResult(name, trials, failures, worst, counterexample)
-
-
-def run_duality_suite(
-    trials: int,
-    seed: int,
-    *,
-    max_atoms: int = 64,
-    tol: float = DUALITY_TOL,
-    avar_fn=None,
-) -> list[PropertyResult]:
+def run_duality_suite(trials: int, seed: int) -> list[PropertyResult]:
     """Greedy dual vs primal on random laws; vertex enumeration on small ones.
 
-    The primal/dual comparison runs ``trials`` laws with up to ``max_atoms``
-    atoms; the enumeration cross-check runs the same number of laws with at
-    most 5 atoms, where listing every polytope vertex is cheap.
+    The primal/dual comparison runs ``trials`` laws with up to 64 atoms;
+    the enumeration cross-check runs the same number of laws with at most
+    5 atoms, where listing every polytope vertex is cheap.
     """
-    fn = avar_fn if avar_fn is not None else avar
-
-    def check_greedy(law, gen):
-        lam = float(gen.random() * 0.999 + 0.001)
-        scale = max(1.0, max(abs(x) for x in law.outcomes))
-        gap = abs(dual_avar_discrete(law, lam).value - fn(law, lam))
-        if gap > tol * scale:
-            return gap, {"lambda": lam, "gap": gap}, lambda c: abs(
-                dual_avar_discrete(c, lam).value - fn(c, lam)
-            ) > tol * scale
-        return gap, {}, None
-
-    def check_vertices(law, gen):
-        lam = float(gen.random() * 0.999 + 0.001)
-        scale = max(1.0, max(abs(x) for x in law.outcomes))
-        gap = abs(enumerate_dual_vertices(law, lam) - fn(law, lam))
-        if gap > 1e-9 * scale:
-            return gap, {"lambda": lam, "gap": gap}, lambda c: abs(
-                enumerate_dual_vertices(c, lam) - fn(c, lam)
-            ) > 1e-9 * scale
-        return gap, {}, None
-
-    gen_a = RngSpec(seed, _LAW_STREAM).generator()
-    gen_b = RngSpec(seed, _VERTEX_STREAM).generator()
+    greedy = _Property("primal_dual_greedy", partial(_one_law, max_states=64), _level,
+                       _greedy_gap, _relative(DUALITY_TOL))
+    vertices = _Property("primal_dual_vertex_enumeration", partial(_one_law, max_states=5), _level,
+                         _vertex_gap, _relative(VERTEX_TOL))
     return [
-        _run_single_property("primal_dual_greedy", trials, gen_a, check_greedy, max_atoms),
-        _run_single_property("primal_dual_vertex_enumeration", trials, gen_b, check_vertices, 5),
+        _run(greedy, trials, RngSpec(seed, _LAW_STREAM).generator()),
+        _run(vertices, trials, RngSpec(seed, _VERTEX_STREAM).generator()),
     ]
 
 
-def _joint_laws(gen: np.random.Generator, max_atoms: int):
-    # A shared finite sample space: outcomes for X and Y on common states.
-    k = int(gen.integers(1, max_atoms + 1))
-    weights = gen.random(k) + 1e-3
-    probs = tuple(weights / weights.sum())
-    x = np.round(gen.normal(0.0, 5.0, size=k), 6)
-    y = np.round(gen.normal(0.0, 5.0, size=k), 6)
-    return x, y, probs
+def _translation(case: Case) -> float:
+    law, mu, c = case.law(), case.params["mixture"], case.params["shift"]
+    return abs(mixture_value(law.translate(c), mu) - (mixture_value(law, mu) + c))
 
 
-def run_property_suite(
-    trials: int,
-    seed: int,
-    *,
-    tol: float = PROPERTY_TOL,
-    mixture_fn=None,
-) -> list[PropertyResult]:
-    """Structural identities of the mixture functional on random laws.
+def _homogeneity(case: Case) -> float:
+    mu, c = case.params["mixture"], case.params["factor"]
+    scaled = case.law(c * case.outcomes["outcomes"])
+    return abs(mixture_value(scaled, mu) - c * mixture_value(case.law(), mu))
+
+
+def _level_monotonicity(case: Case) -> float:
+    law = case.law()
+    lo, hi = avar(law, case.params["lambda_low"]), avar(law, case.params["lambda_high"])
+    return max(lo - hi, hi - law.mean())
+
+
+def _superadditivity(case: Case) -> float:
+    x, y, mu = case.outcomes["x_outcomes"], case.outcomes["y_outcomes"], case.params["mixture"]
+    joint = mixture_value(case.law(x + y), mu)
+    return mixture_value(case.law(x), mu) + mixture_value(case.law(y), mu) - joint
+
+
+def _comonotone_additivity(case: Case) -> float:
+    x, mu = case.outcomes["outcomes"], case.params["mixture"]
+    f_x = np.clip(x, -2.0, 3.0)  # nondecreasing transform
+    total = mixture_value(case.law(x + f_x), mu)
+    return abs(total - (mixture_value(case.law(x), mu) + mixture_value(case.law(f_x), mu)))
+
+
+def _jensen(case: Case) -> float:
+    u = CaraUtility(case.params["alpha"])
+    return -risk_premium(0.0, case.law(), case.params["mixture"], u)
+
+
+def _mixture_and(**draws):
+    return lambda gen: {"mixture": _random_mixture(gen), **{k: draw(gen) for k, draw in draws.items()}}
+
+
+def _level_pair(gen: np.random.Generator) -> dict:
+    lam_lo, lam_hi = sorted(float(v) for v in gen.random(2) * 0.999 + 0.001)
+    return {"lambda_low": lam_lo, "lambda_high": lam_hi}
+
+
+_STRUCTURAL = (
+    _Property("translation_invariance", _one_law,
+              _mixture_and(shift=lambda gen: float(gen.normal(0.0, 5.0))), _translation, _absolute),
+    _Property("positive_homogeneity", _one_law,
+              _mixture_and(factor=lambda gen: float(gen.random() * 4.0)), _homogeneity, _absolute),
+    _Property("avar_monotone_in_level", _one_law, _level_pair, _level_monotonicity, _absolute),
+    _Property("superadditivity", _two_laws, _mixture_and(), _superadditivity, _absolute),
+    _Property("comonotone_additivity", _sorted_x, _mixture_and(), _comonotone_additivity, _absolute),
+    _Property("jensen_premium_nonnegative", _one_law,
+              _mixture_and(alpha=lambda gen: float(gen.random() * 2.0 + 0.1)), _jensen, _absolute),
+)
+
+
+def run_property_suite(trials: int, seed: int) -> list[PropertyResult]:
+    """Structural identities of the mixture functional on random laws, in one stream.
 
     Covers translation invariance, positive homogeneity, superadditivity on
     a shared sample space, additivity on comonotone pairs, the mean bound
     with its premium corollary for concave utilities, and monotonicity of
     the building block in its tail level.
     """
-    fn = mixture_fn if mixture_fn is not None else mixture_value
-    results = []
-
-    def law_of(values, probs):
-        return DiscreteDistribution(tuple(values), probs)
-
-    def check_translation(law, gen):
-        mu = _random_mixture(gen)
-        c = float(gen.normal(0.0, 5.0))
-        gap = abs(fn(law.translate(c), mu) - (fn(law, mu) + c))
-        if gap > tol:
-            return gap, {"shift": c, "mixture": mu.atoms, "gap": gap}, (
-                lambda l: abs(fn(l.translate(c), mu) - (fn(l, mu) + c)) > tol
-            )
-        return gap, {}, None
-
-    def check_homogeneity(law, gen):
-        mu = _random_mixture(gen)
-        c = float(gen.random() * 4.0)
-        scaled = law_of([c * x for x in law.outcomes], law.probabilities)
-        gap = abs(fn(scaled, mu) - c * fn(law, mu))
-        if gap > tol:
-            return gap, {"factor": c, "mixture": mu.atoms, "gap": gap}, (
-                lambda l: abs(
-                    fn(law_of([c * x for x in l.outcomes], l.probabilities), mu) - c * fn(l, mu)
-                ) > tol
-            )
-        return gap, {}, None
-
-    def check_monotone_lambda(law, gen):
-        lam_lo, lam_hi = sorted(float(v) for v in gen.random(2) * 0.999 + 0.001)
-        lo, hi = avar(law, lam_lo), avar(law, lam_hi)
-        violation = max(lo - hi, hi - law.mean())
-        if violation > tol:
-            return violation, {"lambda_low": lam_lo, "lambda_high": lam_hi}, (
-                lambda l: max(avar(l, lam_lo) - avar(l, lam_hi), avar(l, lam_hi) - l.mean()) > tol
-            )
-        return max(violation, 0.0), {}, None
-
     gen = RngSpec(seed, _LAW_STREAM).generator()
-    results.append(_run_single_property("translation_invariance", trials, gen, check_translation))
-    results.append(_run_single_property("positive_homogeneity", trials, gen, check_homogeneity))
-    results.append(_run_single_property("avar_monotone_in_level", trials, gen, check_monotone_lambda))
-
-    # Two-law properties draw their own joint sample spaces.
-    def run_joint(name, violation_fn):
-        failures = 0
-        worst = 0.0
-        counterexample = None
-        for _ in range(trials):
-            x, y, probs = _joint_laws(gen, 16)
-            mu = _random_mixture(gen)
-            error, context = violation_fn(x, y, probs, mu)
-            worst = max(worst, error)
-            if error > tol:
-                failures += 1
-                if counterexample is None:
-                    counterexample = {
-                        "x_outcomes": list(x),
-                        "y_outcomes": list(y),
-                        "probabilities": list(probs),
-                        "mixture": mu.atoms,
-                        **context,
-                    }
-        return PropertyResult(name, trials, failures, worst, counterexample)
-
-    def superadditivity(x, y, probs, mu):
-        joint = fn(law_of(x + y, probs), mu)
-        split = fn(law_of(x, probs), mu) + fn(law_of(y, probs), mu)
-        return max(split - joint, 0.0), {"gap": split - joint}
-
-    def comonotone_additivity(x, y, probs, mu):
-        x_sorted = np.sort(x)
-        f_x = np.minimum(np.maximum(x_sorted, -2.0), 3.0)  # nondecreasing transform
-        total = fn(law_of(x_sorted + f_x, probs), mu)
-        split = fn(law_of(x_sorted, probs), mu) + fn(law_of(f_x, probs), mu)
-        return abs(total - split), {"gap": total - split}
-
-    results.append(run_joint("superadditivity", superadditivity))
-    results.append(run_joint("comonotone_additivity", comonotone_additivity))
-
-    def check_jensen(law, gen):
-        mu = _random_mixture(gen)
-        u = CaraUtility(float(gen.random() * 2.0 + 0.1))
-        premium = risk_premium(0.0, law, mu, u)
-        if premium < -tol:
-            return -premium, {"mixture": mu.atoms, "alpha": u.alpha, "premium": premium}, (
-                lambda l: risk_premium(0.0, l, mu, u) < -tol
-            )
-        return max(-premium, 0.0), {}, None
-
-    results.append(_run_single_property("jensen_premium_nonnegative", trials, gen, check_jensen))
-    return results
+    return [_run(prop, trials, gen) for prop in _STRUCTURAL]

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import riskpool.verify
@@ -187,6 +188,23 @@ class TestPremiumCurve:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 1234
 
+    def test_seed_past_64_bits_exits_2(self, tmp_path, capsys):
+        # 2**64 would key the same streams as seed 0 under another config hash.
+        config = self.write_config(tmp_path, EXACT_CONFIG)
+        out = tmp_path / "results"
+        argv = ["premium-curve", "--config", str(config), "--out-dir", str(out)]
+        assert main(argv + ["--seed", str(2**64)]) == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_env_seed_past_64_bits_exits_2(self, tmp_path, capsys, monkeypatch):
+        payload = dict(EXACT_CONFIG)
+        payload.pop("master_seed")
+        config = self.write_config(tmp_path, payload)
+        monkeypatch.setenv("RISKPOOL_SEED", str(2**64))
+        assert main(["premium-curve", "--config", str(config), "--out-dir", str(tmp_path / "r")]) == 2
+        assert "master_seed" in capsys.readouterr().err
+
     def test_invalid_config_exits_2_with_path(self, tmp_path, capsys):
         payload = dict(EXACT_CONFIG)
         payload["mixture"] = {"atoms": [{"lambda": 0.5}]}
@@ -255,6 +273,66 @@ class TestVerifyCommand:
         assert "FAIL" in captured.out
         assert "minimal failing instance" in captured.err
         assert "outcomes" in captured.err
+
+    def test_property_failure_reports_shrunk_joint_counterexample(self, capsys, monkeypatch):
+        real = riskpool.verify.mixture_value
+        buggy = lambda d, mu: -real(d, mu)  # noqa: E731
+        monkeypatch.setattr(riskpool.verify, "mixture_value", buggy)
+        assert main(["verify", "properties", "--trials", "20", "--seed", "42"]) == 5
+        captured = capsys.readouterr()
+        assert "superadditivity: 20 trials" in captured.out
+        prefix = "minimal failing instance: "
+        instances = [
+            json.loads(line[len(prefix):])
+            for line in captured.err.splitlines()
+            if line.startswith(prefix)
+        ]
+        assert instances
+        joint = next(c for c in instances if "x_outcomes" in c)
+        x, y = np.array(joint["x_outcomes"]), np.array(joint["y_outcomes"])
+        probs = np.array(joint["probabilities"])
+        # At most the 16 states a joint case draws, and still failing.
+        assert 1 <= probs.size == x.size == y.size <= 16
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        mu = MixtureMeasure(tuple(map(tuple, joint["mixture"])))
+
+        def violation(keep):
+            p = probs[keep] / probs[keep].sum()
+            value = lambda v: buggy(DiscreteDistribution(v[keep], p), mu)  # noqa: E731
+            return value(x) + value(y) - value(x + y)
+
+        everything = np.ones(probs.size, dtype=bool)
+        assert violation(everything) == joint["violation"] > 1e-10
+        # Shrunk: dropping any one state makes the case pass.
+        for i in range(probs.size):
+            assert violation(everything & (np.arange(probs.size) != i)) <= 1e-10
+
+    def test_seed_past_64_bits_exits_2(self, capsys, monkeypatch):
+        assert main(["verify", "duality", "--trials", "5", "--seed", str(2**64)]) == 2
+        assert "2**64" in capsys.readouterr().err
+        monkeypatch.setenv("RISKPOOL_SEED", str(2**64))
+        assert main(["verify", "properties", "--trials", "5"]) == 2
+
+
+class TestRemovedFlags:
+    # Each subcommand parses only the flags it reads.
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--dist", "normal01", "--lambda", "0.5", "--seed", "1"],
+        ["measure", "--dist", "normal01", "--lambda", "0.5", "--out-dir", "out"],
+        ["measure", "--dist", "normal01", "--lambda", "0.5", "--threads", "2"],
+        ["limit", "--sigma", "1", "--mu", "delta1", "--seed", "1"],
+        ["limit", "--sigma", "1", "--mu", "delta1", "--out-dir", "out"],
+        ["limit", "--sigma", "1", "--mu", "delta1", "--threads", "2"],
+        ["premium-curve", "--config", "config.json", "--json"],
+        ["verify", "duality", "--trials", "1", "--json"],
+        ["verify", "duality", "--trials", "1", "--out-dir", "out"],
+        ["verify", "duality", "--trials", "1", "--threads", "2"],
+    ])
+    def test_unread_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConfigRoundTrip:

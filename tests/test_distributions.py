@@ -183,6 +183,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RngSpec(0, -2)
 
+    def test_rng_spec_rejects_keys_past_64_bits(self):
+        # A Philox key word holds 64 bits; 2**64 would alias seed 0.
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            RngSpec(2**64)
+        with pytest.raises(ValueError):
+            RngSpec(0, 2**64)
+        top = RngSpec(2**64 - 1, 2**64 - 1).generator().random(3)
+        assert not np.array_equal(top, RngSpec(0, 2**64 - 1).generator().random(3))
+
     def test_translate(self):
         assert UNIFORM_1234.translate(1.0).outcomes == (2.0, 3.0, 4.0, 5.0)
         assert Normal(0.0, 1.0).translate(2.0) == Normal(2.0, 1.0)
@@ -299,6 +308,14 @@ class TestQuantileGrid:
     def test_uniform_grid_values(self):
         grid = quantile_grid_sample(Uniform(0.0, 1.0), 4)
         assert grid.values == (0.125, 0.375, 0.625, 0.875)
+
+    @pytest.mark.parametrize("dist", [Normal(1.0, 2.0), Uniform(-1.0, 3.0), Exponential(2.0, 0.5)])
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 64, 2**14])
+    def test_grid_atoms_nondecreasing(self, dist, n_points):
+        # The grid law is built from the quantile values without a sort.
+        atoms = np.asarray(quantile_grid_sample(dist, n_points).outcomes)
+        assert atoms.size == n_points
+        assert np.all(np.diff(atoms) >= 0.0)
 
     def test_grid_mean_converges(self):
         grid = quantile_grid_sample(Normal(1.0, 2.0), 2**14)

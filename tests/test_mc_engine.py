@@ -54,6 +54,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(replications=10, batches=10)
 
+    def test_master_seed_range(self):
+        assert make_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
+        for bad in (-1, 2**64, True):
+            with pytest.raises(ValueError, match="master_seed"):
+                make_config(master_seed=bad)
+
     def test_hash_tracks_semantic_fields(self):
         a = config_hash(make_config())
         assert a == config_hash(make_config())

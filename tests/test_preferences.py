@@ -129,6 +129,11 @@ class TestCertaintyEquivalent:
         assert fine == pytest.approx(oracle, abs=5e-5)
         assert abs(fine - oracle) < abs(default - oracle)
 
+    def test_grid_path_value_pinned(self):
+        # The unsorted-build grid law gives the value of the sorted build.
+        ce = certainty_equivalent(Normal(0.0, 1.0), MIX, CaraUtility(3.0))
+        assert ce == -1.6039306780354323
+
     def test_grid_path_matches_quadrature(self):
         from scipy import integrate
 
