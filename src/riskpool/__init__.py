@@ -48,7 +48,6 @@ from .risk_measures import (
     KusuokaFamily,
     MixtureMeasure,
     avar,
-    avar_normal_closed_form,
     check_family_condition,
     check_log_condition,
     dual_avar_discrete,

@@ -26,7 +26,7 @@ from .config import (
     mixture_from_dict,
     with_master_seed,
 )
-from .distributions import Normal
+from .distributions import Normal, RngSpec
 from .mc_engine import LimitComparison, PremiumCurve, compare_to_limit, run_curve
 from .preferences import UtilityDomainError
 from .risk_measures import (
@@ -326,6 +326,7 @@ def _cmd_verify(args) -> int:
     if args.trials < 0:
         raise ConfigError("trials", "must be nonnegative")
     seed = _resolve_seed(args.seed)
+    RngSpec(seed)  # rejects a seed outside [0, 2**64), even when no trial runs
     if args.trials == 0:
         print("warning: 0 trials requested; vacuous pass")
         return EXIT_OK
@@ -339,7 +340,8 @@ def _cmd_verify(args) -> int:
         )
         if not result.passed:
             failed = True
-            print("minimal failing instance: " + json.dumps(result.counterexample), file=sys.stderr)
+            instance = {"property": result.name, **result.counterexample}
+            print("minimal failing instance: " + json.dumps(instance), file=sys.stderr)
     return EXIT_PROPERTY if failed else EXIT_OK
 
 

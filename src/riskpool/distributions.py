@@ -88,6 +88,11 @@ class Distribution:
         """
         raise NotImplementedError
 
+    def _ppf(self, t):
+        """Quantile at levels strictly inside (0, 1), elementwise on arrays: the
+        one inverse CDF, called by :meth:`quantile` and :func:`quantile_grid_sample`."""
+        raise NotImplementedError
+
     def lower_quantile_integral(self, lam: float) -> float:
         """Integral of the quantile function over (0, lam], lam in (0, 1]."""
         raise NotImplementedError
@@ -200,11 +205,12 @@ class DiscreteDistribution(Distribution):
         return np.cumsum(self._masses * self._atoms)
 
     def quantile(self, t: float) -> float:
-        t = _check_level(t)
-        if t <= 0.0:
-            return float(self._atoms[0])
-        idx = int(np.searchsorted(self._cum, t - _LEVEL_TOL, side="left"))
-        return float(self._atoms[min(idx, self._atoms.size - 1)])
+        # At t = 0 the search lands on the first atom, the essential infimum.
+        return float(self._ppf(_check_level(t)))
+
+    def _ppf(self, t):
+        idx = np.searchsorted(self._cum, t - _LEVEL_TOL, side="left")
+        return self._atoms[np.minimum(idx, self._atoms.size - 1)]
 
     def lower_quantile_integral(self, lam: float) -> float:
         lam = _check_tail(lam)
@@ -308,6 +314,9 @@ class Normal(Distribution):
             raise ValueError("t = 0: a normal law is unbounded below, essential infimum is -inf")
         if t == 1.0:
             return math.inf
+        return float(self._ppf(t))
+
+    def _ppf(self, t):
         return self.loc + self.scale * inv_normal_cdf(t)
 
     def lower_quantile_integral(self, lam: float) -> float:
@@ -342,7 +351,9 @@ class Uniform(Distribution):
             raise ValueError("uniform law requires finite bounds with high > low")
 
     def quantile(self, t: float) -> float:
-        t = _check_level(t)
+        return float(self._ppf(_check_level(t)))
+
+    def _ppf(self, t):
         return self.low + (self.high - self.low) * t
 
     def lower_quantile_integral(self, lam: float) -> float:
@@ -378,7 +389,10 @@ class Exponential(Distribution):
         t = _check_level(t)
         if t == 1.0:
             return math.inf
-        return self.shift - math.log1p(-t) / self.rate
+        return float(self._ppf(t))
+
+    def _ppf(self, t):
+        return self.shift - np.log1p(-t) / self.rate
 
     def lower_quantile_integral(self, lam: float) -> float:
         lam = _check_tail(lam)
@@ -413,15 +427,7 @@ def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     t = (np.arange(n_points) + 0.5) / n_points
-    if isinstance(dist, Normal):
-        values = dist.loc + dist.scale * inv_normal_cdf(t)
-    elif isinstance(dist, Uniform):
-        values = dist.low + (dist.high - dist.low) * t
-    elif isinstance(dist, Exponential):
-        values = dist.shift - np.log1p(-t) / dist.rate
-    else:
-        values = np.array([dist.quantile(float(ti)) for ti in t])
-    return EmpiricalSample._sorted(values, *_equal_masses(n_points))
+    return EmpiricalSample._sorted(dist._ppf(t), *_equal_masses(n_points))
 
 
 def _pool_chunked(dist: Distribution, n: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -436,31 +442,19 @@ def _pool_chunked(dist: Distribution, n: int, count: int, gen: np.random.Generat
     return sums / n
 
 
-def pool_average_sample(
-    dist: Distribution,
-    n: int,
-    replications: int,
-    rng: RngSpec,
-    *,
-    allow_exact: bool = True,
-):
+def pool_average_sample(dist: Distribution, n: int, replications: int, rng: RngSpec) -> EmpiricalSample:
     """Replications of the equally shared pool average of n i.i.d. copies.
 
-    For a normal law the pooled average is again normal, so the exact law
-    Normal(loc, scale/sqrt(n)) is returned instead of a sample (callers can
-    detect the shortcut by the returned type); pass allow_exact=False to
-    force sampling. Two-point laws draw pooled sums through binomial counts
-    and other discrete laws through multinomial counts, which is
-    distributionally exact; empirical samples and the continuous families
-    sum n draws per replicate.
+    A normal pooled average is drawn from its exact law
+    Normal(loc, scale/sqrt(n)). Two-point laws draw pooled sums through
+    binomial counts and other discrete laws through multinomial counts,
+    which is distributionally exact; empirical samples and the other
+    continuous families sum n draws per replicate.
     """
     if n < 1:
         raise ValueError("pool size n must be >= 1")
     if replications < 2:
         raise ValueError("replications must be >= 2")
-    if isinstance(dist, Normal) and allow_exact:
-        return Normal(dist.loc, dist.scale / math.sqrt(n))
-
     gen = rng.generator()
     if isinstance(dist, Normal):
         values = dist.loc + dist.scale / math.sqrt(n) * gen.standard_normal(replications)

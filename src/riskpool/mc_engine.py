@@ -34,13 +34,13 @@ import numpy as np
 from .asymptotics import RateFit, fit_rate, theorem1_limit, theorem2_limit
 from .distributions import Distribution, Normal, RngSpec, pool_average_sample
 from .preferences import (
-    CaraUtility,
     LinearUtility,
     UtilityDomainError,
     UtilityFunction,
+    closed_form_certainty_equivalent,
     risk_premium,
 )
-from .risk_measures import DELTA_ONE, KusuokaFamily, MixtureMeasure
+from .risk_measures import KusuokaFamily, MixtureMeasure
 
 DEFAULT_N_GRID = (4, 16, 64, 256, 1024, 4096)
 
@@ -129,25 +129,14 @@ _TOLERANCE_NOTE = (
 )
 
 
-def _closed_form_kind(config: ExperimentConfig) -> str | None:
-    if not isinstance(config.distribution, Normal):
-        return None
-    if isinstance(config.utility, LinearUtility):
-        return "linear"
-    if (
-        isinstance(config.utility, CaraUtility)
-        and config.mixture is not None
-        and config.mixture == DELTA_ONE
-    ):
-        return "cara_mean"
-    return None
-
-
 def _use_exact(config: ExperimentConfig) -> bool:
-    kind = _closed_form_kind(config)
+    dist = config.distribution
+    closed = isinstance(dist, Normal) and (
+        closed_form_certainty_equivalent(dist, config.preference, config.utility) is not None
+    )
     if config.exact is None:
-        return kind is not None
-    if config.exact and kind is None:
+        return closed
+    if config.exact and not closed:
         raise ValueError(
             "exact=True requires a closed-form configuration "
             "(normal risks with linear utility, or cara utility with the point mass at 1)"
@@ -164,21 +153,21 @@ def theorem_limit(config: ExperimentConfig) -> float:
 
 
 def _exact_scaled_premium(config: ExperimentConfig, n: int) -> float:
-    kind = _closed_form_kind(config)
-    if kind == "linear":
+    if isinstance(config.utility, LinearUtility):
         # Premium (sigma/sqrt(n)) * constant; the sqrt(n) scaling cancels,
         # so the Taylor error of the expansion argument vanishes identically.
         return theorem_limit(config)
-    if kind == "cara_mean":
-        variance_n = config.distribution.variance() / n
-        return math.sqrt(n) * config.utility.alpha * variance_n / 2.0
-    raise ValueError("no closed form for this configuration")
+    # Both closed-form utilities are translation-equivariant, so the premium
+    # is minus the CE of the centred pooled law; centring avoids the
+    # cancellation in wealth + mean - CE when the mean dwarfs the spread.
+    centred = Normal(0.0, config.distribution.scale / math.sqrt(n))
+    return -math.sqrt(n) * closed_form_certainty_equivalent(centred, config.preference, config.utility)
 
 
 def _batch_scaled_premium(config: ExperimentConfig, n: int, batch: int) -> float:
     per_batch = config.replications // config.batches
     rng = RngSpec(config.master_seed, batch)
-    pool = pool_average_sample(config.distribution, n, per_batch, rng, allow_exact=False)
+    pool = pool_average_sample(config.distribution, n, per_batch, rng)
     try:
         premium = risk_premium(
             config.wealth,

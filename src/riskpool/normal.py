@@ -1,4 +1,4 @@
-"""Standard normal density, CDF, and inverse CDF.
+"""Standard normal density and inverse CDF.
 
 Kept free of intra-package imports so that both the distribution layer and
 the limit-constant layer can use it without cycles.
@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_SQRT_2 = math.sqrt(2.0)
 
 # Wichura's PPND16 rational-approximation coefficients (algorithm AS 241),
 # highest order first for Horner evaluation.
@@ -87,11 +86,6 @@ def _horner(r, coeffs):
 def normal_pdf(x):
     """Density of the standard normal law, elementwise on arrays."""
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
-
-
-def normal_cdf(x: float) -> float:
-    """CDF of the standard normal law (scalar), via erfc."""
-    return 0.5 * math.erfc(-x / _SQRT_2)
 
 
 def inv_normal_cdf(p):

@@ -229,22 +229,20 @@ def _pullback_value(law, preference, u: UtilityFunction) -> float:
     return float(u.invert(_value_functional(_transformed_law(law, u), preference)))
 
 
-def _certainty_equivalent_any(dist, preference, u, grid_points) -> float:
-    if isinstance(dist, DiscreteDistribution):
-        return _pullback_value(dist, preference, u)
-    # Parametric laws: closed forms where they exist, otherwise the
-    # deterministic quantile-grid discretization.
+def closed_form_certainty_equivalent(
+    dist: Distribution, mu: MixtureMeasure | KusuokaFamily, u: UtilityFunction
+) -> float | None:
+    """Closed-form certainty equivalent of a parametric law, or None.
+
+    The table has two entries: linear u on any parametric law (the
+    functional of the law itself, u being affine), and cara u on a normal
+    law with the point mass at level 1 (loc - alpha * scale^2 / 2).
+    """
     if isinstance(u, LinearUtility):
-        return float(_value_functional(dist, preference))
-    if (
-        isinstance(u, CaraUtility)
-        and isinstance(dist, Normal)
-        and isinstance(preference, MixtureMeasure)
-        and preference == DELTA_ONE
-    ):
+        return float(_value_functional(dist, mu))
+    if isinstance(u, CaraUtility) and isinstance(dist, Normal) and mu == DELTA_ONE:
         return dist.loc - u.alpha * dist.scale**2 / 2.0
-    _check_parametric_support(dist, u)
-    return _pullback_value(quantile_grid_sample(dist, grid_points), preference, u)
+    return None
 
 
 def certainty_equivalent(
@@ -258,12 +256,17 @@ def certainty_equivalent(
 
     ``mu`` is a mixture, or a family whose minimum replaces the mixture.
     Finite laws (discrete, empirical, two-point) are evaluated exactly by
-    transforming their outcomes. Parametric laws use a closed form when one
-    exists (linear u; cara u on a normal law with the point mass at level
-    1) and the equal-probability quantile grid of ``grid_points`` midpoints
-    otherwise.
+    transforming their outcomes. Parametric laws use
+    :func:`closed_form_certainty_equivalent` when it has an entry and the
+    equal-probability quantile grid of ``grid_points`` midpoints otherwise.
     """
-    return _certainty_equivalent_any(dist, mu, u, grid_points)
+    if isinstance(dist, DiscreteDistribution):
+        return _pullback_value(dist, mu, u)
+    ce = closed_form_certainty_equivalent(dist, mu, u)
+    if ce is not None:
+        return ce
+    _check_parametric_support(dist, u)
+    return _pullback_value(quantile_grid_sample(dist, grid_points), mu, u)
 
 
 def risk_premium(
@@ -283,7 +286,7 @@ def risk_premium(
     estimates are not polluted by mean-estimation noise.
     """
     m1 = pool_dist.mean() if single_risk_mean is None else float(single_risk_mean)
-    ce = _certainty_equivalent_any(pool_dist.translate(wealth), preference, u, grid_points)
+    ce = certainty_equivalent(pool_dist.translate(wealth), preference, u, grid_points=grid_points)
     return wealth + m1 - ce
 
 
@@ -299,5 +302,5 @@ def equivalent_utility_premium(
 
     Differs from :func:`risk_premium` by exactly the single-risk mean.
     """
-    ce = _certainty_equivalent_any(pool_dist.translate(wealth), preference, u, grid_points)
+    ce = certainty_equivalent(pool_dist.translate(wealth), preference, u, grid_points=grid_points)
     return wealth - ce

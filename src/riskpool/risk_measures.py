@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, Distribution, _check_tail
-from .normal import inv_normal_cdf, normal_pdf
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -122,19 +121,6 @@ def essential_infimum(dist: Distribution) -> float:
     Standalone convenience only: not admissible as a mixture atom.
     """
     return dist.quantile(0.0)
-
-
-def avar_normal_closed_form(m: float, sigma: float, lam: float) -> float:
-    """Building block of a normal(m, sigma^2) law: m - sigma*pdf(ppf(lam))/lam.
-
-    At lam = 1 the tail term vanishes and the value is m.
-    """
-    lam = _check_tail(lam)
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if lam == 1.0:
-        return float(m)
-    return m - sigma * float(normal_pdf(inv_normal_cdf(lam))) / lam
 
 
 def mixture_value(dist: Distribution, mu: MixtureMeasure) -> float:

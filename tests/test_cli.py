@@ -265,6 +265,15 @@ class TestVerifyCommand:
         assert main(["verify", "duality", "--trials", "0"]) == 0
         assert "vacuous" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_bad_seed_exits_2_before_any_trial(self, capsys, seed, trials):
+        argv = ["verify", "duality", "--trials", str(trials), "--seed", str(seed)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "2**64" in captured.err
+        assert "vacuous" not in captured.out
+
     def test_injected_bug_exits_5_with_counterexample(self, capsys, monkeypatch):
         real = riskpool.verify.avar
         monkeypatch.setattr(riskpool.verify, "avar", lambda d, lam: -real(d, lam))
@@ -288,7 +297,12 @@ class TestVerifyCommand:
             if line.startswith(prefix)
         ]
         assert instances
+        failed = {
+            line.split(":", 1)[0] for line in captured.out.splitlines() if line.endswith("[FAIL]")
+        }
+        assert all(c["property"] in failed for c in instances)
         joint = next(c for c in instances if "x_outcomes" in c)
+        assert joint["property"] == "superadditivity"
         x, y = np.array(joint["x_outcomes"]), np.array(joint["y_outcomes"])
         probs = np.array(joint["probabilities"])
         # At most the 16 states a joint case draws, and still failing.

@@ -252,12 +252,8 @@ class TestSampling:
 
 
 class TestPoolAverage:
-    def test_normal_exact_shortcut(self):
-        pooled = pool_average_sample(Normal(0.0, 1.0), 4, 100, RngSpec(0))
-        assert pooled == Normal(0.0, 0.5)
-
     def test_normal_forced_sampling(self):
-        pooled = pool_average_sample(Normal(0.0, 1.0), 4, 2000, RngSpec(0), allow_exact=False)
+        pooled = pool_average_sample(Normal(0.0, 1.0), 4, 2000, RngSpec(0))
         assert isinstance(pooled, EmpiricalSample)
         assert abs(pooled.mean()) <= 5 * 0.5 / math.sqrt(2000)
 
@@ -284,7 +280,7 @@ class TestPoolAverage:
     ])
     def test_pool_moments(self, dist):
         n, reps = 8, 40_000
-        pooled = pool_average_sample(dist, n, reps, RngSpec(17), allow_exact=False)
+        pooled = pool_average_sample(dist, n, reps, RngSpec(17))
         se_mean = math.sqrt(dist.variance() / n / reps)
         assert abs(pooled.mean() - dist.mean()) <= 5 * se_mean
         target_var = dist.variance() / n
@@ -299,9 +295,19 @@ class TestPoolAverage:
             pool_average_sample(UNIFORM_1234, 2, 1, RngSpec(0))
 
     def test_deterministic_across_calls(self):
-        a = pool_average_sample(Uniform(0.0, 1.0), 3, 500, RngSpec(7, 2), allow_exact=False)
-        b = pool_average_sample(Uniform(0.0, 1.0), 3, 500, RngSpec(7, 2), allow_exact=False)
+        a = pool_average_sample(Uniform(0.0, 1.0), 3, 500, RngSpec(7, 2))
+        b = pool_average_sample(Uniform(0.0, 1.0), 3, 500, RngSpec(7, 2))
         assert a == b
+
+
+GRID_LAWS = [
+    Normal(1.0, 2.0),
+    Uniform(-1.0, 3.0),
+    Exponential(2.0, 0.5),
+    DiscreteDistribution((1, 2, 5), (0.2, 0.5, 0.3)),
+    TwoPoint(0, 1, 0.3),
+    EmpiricalSample((3.0, -1.0, 2.0, 2.0, 7.5)),
+]
 
 
 class TestQuantileGrid:
@@ -309,13 +315,25 @@ class TestQuantileGrid:
         grid = quantile_grid_sample(Uniform(0.0, 1.0), 4)
         assert grid.values == (0.125, 0.375, 0.625, 0.875)
 
-    @pytest.mark.parametrize("dist", [Normal(1.0, 2.0), Uniform(-1.0, 3.0), Exponential(2.0, 0.5)])
+    @pytest.mark.parametrize("dist", GRID_LAWS)
     @pytest.mark.parametrize("n_points", [1, 2, 3, 64, 2**14])
     def test_grid_atoms_nondecreasing(self, dist, n_points):
         # The grid law is built from the quantile values without a sort.
         atoms = np.asarray(quantile_grid_sample(dist, n_points).outcomes)
         assert atoms.size == n_points
         assert np.all(np.diff(atoms) >= 0.0)
+
+    @pytest.mark.parametrize("dist", GRID_LAWS)
+    @pytest.mark.parametrize("n_points", [1, 3, 10, 1000])
+    def test_grid_atoms_are_the_quantiles(self, dist, n_points):
+        atoms = np.asarray(quantile_grid_sample(dist, n_points).outcomes)
+        t = (np.arange(n_points) + 0.5) / n_points
+        expected = np.array([dist.quantile(float(ti)) for ti in t])
+        if isinstance(dist, Exponential):
+            # Array and scalar log1p may round apart in the last bit.
+            assert np.all(np.abs(atoms - expected) <= np.spacing(np.abs(expected)))
+        else:
+            assert np.array_equal(atoms, expected)
 
     def test_grid_mean_converges(self):
         grid = quantile_grid_sample(Normal(1.0, 2.0), 2**14)

@@ -9,6 +9,7 @@ from riskpool.mc_engine import (
     config_hash,
     estimate_scaled_premium,
     run_curve,
+    theorem_limit,
 )
 from riskpool.preferences import CaraUtility, LinearUtility, LogUtility, UtilityDomainError
 from riskpool.risk_measures import KusuokaFamily, MixtureMeasure, mixture_value
@@ -81,6 +82,40 @@ class TestExactPath:
             estimate, stderr = estimate_scaled_premium(config, n)
             assert stderr == 0.0
             assert estimate / math.sqrt(n) == pytest.approx(0.5 / n, abs=1e-15)
+
+    @pytest.mark.parametrize("preference", [
+        MixtureMeasure.point(0.5),
+        MixtureMeasure.point(0.3),
+        MIX,
+        MixtureMeasure.equal_weight_grid(4),
+        KusuokaFamily((MixtureMeasure.point(0.3), MixtureMeasure.point(0.7))),
+        KusuokaFamily((MIX, MixtureMeasure.point(0.5))),
+    ])
+    def test_linear_points_equal_the_limit_at_any_n(self, preference):
+        # Theorem 1 holds with equality at every n for a normal law, so the
+        # exact points are the limit constant itself, not a rescaled CE.
+        is_family = isinstance(preference, KusuokaFamily)
+        config = make_config(
+            distribution=Normal(3.0, 2.0), wealth=5.0, n_grid=(2, 3, 5, 7),
+            mixture=None if is_family else preference,
+            family=preference if is_family else None,
+        )
+        curve = run_curve(config)
+        assert all(p.estimate == theorem_limit(config) for p in curve.points)
+        assert all(row.abs_gap == 0.0 for row in compare_to_limit(curve).rows)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
+    def test_cara_mean_case_has_no_cancellation(self, alpha):
+        # A mean of 1e6 would cost ~1e-6 relative at n=4096 if the premium
+        # were formed as wealth + mean - CE. Pool sizes and alphas are chosen
+        # so that alpha / (2n) is not a short binary fraction, which that
+        # subtraction would keep exact.
+        config = make_config(
+            distribution=Normal(1e6, 1.0), utility=CaraUtility(alpha), wealth=5.0,
+            mixture=MixtureMeasure.point(1.0), n_grid=(3, 10, 100, 1000, 4096),
+        )
+        for p in run_curve(config).points:
+            assert p.estimate == pytest.approx(alpha / (2.0 * math.sqrt(p.n)), rel=1e-14)
 
     def test_family_exact_path(self):
         family = KusuokaFamily((MixtureMeasure.point(0.3), MixtureMeasure.point(0.7)))

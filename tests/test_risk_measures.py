@@ -8,7 +8,6 @@ from riskpool.risk_measures import (
     KusuokaFamily,
     MixtureMeasure,
     avar,
-    avar_normal_closed_form,
     check_family_condition,
     check_log_condition,
     dual_avar_discrete,
@@ -64,26 +63,24 @@ class TestAvar:
 
 class TestNormalClosedForm:
     def test_half_level(self):
-        assert avar_normal_closed_form(0.0, 1.0, 0.5) == pytest.approx(AVAR_N01_05, abs=1e-12)
+        assert avar(Normal(0.0, 1.0), 0.5) == pytest.approx(AVAR_N01_05, abs=1e-12)
 
     def test_level_one_returns_location(self):
-        assert avar_normal_closed_form(3.0, 2.0, 1.0) == 3.0
+        assert avar(Normal(3.0, 2.0), 1.0) == 3.0
 
     def test_frozen_03(self):
-        assert avar_normal_closed_form(0.0, 1.0, 0.3) == pytest.approx(AVAR_N01_03, abs=1e-12)
-        assert avar_normal_closed_form(0.0, 1.0, 0.3) == pytest.approx(
-            quad_avar_normal(0.3), abs=1e-8
-        )
+        assert avar(Normal(0.0, 1.0), 0.3) == pytest.approx(AVAR_N01_03, abs=1e-12)
+        assert avar(Normal(0.0, 1.0), 0.3) == pytest.approx(quad_avar_normal(0.3), abs=1e-8)
 
     def test_location_scale(self):
         for m, s, lam in ((1.0, 2.0, 0.3), (-2.0, 0.5, 0.8)):
-            assert avar_normal_closed_form(m, s, lam) == pytest.approx(
-                avar(Normal(m, s), lam), abs=1e-12
+            assert avar(Normal(m, s), lam) == pytest.approx(
+                m + s * avar(Normal(0.0, 1.0), lam), abs=1e-12
             )
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
-            avar_normal_closed_form(0.0, 0.0, 0.5)
+            Normal(0.0, 0.0)
 
 
 class TestMixture:
