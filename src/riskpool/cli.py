@@ -249,6 +249,7 @@ def curve_to_dict(config_dict: dict, curve: PremiumCurve, comparison: LimitCompa
                 "estimate": point.estimate,
                 "stderr": point.stderr,
                 "replications": point.replications,
+                "method": point.method,
                 "unscaled_premium": point.estimate / math.sqrt(point.n),
                 "abs_gap": row.abs_gap,
                 "z_score": row.z_score if math.isfinite(row.z_score) else repr(row.z_score),

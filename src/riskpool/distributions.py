@@ -34,8 +34,8 @@ _PROB_SUM_TOL = 1e-12
 # boundary (q(0.3) on ten equal atoms must hit the third, not the fourth).
 _LEVEL_TOL = 1e-12
 
-# Block size (in draws) for pooled sampling of laws without a pooled
-# closed form; bounds peak memory at ~64 MB of float64.
+# Block size, in draws or in multinomial counts, for pooled sampling;
+# bounds peak memory at ~64 MB of 8-byte values.
 _POOL_CHUNK = 1 << 23
 
 
@@ -80,6 +80,9 @@ class RngSpec:
 class Distribution:
     """Interface shared by all supported laws."""
 
+    # How :meth:`_pool_draw` samples a pool average, as recorded per curve point.
+    pool_method = "summed draws"
+
     def quantile(self, t: float) -> float:
         """Left-continuous quantile q(t) = inf{m : P[X <= m] >= t}.
 
@@ -112,6 +115,20 @@ class Distribution:
 
     def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         raise NotImplementedError
+
+    def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
+        """count draws of the average of n i.i.d. copies.
+
+        Laws without an exact pooled sampler sum n draws per replicate, in
+        blocks of at most ``_POOL_CHUNK`` draws.
+        """
+        sums = np.zeros(count)
+        rows = max(1, _POOL_CHUNK // n)
+        for start in range(0, count, rows):
+            stop = min(start + rows, count)
+            block = self._draw(gen, (stop - start) * n).reshape(stop - start, n)
+            sums[start:stop] = block.sum(axis=1)
+        return sums / n
 
     def sample(self, rng: RngSpec, count: int) -> "EmpiricalSample":
         """count i.i.d. draws as an :class:`EmpiricalSample`.
@@ -237,6 +254,20 @@ class DiscreteDistribution(Distribution):
         idx = np.minimum(np.searchsorted(self._cum, u, side="left"), self._atoms.size - 1)
         return self._atoms[idx]
 
+    pool_method = "multinomial"
+
+    def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
+        # Counts come in row blocks of at most _POOL_CHUNK entries; numpy
+        # draws multinomial rows in sequence, so the blocks reproduce the
+        # stream of one count x atoms call.
+        values = np.empty(count)
+        rows = max(1, _POOL_CHUNK // self._atoms.size)
+        for start in range(0, count, rows):
+            stop = min(start + rows, count)
+            counts = gen.multinomial(n, self._masses, size=stop - start)
+            values[start:stop] = counts @ self._atoms / n
+        return values
+
 
 def _equal_masses(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Masses 1/k and their exact cumulative masses i/k."""
@@ -258,6 +289,11 @@ class EmpiricalSample(DiscreteDistribution):
         if arr.size == 0:
             raise ValueError("at least one value is required")
         self._fill(arr, *_equal_masses(arr.size))
+
+    # A sample has an atom per value, so multinomial counts over it would
+    # cost replications x size; it sums draws like the continuous laws.
+    pool_method = Distribution.pool_method
+    _pool_draw = Distribution._pool_draw
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -297,6 +333,13 @@ class TwoPoint(DiscreteDistribution):
 
     def translate(self, c: float) -> "TwoPoint":
         return TwoPoint(self.low + c, self.high + c, self.p_high)
+
+    pool_method = "binomial"
+
+    def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
+        low, high = self._atoms
+        counts = gen.binomial(n, self._masses[1], size=count)
+        return low + (high - low) * counts / n
 
 
 @dataclass(frozen=True)
@@ -339,6 +382,12 @@ class Normal(Distribution):
 
     def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         return self.loc + self.scale * gen.standard_normal(count)
+
+    pool_method = "normal-law"
+
+    def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
+        # The pool average is exactly Normal(loc, scale / sqrt(n)).
+        return self.loc + self.scale / math.sqrt(n) * gen.standard_normal(count)
 
 
 @dataclass(frozen=True)
@@ -415,6 +464,12 @@ class Exponential(Distribution):
     def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         return self.shift + gen.standard_exponential(count) / self.rate
 
+    pool_method = "gamma"
+
+    def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
+        # The pool average is exactly shift + Gamma(shape n, rate n * rate).
+        return self.shift + gen.standard_gamma(n, count) / (n * self.rate)
+
 
 def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
     """Equal-probability discretization on the midpoint grid t_i = (i-1/2)/N.
@@ -430,43 +485,17 @@ def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
     return EmpiricalSample._sorted(dist._ppf(t), *_equal_masses(n_points))
 
 
-def _pool_chunked(dist: Distribution, n: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    sums = np.zeros(count)
-    rows = max(1, _POOL_CHUNK // n)
-    start = 0
-    while start < count:
-        stop = min(start + rows, count)
-        block = dist._draw(gen, (stop - start) * n).reshape(stop - start, n)
-        sums[start:stop] = block.sum(axis=1)
-        start = stop
-    return sums / n
-
-
 def pool_average_sample(dist: Distribution, n: int, replications: int, rng: RngSpec) -> EmpiricalSample:
     """Replications of the equally shared pool average of n i.i.d. copies.
 
-    A normal pooled average is drawn from its exact law
-    Normal(loc, scale/sqrt(n)). Two-point laws draw pooled sums through
-    binomial counts and other discrete laws through multinomial counts,
-    which is distributionally exact; empirical samples and the other
-    continuous families sum n draws per replicate.
+    Each law draws its own pool average (:meth:`Distribution._pool_draw`)
+    and names how in ``pool_method``: normal and exponential pools from
+    their exact laws, two-point and other finite laws through binomial or
+    multinomial counts, which is distributionally exact; empirical samples
+    and the uniform law sum n draws per replicate.
     """
     if n < 1:
         raise ValueError("pool size n must be >= 1")
     if replications < 2:
         raise ValueError("replications must be >= 2")
-    gen = rng.generator()
-    if isinstance(dist, Normal):
-        values = dist.loc + dist.scale / math.sqrt(n) * gen.standard_normal(replications)
-    elif isinstance(dist, TwoPoint):
-        low, high = dist._atoms
-        counts = gen.binomial(n, dist._masses[1], size=replications)
-        values = low + (high - low) * counts / n
-    elif isinstance(dist, DiscreteDistribution) and not isinstance(dist, EmpiricalSample):
-        # A sample has an atom per value; multinomial counts over them would
-        # take replications x size memory, so samples sum draws below.
-        counts = gen.multinomial(n, dist._masses, size=replications)
-        values = counts @ dist._atoms / n
-    else:
-        values = _pool_chunked(dist, n, replications, gen)
-    return EmpiricalSample(values)
+    return EmpiricalSample(dist._pool_draw(rng.generator(), n, replications))

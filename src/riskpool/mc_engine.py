@@ -90,10 +90,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """One pool size's estimate; ``method`` is "exact" on the closed-form
+    path and the law's ``pool_method`` (the pooled sampler) otherwise."""
+
     n: int
     estimate: float
     stderr: float
     replications: int
+    method: str
 
 
 @dataclass(frozen=True)
@@ -223,7 +227,9 @@ def run_curve(config: ExperimentConfig, *, threads: int = 1) -> PremiumCurve:
     points: list[CurvePoint] = []
     if exact:
         for n in config.n_grid:
-            points.append(CurvePoint(n, _exact_scaled_premium(config, n), 0.0, config.replications))
+            points.append(
+                CurvePoint(n, _exact_scaled_premium(config, n), 0.0, config.replications, "exact")
+            )
     else:
         tasks = [(n, b) for n in config.n_grid for b in range(config.batches)]
         if threads > 1:
@@ -236,7 +242,9 @@ def run_curve(config: ExperimentConfig, *, threads: int = 1) -> PremiumCurve:
             by_n[n].append(value)
         for n in config.n_grid:
             estimate, stderr = _aggregate(by_n[n], config.batches)
-            points.append(CurvePoint(n, estimate, stderr, config.replications))
+            points.append(
+                CurvePoint(n, estimate, stderr, config.replications, config.distribution.pool_method)
+            )
 
     unscaled = [(p.n, p.estimate / math.sqrt(p.n)) for p in points]
     rate = None

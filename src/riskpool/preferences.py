@@ -232,11 +232,11 @@ def _pullback_value(law, preference, u: UtilityFunction) -> float:
 def closed_form_certainty_equivalent(
     dist: Distribution, mu: MixtureMeasure | KusuokaFamily, u: UtilityFunction
 ) -> float | None:
-    """Closed-form certainty equivalent of a parametric law, or None.
+    """Closed-form certainty equivalent of a law, or None.
 
-    The table has two entries: linear u on any parametric law (the
-    functional of the law itself, u being affine), and cara u on a normal
-    law with the point mass at level 1 (loc - alpha * scale^2 / 2).
+    The table has two entries: linear u on any law, finite or parametric
+    (the functional of the law itself, u being affine), and cara u on a
+    normal law with the point mass at level 1 (loc - alpha * scale^2 / 2).
     """
     if isinstance(u, LinearUtility):
         return float(_value_functional(dist, mu))
@@ -255,16 +255,16 @@ def certainty_equivalent(
     """Sure amount with the same distorted expected utility as the risk.
 
     ``mu`` is a mixture, or a family whose minimum replaces the mixture.
-    Finite laws (discrete, empirical, two-point) are evaluated exactly by
-    transforming their outcomes. Parametric laws use
-    :func:`closed_form_certainty_equivalent` when it has an entry and the
-    equal-probability quantile grid of ``grid_points`` midpoints otherwise.
+    :func:`closed_form_certainty_equivalent` answers first where it has an
+    entry. Otherwise finite laws (discrete, empirical, two-point) are
+    evaluated exactly by transforming their outcomes, and parametric laws
+    through the equal-probability quantile grid of ``grid_points`` midpoints.
     """
-    if isinstance(dist, DiscreteDistribution):
-        return _pullback_value(dist, mu, u)
     ce = closed_form_certainty_equivalent(dist, mu, u)
     if ce is not None:
         return ce
+    if isinstance(dist, DiscreteDistribution):
+        return _pullback_value(dist, mu, u)
     _check_parametric_support(dist, u)
     return _pullback_value(quantile_grid_sample(dist, grid_points), mu, u)
 

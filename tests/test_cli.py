@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from riskpool.config import (
 )
 from riskpool.distributions import DiscreteDistribution, EmpiricalSample, TwoPoint
 from riskpool.risk_measures import MixtureMeasure
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 DISCRETE_1234 = '{"family":"discrete","outcomes":[1,2,3,4],"probs":[0.25,0.25,0.25,0.25]}'
 
@@ -168,6 +171,27 @@ class TestPremiumCurve:
             outputs.append((out / "curve.csv").read_bytes())
         assert codes[0] == codes[1]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("name, payload, method", [
+        ("exact_normal_linear.json", None, "exact"),
+        ("normal_cara_mixture.json", None, "normal-law"),
+        ("twopoint_family.json", None, "binomial"),
+        ("exponential", {
+            "distribution": {"family": "exponential", "rate": 1.0, "shift": 0.5},
+            "utility": {"family": "log", "shift": 0.0},
+            "mixture": {"atoms": [{"lambda": 0.5, "weight": 0.5}, {"lambda": 1.0, "weight": 0.5}]},
+            "exact": False,
+        }, "gamma"),
+    ])
+    def test_curve_json_names_the_method(self, tmp_path, name, payload, method):
+        if payload is None:
+            payload = json.loads((CONFIG_DIR / name).read_text())
+        payload = {**payload, "n_grid": [4, 16, 64], "replications": 2000, "batches": 10}
+        out = tmp_path / "out"
+        main(["premium-curve", "--config", str(self.write_config(tmp_path, payload)),
+              "--out-dir", str(out)])
+        points = json.loads((out / "curve.json").read_text())["points"]
+        assert [p["method"] for p in points] == [method] * 3
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = self.write_config(tmp_path, MC_CONFIG)

@@ -299,6 +299,52 @@ class TestPoolAverage:
         b = pool_average_sample(Uniform(0.0, 1.0), 3, 500, RngSpec(7, 2))
         assert a == b
 
+    # Pinned pool averages (n=5, 6 replications, RngSpec(20260808, 3)):
+    # the per-law samplers keep every stream but the exponential one.
+    @pytest.mark.parametrize("dist, expected", [
+        (Normal(0.5, 2.0), [
+            -0.21327465764400377, -0.17086884027358484, 0.23405974854485617,
+            0.3912616086589834, 0.47900129761374316, 1.3379388259434626,
+        ]),
+        (TwoPoint(-1.0, 3.0, 0.3), [-0.19999999999999996] * 3 + [0.6000000000000001] * 3),
+        (DiscreteDistribution([0.0, 1.5, 4.0], [0.2, 0.5, 0.3]), [1.4, 1.7, 1.7, 1.9, 2.2, 2.5]),
+        (Uniform(-1.0, 2.0), [
+            0.22644212409639913, 0.34842150158300844, 0.6488674647350962,
+            0.7255314678481244, 1.0463201015213834, 1.1726945947009504,
+        ]),
+        (EmpiricalSample([0.25, -2.0, 1.0, 7.5]), [0.1, 0.8, 1.85, 2.0, 3.45, 4.9]),
+    ])
+    def test_streams_pinned(self, dist, expected):
+        pooled = pool_average_sample(dist, 5, 6, RngSpec(20260808, 3))
+        assert list(pooled.values) == expected
+
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    def test_exponential_pool_is_gamma(self, n):
+        dist = Exponential(2.0, 0.5)
+        pooled = pool_average_sample(dist, n, 20_000, RngSpec(11, n))
+        law = stats.gamma(n, loc=dist.shift, scale=1.0 / (n * dist.rate))
+        assert stats.kstest(pooled.values, law.cdf).pvalue > 1e-4
+
+    def test_exponential_pool_never_sums_draws(self, monkeypatch):
+        def refuse(self, gen, count):
+            raise AssertionError("pooled exponential summed single draws")
+
+        monkeypatch.setattr(Exponential, "_draw", refuse)
+        pooled = pool_average_sample(Exponential(1.0), 4096, 100, RngSpec(3))
+        assert pooled.size == 100
+
+    def test_multinomial_blocks_reproduce_one_call(self):
+        # 10^4 atoms make 838-row blocks, so 1000 replications take two.
+        # Integer atoms make every count-weighted sum exact, so equality
+        # checks the count stream bit for bit.
+        atoms = np.arange(10_000)
+        masses = np.random.default_rng(4).dirichlet(np.ones(atoms.size))
+        law = DiscreteDistribution(atoms, masses)
+        rng = RngSpec(5, 2)
+        pooled = pool_average_sample(law, 50, 1000, rng)
+        counts = rng.generator().multinomial(50, law._masses, size=1000)
+        assert pooled == EmpiricalSample(counts @ atoms / 50)
+
 
 GRID_LAWS = [
     Normal(1.0, 2.0),

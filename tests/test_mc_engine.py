@@ -266,9 +266,9 @@ class TestCompareToLimit:
 
         curve = PremiumCurve(
             points=(
-                CurvePoint(4, 1.0, 0.0, 100),
-                CurvePoint(16, 1.1, 0.0, 100),
-                CurvePoint(64, 1.5, 0.0, 100),
+                CurvePoint(4, 1.0, 0.0, 100, "exact"),
+                CurvePoint(16, 1.1, 0.0, 100, "exact"),
+                CurvePoint(64, 1.5, 0.0, 100, "exact"),
             ),
             limit=1.0,
             rate_fit=None,

@@ -16,6 +16,7 @@ from riskpool.preferences import (
     LinearUtility,
     LogUtility,
     UtilityDomainError,
+    _pullback_value,
     certainty_equivalent,
     equivalent_utility_premium,
     risk_premium,
@@ -104,6 +105,28 @@ class TestCertaintyEquivalent:
         for mu in (MIX, MixtureMeasure.point(0.3), MixtureMeasure.point(1.0)):
             ce = certainty_equivalent(UNIFORM_1234, mu, LinearUtility(2.0, -1.0))
             assert ce == pytest.approx(mixture_value(UNIFORM_1234, mu), abs=1e-12)
+
+    def test_linear_on_finite_laws_matches_the_round_trip(self):
+        # The closed-form table answers linear u on finite laws; _pullback_value
+        # is the apply / functional / invert round trip it replaces there.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(12)
+        family = KusuokaFamily((MixtureMeasure.point(0.3), MixtureMeasure.point(0.7)))
+        for trial in range(40):
+            k = int(rng.integers(1, 5000))
+            if trial % 2:
+                law = EmpiricalSample(rng.normal(rng.uniform(-50, 50), rng.uniform(0.01, 10), k))
+            else:
+                law = DiscreteDistribution(rng.normal(size=k) * 30.0, rng.dirichlet(np.ones(k)))
+            levels = np.sort(rng.uniform(0.01, 1.0, 3))
+            mixture = MixtureMeasure(tuple(zip(levels, rng.dirichlet(np.ones(3)))))
+            mu = family if trial % 3 == 0 else mixture
+            identity = LinearUtility()
+            assert certainty_equivalent(law, mu, identity) == _pullback_value(law, mu, identity)
+            u = LinearUtility(float(np.exp(rng.uniform(-7.0, 7.0))), float(rng.uniform(-100.0, 100.0)))
+            scale = np.max(np.abs(law._atoms)) + abs(u.intercept) / u.slope
+            gap = abs(certainty_equivalent(law, mu, u) - _pullback_value(law, mu, u))
+            assert gap <= 64 * eps * scale
 
     def test_cara_normal_mean_case_closed_form(self):
         u = CaraUtility(0.7)
