@@ -34,9 +34,16 @@ _PROB_SUM_TOL = 1e-12
 # boundary (q(0.3) on ten equal atoms must hit the third, not the fourth).
 _LEVEL_TOL = 1e-12
 
-# Block size, in draws or in multinomial counts, for pooled sampling;
-# bounds peak memory at ~64 MB of 8-byte values.
+# Block size, in draws or in multinomial counts, for pooled sampling, and
+# the longest FFT window of a lattice pool law; bounds peak memory at ~64 MB
+# of 8-byte values per array.
 _POOL_CHUNK = 1 << 23
+# A lattice pool sum is drawn from a window around its mean that, by
+# Hoeffding's inequality, leaves out at most this much mass.
+_POOL_TAIL_MASS = 2.0**-60
+# FFT rounding leaves noise near 1e-16 on every entry of a lattice pool pmf,
+# impossible sums included; entries at or below this floor are dropped.
+_FFT_FLOOR = 1e-13
 
 
 def _check_level(t: float, name: str = "t") -> float:
@@ -46,7 +53,13 @@ def _check_level(t: float, name: str = "t") -> float:
     return t
 
 
-def _check_tail(lam: float) -> float:
+def _check_tail(lam):
+    """A tail level in (0, 1] as a float, or an ndarray of them as an array."""
+    if isinstance(lam, np.ndarray) and lam.ndim:
+        arr = lam.astype(float, copy=False)
+        if not ((arr > 0.0) & (arr <= 1.0)).all():
+            raise ValueError(f"tail levels must lie in (0, 1], got {lam!r}")
+        return arr
     lam = float(lam)
     if not 0.0 < lam <= 1.0 or math.isnan(lam):
         raise ValueError(f"tail level must lie in (0, 1], got {lam!r}")
@@ -80,9 +93,6 @@ class RngSpec:
 class Distribution:
     """Interface shared by all supported laws."""
 
-    # How :meth:`_pool_draw` samples a pool average, as recorded per curve point.
-    pool_method = "summed draws"
-
     def quantile(self, t: float) -> float:
         """Left-continuous quantile q(t) = inf{m : P[X <= m] >= t}.
 
@@ -96,9 +106,23 @@ class Distribution:
         one inverse CDF, called by :meth:`quantile` and :func:`quantile_grid_sample`."""
         raise NotImplementedError
 
-    def lower_quantile_integral(self, lam: float) -> float:
-        """Integral of the quantile function over (0, lam], lam in (0, 1]."""
+    def lower_quantile_integral(self, lam):
+        """Integral of the quantile function over (0, lam], lam in (0, 1].
+
+        An ndarray of levels gives the array of their integrals, each equal
+        bit for bit to the float its level gives alone.
+        """
+        lam = _check_tail(lam)
+        return self._tail_integrals(lam) if isinstance(lam, np.ndarray) else self._tail_integral(lam)
+
+    def _tail_integral(self, lam: float) -> float:
+        """:meth:`lower_quantile_integral` at one checked level."""
         raise NotImplementedError
+
+    def _tail_integrals(self, lam: np.ndarray) -> np.ndarray:
+        """:meth:`lower_quantile_integral` at an array of checked levels;
+        level by level unless a law has an array form."""
+        return np.array([self._tail_integral(t) for t in lam.tolist()], dtype=float)
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -115,6 +139,11 @@ class Distribution:
 
     def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         raise NotImplementedError
+
+    def pool_method(self, n: int) -> str:
+        """How :meth:`_pool_draw` samples a pool average of n copies, as
+        recorded per curve point."""
+        return "summed draws"
 
     def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
         """count draws of the average of n i.i.d. copies.
@@ -229,13 +258,22 @@ class DiscreteDistribution(Distribution):
         idx = np.searchsorted(self._cum, t - _LEVEL_TOL, side="left")
         return self._atoms[np.minimum(idx, self._atoms.size - 1)]
 
-    def lower_quantile_integral(self, lam: float) -> float:
-        lam = _check_tail(lam)
-        j = int(np.searchsorted(self._cum, lam - _LEVEL_TOL, side="left"))
-        j = min(j, self._atoms.size - 1)
+    # The search skips the last cumulative mass: the last atom takes every
+    # level above the one before it.
+    def _tail_integral(self, lam: float) -> float:
+        j = int(self._cum[:-1].searchsorted(lam - _LEVEL_TOL))
         below, prev = (float(self._prefix[j - 1]), float(self._cum[j - 1])) if j else (0.0, 0.0)
         partial = min(max(lam - prev, 0.0), float(self._masses[j]))
         return below + partial * float(self._atoms[j])
+
+    def _tail_integrals(self, lam: np.ndarray) -> np.ndarray:
+        j = self._cum[:-1].searchsorted(lam - _LEVEL_TOL)
+        # At j = 0 the index j - 1 wraps around; np.where puts 0 there.
+        first = j == 0
+        below = np.where(first, 0.0, self._prefix[j - 1])
+        prev = np.where(first, 0.0, self._cum[j - 1])
+        partial = np.minimum(np.maximum(lam - prev, 0.0), self._masses[j])
+        return below + partial * self._atoms[j]
 
     def mean(self) -> float:
         return float(self._masses @ self._atoms)
@@ -254,18 +292,96 @@ class DiscreteDistribution(Distribution):
         idx = np.minimum(np.searchsorted(self._cum, u, side="left"), self._atoms.size - 1)
         return self._atoms[idx]
 
-    pool_method = "multinomial"
+    @cached_property
+    def _lattice(self) -> tuple[float, float, np.ndarray] | None:
+        """(origin, step, units) with atoms = origin + step * units, or None.
+
+        The step is a float gcd of the offsets from the first atom. Euclid
+        stops at remainders below span * 2**-26, an eighth of the finest step
+        that keeps the units under ``_POOL_CHUNK``; the step counts only if
+        it reproduces every atom to within 4 ulp.
+        """
+        atoms = self._atoms
+        span = float(atoms[-1]) - float(atoms[0])
+        if span == 0.0:
+            return float(atoms[0]), 1.0, np.zeros(atoms.size, dtype=np.int64)
+        if span == math.inf:  # finite atoms whose offsets overflow
+            return None
+        offsets = atoms - atoms[0]
+        tol = span * 2.0**-26
+        step = span
+        for x in np.unique(offsets[offsets > tol]).tolist():
+            a, b = max(step, x), min(step, x)
+            while b > tol:
+                a, b = b, math.fmod(a, b)
+            step = a
+            if span >= step * _POOL_CHUNK:
+                return None
+        step = span / round(span / step)
+        units = np.rint(offsets / step).astype(np.int64)
+        bound = 4.0 * np.spacing(max(abs(atoms[0]), abs(atoms[-1])))
+        if np.max(np.abs(atoms[0] + step * units - atoms)) > bound:
+            return None
+        return float(atoms[0]), step, units
+
+    def _pool_law(self, n: int) -> "DiscreteDistribution | None":
+        """Law of the average of n copies when the atoms lie on a lattice.
+
+        None off a lattice, or when the FFT window would exceed
+        ``_POOL_CHUNK``. Cached per n on the immutable law; two threads that
+        fill one entry compute the same value.
+        """
+        if self._lattice is None:
+            return None
+        if n == 1:
+            return self
+        laws = self.__dict__.setdefault("_pool_laws", {})
+        if n not in laws:
+            laws[n] = self._lattice_pool_law(n)
+        return laws[n]
+
+    def _lattice_pool_law(self, n: int) -> "DiscreteDistribution | None":
+        # The unit sum S of n copies lies in [0, n * r]; Hoeffding bounds
+        # P(|S - n * mean| >= t) by 2 exp(-2 t^2 / (n r^2)), so the window
+        # [lo, hi] misses at most _POOL_TAIL_MASS. The pmf of (S - lo) mod M,
+        # on the power of two M covering the window, is an FFT power of the
+        # single-risk pmf times the phase e^{+2 pi i k lo / M}.
+        origin, step, units = self._lattice
+        r = int(units[-1])
+        centre = n * float((self._masses * units).sum())
+        reach = r * math.sqrt(n * math.log(2.0 / _POOL_TAIL_MASS) / 2.0)
+        lo = max(0, math.floor(centre - reach))
+        hi = min(n * r, math.ceil(centre + reach))
+        size = 1 << (hi - lo).bit_length()
+        if size > _POOL_CHUNK:
+            return None
+        single = np.bincount(units % size, weights=self._masses, minlength=size)
+        freq = np.arange(size // 2 + 1)
+        phase = np.exp(2j * np.pi * (freq * (lo % size) % size) / size)
+        pmf = np.fft.irfft(np.fft.rfft(single) ** n * phase, size)[: hi - lo + 1]
+        keep = np.flatnonzero(pmf > _FFT_FLOOR)
+        masses = pmf[keep] / pmf[keep].sum()
+        atoms = origin + step * (lo + keep) / n
+        return DiscreteDistribution._sorted(atoms, masses, np.cumsum(masses))
+
+    def pool_method(self, n: int) -> str:
+        return "lattice" if self._pool_law(n) is not None else "multinomial"
 
     def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
+        law = self._pool_law(n)
+        if law is not None:
+            return law._draw(gen, count)
         # Counts come in row blocks of at most _POOL_CHUNK entries; numpy
         # draws multinomial rows in sequence, so the blocks reproduce the
-        # stream of one count x atoms call.
+        # stream of one count x atoms call. Each row is summed on its own:
+        # a BLAS product rounds a row by its place in the call and by the
+        # BLAS thread count.
         values = np.empty(count)
         rows = max(1, _POOL_CHUNK // self._atoms.size)
         for start in range(0, count, rows):
             stop = min(start + rows, count)
             counts = gen.multinomial(n, self._masses, size=stop - start)
-            values[start:stop] = counts @ self._atoms / n
+            values[start:stop] = (counts * self._atoms).sum(axis=1) / n
         return values
 
 
@@ -334,7 +450,8 @@ class TwoPoint(DiscreteDistribution):
     def translate(self, c: float) -> "TwoPoint":
         return TwoPoint(self.low + c, self.high + c, self.p_high)
 
-    pool_method = "binomial"
+    def pool_method(self, n: int) -> str:
+        return "binomial"
 
     def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
         low, high = self._atoms
@@ -362,11 +479,16 @@ class Normal(Distribution):
     def _ppf(self, t):
         return self.loc + self.scale * inv_normal_cdf(t)
 
-    def lower_quantile_integral(self, lam: float) -> float:
-        lam = _check_tail(lam)
+    def _tail_integral(self, lam: float) -> float:
         if lam == 1.0:
             return self.loc
         return lam * self.loc - self.scale * float(normal_pdf(inv_normal_cdf(lam)))
+
+    def _tail_integrals(self, lam: np.ndarray) -> np.ndarray:
+        out = lam * self.loc
+        inner = lam < 1.0
+        out[inner] -= self.scale * normal_pdf(inv_normal_cdf(lam[inner]))
+        return out
 
     def mean(self) -> float:
         return self.loc
@@ -383,7 +505,8 @@ class Normal(Distribution):
     def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         return self.loc + self.scale * gen.standard_normal(count)
 
-    pool_method = "normal-law"
+    def pool_method(self, n: int) -> str:
+        return "normal-law"
 
     def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
         # The pool average is exactly Normal(loc, scale / sqrt(n)).
@@ -405,9 +528,12 @@ class Uniform(Distribution):
     def _ppf(self, t):
         return self.low + (self.high - self.low) * t
 
-    def lower_quantile_integral(self, lam: float) -> float:
-        lam = _check_tail(lam)
-        return self.low * lam + 0.5 * (self.high - self.low) * lam**2
+    # One formula for floats and arrays: lam * lam rounds the same in both,
+    # where a float's lam**2 calls pow and an array's squares.
+    def _tail_integral(self, lam):
+        return self.low * lam + 0.5 * (self.high - self.low) * (lam * lam)
+
+    _tail_integrals = _tail_integral
 
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
@@ -443,8 +569,8 @@ class Exponential(Distribution):
     def _ppf(self, t):
         return self.shift - np.log1p(-t) / self.rate
 
-    def lower_quantile_integral(self, lam: float) -> float:
-        lam = _check_tail(lam)
+    # No array form: np.log1p need not match math.log1p in the last bit.
+    def _tail_integral(self, lam: float) -> float:
         if lam == 1.0:
             return self.shift + 1.0 / self.rate
         return self.shift * lam + ((1.0 - lam) * math.log1p(-lam) + lam) / self.rate
@@ -464,7 +590,8 @@ class Exponential(Distribution):
     def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         return self.shift + gen.standard_exponential(count) / self.rate
 
-    pool_method = "gamma"
+    def pool_method(self, n: int) -> str:
+        return "gamma"
 
     def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
         # The pool average is exactly shift + Gamma(shape n, rate n * rate).
@@ -489,10 +616,18 @@ def pool_average_sample(dist: Distribution, n: int, replications: int, rng: RngS
     """Replications of the equally shared pool average of n i.i.d. copies.
 
     Each law draws its own pool average (:meth:`Distribution._pool_draw`)
-    and names how in ``pool_method``: normal and exponential pools from
-    their exact laws, two-point and other finite laws through binomial or
-    multinomial counts, which is distributionally exact; empirical samples
-    and the uniform law sum n draws per replicate.
+    and names how in ``pool_method(n)``: normal and exponential pools from
+    their exact laws, two-point laws through binomial counts; empirical
+    samples and the uniform law sum n draws per replicate. Other finite laws
+    whose atoms lie on a lattice origin + step * k draw one uniform per
+    replicate from the inverse CDF of the pool law (``lattice``): the pmf
+    of the unit sum is an FFT power of the single-risk pmf on the window
+    that Hoeffding's inequality shows holds all but 2**-60 of the mass.
+    Entries at or below 1e-13 (FFT noise on impossible sums) are dropped,
+    so the drawn law is within total variation (window length) * 1e-13 +
+    2**-60 of the exact one. Finite laws off a lattice, or whose window
+    would exceed 2**23 entries, draw multinomial counts (``multinomial``),
+    which is distributionally exact.
     """
     if n < 1:
         raise ValueError("pool size n must be >= 1")

@@ -91,7 +91,8 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class CurvePoint:
     """One pool size's estimate; ``method`` is "exact" on the closed-form
-    path and the law's ``pool_method`` (the pooled sampler) otherwise."""
+    path and otherwise the law's ``pool_method(n)``, the pooled sampler
+    used at this n."""
 
     n: int
     estimate: float
@@ -243,7 +244,7 @@ def run_curve(config: ExperimentConfig, *, threads: int = 1) -> PremiumCurve:
         for n in config.n_grid:
             estimate, stderr = _aggregate(by_n[n], config.batches)
             points.append(
-                CurvePoint(n, estimate, stderr, config.replications, config.distribution.pool_method)
+                CurvePoint(n, estimate, stderr, config.replications, config.distribution.pool_method(n))
             )
 
     unscaled = [(p.n, p.estimate / math.sqrt(p.n)) for p in points]

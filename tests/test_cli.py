@@ -39,6 +39,16 @@ MC_CONFIG = {
     "master_seed": 3,
 }
 
+# Outcomes on a lattice of step 0.05, so pools are drawn from the lattice pool law.
+LATTICE_CONFIG = {
+    **MC_CONFIG,
+    "distribution": {"family": "discrete", "outcomes": [0.1, 0.25, 0.35, 0.55, 1.9],
+                     "probs": [0.1, 0.3, 0.2, 0.15, 0.25]},
+}
+# sqrt(2) puts the outcomes on no lattice, so pools take multinomial counts.
+OFF_LATTICE_DISTRIBUTION = {"family": "discrete", "outcomes": [0.0, 1.0, 1.4142135623730951],
+                            "probs": [0.2, 0.5, 0.3]}
+
 
 class TestShorthandParsing:
     def test_point_mass_variants(self):
@@ -156,8 +166,8 @@ class TestPremiumCurve:
         assert manifest["master_seed"] == 7
         assert manifest["config_hash"] == payload["config_hash"]
 
-    def test_byte_identical_across_threads(self, tmp_path):
-        config = self.write_config(tmp_path, MC_CONFIG)
+    def assert_byte_identical_across_threads(self, tmp_path, payload):
+        config = self.write_config(tmp_path, payload)
         outputs = []
         codes = []
         for threads, name in ((1, "a"), (4, "b")):
@@ -172,6 +182,12 @@ class TestPremiumCurve:
         assert codes[0] == codes[1]
         assert outputs[0] == outputs[1]
 
+    def test_byte_identical_across_threads(self, tmp_path):
+        self.assert_byte_identical_across_threads(tmp_path, MC_CONFIG)
+
+    def test_lattice_curve_byte_identical_across_threads(self, tmp_path):
+        self.assert_byte_identical_across_threads(tmp_path, LATTICE_CONFIG)
+
     @pytest.mark.parametrize("name, payload, method", [
         ("exact_normal_linear.json", None, "exact"),
         ("normal_cara_mixture.json", None, "normal-law"),
@@ -182,6 +198,8 @@ class TestPremiumCurve:
             "mixture": {"atoms": [{"lambda": 0.5, "weight": 0.5}, {"lambda": 1.0, "weight": 0.5}]},
             "exact": False,
         }, "gamma"),
+        ("lattice", LATTICE_CONFIG, "lattice"),
+        ("off_lattice", {**MC_CONFIG, "distribution": OFF_LATTICE_DISTRIBUTION}, "multinomial"),
     ])
     def test_curve_json_names_the_method(self, tmp_path, name, payload, method):
         if payload is None:
@@ -192,6 +210,22 @@ class TestPremiumCurve:
               "--out-dir", str(out)])
         points = json.loads((out / "curve.json").read_text())["points"]
         assert [p["method"] for p in points] == [method] * 3
+
+    def test_curve_json_method_follows_the_pool_size(self, tmp_path):
+        # Units up to 2^22: one copy is its own lattice law, but the window
+        # of four copies passes the FFT cap and falls back to counts.
+        payload = {
+            "distribution": {"family": "discrete", "outcomes": [0, 1, 4194304],
+                             "probs": [0.3, 0.4, 0.3]},
+            "mixture": {"atoms": [{"lambda": 0.5, "weight": 1.0}]},
+            "utility": {"family": "linear", "slope": 1.0, "intercept": 0.0},
+            "n_grid": [1, 4], "replications": 200, "batches": 10,
+        }
+        out = tmp_path / "out"
+        main(["premium-curve", "--config", str(self.write_config(tmp_path, payload)),
+              "--out-dir", str(out)])
+        points = json.loads((out / "curve.json").read_text())["points"]
+        assert [p["method"] for p in points] == ["lattice", "multinomial"]
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = self.write_config(tmp_path, MC_CONFIG)

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from riskpool.distributions import (
+    _POOL_CHUNK,
     DiscreteDistribution,
     EmpiricalSample,
     Exponential,
@@ -92,6 +98,27 @@ class TestLowerQuantileIntegral:
         for dist, ppf in cases:
             oracle = quad_lower_quantile_integral(ppf, lam)
             assert dist.lower_quantile_integral(lam) == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize("dist", [
+        UNIFORM_1234,
+        DiscreteDistribution((-3.0, 0.5, 0.5000001, 9.0), (0.1, 0.2, 0.3, 0.4)),
+        TwoPoint(2.0, 5.0, 0.4),
+        EmpiricalSample([3.0, -1.0, 2.0, 2.0, 7.5]),
+        Normal(0.7, 1.3),
+        Uniform(-2.0, 5.0),
+        Exponential(0.5, -1.0),
+    ])
+    def test_array_of_levels_matches_each_level(self, dist):
+        levels = np.concatenate((np.linspace(1e-9, 1.0, 257), [0.1, 0.3, 0.6, 1.0 - 1e-16]))
+        values = dist.lower_quantile_integral(levels)
+        assert isinstance(values, np.ndarray) and values.shape == levels.shape
+        assert values.tolist() == [dist.lower_quantile_integral(t) for t in levels.tolist()]
+
+    @pytest.mark.parametrize("dist", [UNIFORM_1234, Normal(0.0, 1.0), Exponential(1.0)])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0 + 1e-9, math.nan])
+    def test_array_level_validation(self, dist, bad):
+        with pytest.raises(ValueError, match="tail levels"):
+            dist.lower_quantile_integral(np.array([0.5, bad]))
 
     def test_midpoint_convexity_on_discrete(self):
         gen = np.random.default_rng(7)
@@ -299,15 +326,16 @@ class TestPoolAverage:
         b = pool_average_sample(Uniform(0.0, 1.0), 3, 500, RngSpec(7, 2))
         assert a == b
 
-    # Pinned pool averages (n=5, 6 replications, RngSpec(20260808, 3)):
-    # the per-law samplers keep every stream but the exponential one.
+    # Pinned pool averages (n=5, 6 replications, RngSpec(20260808, 3)). The
+    # discrete law's atoms lie on a lattice of step 0.5, so it draws from
+    # its lattice pool law.
     @pytest.mark.parametrize("dist, expected", [
         (Normal(0.5, 2.0), [
             -0.21327465764400377, -0.17086884027358484, 0.23405974854485617,
             0.3912616086589834, 0.47900129761374316, 1.3379388259434626,
         ]),
         (TwoPoint(-1.0, 3.0, 0.3), [-0.19999999999999996] * 3 + [0.6000000000000001] * 3),
-        (DiscreteDistribution([0.0, 1.5, 4.0], [0.2, 0.5, 0.3]), [1.4, 1.7, 1.7, 1.9, 2.2, 2.5]),
+        (DiscreteDistribution([0.0, 1.5, 4.0], [0.2, 0.5, 0.3]), [1.7, 1.7, 1.9, 2.2, 2.2, 2.5]),
         (Uniform(-1.0, 2.0), [
             0.22644212409639913, 0.34842150158300844, 0.6488674647350962,
             0.7255314678481244, 1.0463201015213834, 1.1726945947009504,
@@ -334,16 +362,147 @@ class TestPoolAverage:
         assert pooled.size == 100
 
     def test_multinomial_blocks_reproduce_one_call(self):
-        # 10^4 atoms make 838-row blocks, so 1000 replications take two.
-        # Integer atoms make every count-weighted sum exact, so equality
-        # checks the count stream bit for bit.
-        atoms = np.arange(10_000)
-        masses = np.random.default_rng(4).dirichlet(np.ones(atoms.size))
-        law = DiscreteDistribution(atoms, masses)
+        # sqrt(k) atoms lie on no lattice, so the law draws multinomial
+        # counts; 10^4 atoms make 838-row blocks, so 1000 replications take
+        # two. Each row of the one-call reference is summed on its own.
+        masses = np.random.default_rng(4).dirichlet(np.ones(10_000))
+        law = DiscreteDistribution(np.sqrt(np.arange(10_000)), masses)
+        assert law.pool_method(50) == "multinomial"
         rng = RngSpec(5, 2)
         pooled = pool_average_sample(law, 50, 1000, rng)
         counts = rng.generator().multinomial(50, law._masses, size=1000)
-        assert pooled == EmpiricalSample(counts @ atoms / 50)
+        assert pooled == EmpiricalSample([(row * law._atoms).sum() / 50 for row in counts])
+
+    def test_multinomial_pool_ignores_blas_threads(self):
+        # A BLAS matrix product rounded some of these rows differently at
+        # one and at two OpenBLAS threads; the row-wise sum does not.
+        script = (
+            "import numpy as np\n"
+            "from riskpool.distributions import DiscreteDistribution, RngSpec, pool_average_sample\n"
+            "masses = np.random.default_rng(4).dirichlet(np.ones(8000))\n"
+            "law = DiscreteDistribution(np.sqrt(np.arange(8000)), masses)\n"
+            "pooled = pool_average_sample(law, 50, 300, RngSpec(5, 2))\n"
+            "print(law.pool_method(50), pooled._atoms.tobytes().hex())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True, timeout=120)
+            outputs.append(done.stdout)
+        assert outputs[0].startswith("multinomial ")
+        assert outputs[0] == outputs[1]
+
+
+def _unit_pmf_power(law: DiscreteDistribution, n: int) -> np.ndarray:
+    """pmf of the sum of n lattice units by direct convolution."""
+    _, _, units = law._lattice
+    single = np.zeros(units[-1] + 1)
+    np.add.at(single, units, law._masses)
+    pmf = np.ones(1)
+    for _ in range(n):
+        pmf = np.convolve(pmf, single)
+    return pmf
+
+
+class TestLatticePoolLaw:
+    @pytest.mark.parametrize("atoms, step, units", [
+        ([0.0, 1.5, 4.0], 0.5, [0, 3, 8]),
+        ([0.1, 0.2, 0.7], 0.1, [0, 1, 6]),
+        ([1000.05, 1000.1, 1003.3], 0.05, [0, 1, 65]),
+        ([2.5], 1.0, [0]),
+    ])
+    def test_lattice_detection(self, atoms, step, units):
+        law = DiscreteDistribution(atoms, np.full(len(atoms), 1.0 / len(atoms)))
+        origin, found_step, found_units = law._lattice
+        assert origin == atoms[0]
+        assert found_step == pytest.approx(step, rel=1e-12)
+        assert found_units.tolist() == units
+        assert law.pool_method(16) == "lattice"
+
+    @pytest.mark.parametrize("atoms", [
+        [0.0, 1.0, math.sqrt(2.0)], [0.0, 1e-10, 1.0], [-1e308, 0.0, 1e308],
+    ])
+    def test_off_lattice_falls_back_to_multinomial(self, atoms):
+        law = DiscreteDistribution(atoms, [0.2, 0.5, 0.3])
+        assert law._lattice is None
+        assert law._pool_law(16) is None
+        assert law.pool_method(16) == "multinomial"
+
+    @pytest.mark.parametrize("atoms, probs", [
+        ([0.0, 1.5, 4.0], [0.2, 0.5, 0.3]),
+        ([-1.0, 0.0, 0.5], [0.3, 0.3, 0.4]),
+        ([0.1, 0.2, 0.7], [0.25, 0.5, 0.25]),
+    ])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_direct_convolution(self, atoms, probs, n):
+        law = DiscreteDistribution(atoms, probs)
+        origin, step, _ = law._lattice
+        exact = _unit_pmf_power(law, n)
+        pool = law._pool_law(n)
+        sums = np.rint((pool._atoms - origin) * n / step).astype(int)
+        # Gappy lattices (units 0, 3, 8) leave sums no pool can reach.
+        assert sums.tolist() == np.flatnonzero(exact).tolist()
+        assert 0.5 * np.abs(exact[sums] - pool._masses).sum() <= 1e-12
+
+    @pytest.mark.parametrize("p_high", [0.02, 0.3, 0.5])
+    def test_two_atom_pool_is_binomial(self, p_high):
+        n = 4096
+        law = DiscreteDistribution([-1.0, 3.0], [1.0 - p_high, p_high])
+        pool = law._pool_law(n)
+        counts = np.rint((pool._atoms + 1.0) * n / 4.0).astype(int)
+        assert np.array_equal(pool._atoms, -1.0 + 4.0 * counts / n)
+        drawn = np.zeros(n + 1)
+        drawn[counts] = pool._masses
+        exact = stats.binom.pmf(np.arange(n + 1), n, p_high)
+        # Entries at or below the 1e-13 floor are dropped from the far tails.
+        assert np.abs(drawn - exact).max() <= 1e-13
+        assert 0.5 * np.abs(drawn - exact).sum() <= 1e-11
+
+    def test_pooled_draws_follow_the_pool_law(self):
+        law = DiscreteDistribution([0.0, 0.3, 0.4, 1.0], [0.4, 0.1, 0.2, 0.3])
+        n, count = 12, 100_000
+        pool = law._pool_law(n)
+        pooled = law._pool_draw(RngSpec(20260808, 1).generator(), n, count)
+        idx = np.searchsorted(pool._atoms, pooled)
+        assert np.array_equal(pool._atoms[idx], pooled)
+        observed = np.bincount(idx, minlength=pool._atoms.size)
+        expected = pool._masses * count
+        # Pool the sparse tails into one cell so every expected count is >= 5.
+        big = expected >= 5.0
+        obs = np.append(observed[big], observed[~big].sum())
+        exp = np.append(expected[big], expected[~big].sum())
+        assert stats.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue > 1e-4
+
+    def test_window_over_the_cap_falls_back_before_allocating(self):
+        # Units reach 2^22, so four copies span 2^24 sums: the power-of-two
+        # window would pass _POOL_CHUNK.
+        law = DiscreteDistribution([0.0, 1.0, float(_POOL_CHUNK // 2)], [0.3, 0.4, 0.3])
+        assert law.pool_method(1) == "lattice"
+        tracemalloc.start()
+        try:
+            assert law._pool_law(4) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert law.pool_method(4) == "multinomial"
+        # Sums of four integer outcomes, averaged.
+        pooled = 4.0 * np.asarray(pool_average_sample(law, 4, 1000, RngSpec(1)).values)
+        assert np.array_equal(pooled, np.rint(pooled))
+
+    def test_single_atom_pool_is_the_atom(self):
+        law = DiscreteDistribution([2.5], [1.0])
+        assert law.pool_method(64) == "lattice"
+        assert pool_average_sample(law, 64, 100, RngSpec(2)).values == (2.5,) * 100
+
+    def test_pool_law_is_cached_per_n(self):
+        law = DiscreteDistribution([0.0, 1.5, 4.0], [0.2, 0.5, 0.3])
+        assert law._pool_law(1) is law
+        assert law._pool_law(64) is law._pool_law(64)
+        assert law._pool_law(64) is not law._pool_law(16)
 
 
 GRID_LAWS = [

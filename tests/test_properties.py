@@ -1,5 +1,7 @@
 """Property-based checks of the structural identities the functionals obey."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -69,6 +71,17 @@ def test_quantile_left_continuous_at_boundaries(law):
 @given(discrete_laws())
 def test_full_tail_integral_is_mean(law):
     assert law.lower_quantile_integral(1.0) == pytest.approx(law.mean(), abs=1e-10)
+
+
+@given(discrete_laws(), st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=40))
+def test_array_tail_integrals_match_each_level(law, levels):
+    values = law.lower_quantile_integral(np.array(levels))
+    assert values.tolist() == [law.lower_quantile_integral(t) for t in levels]
+
+
+@given(discrete_laws(), mixtures(max_atoms=40))
+def test_mixture_value_sums_the_building_blocks_exactly(law, mu):
+    assert mixture_value(law, mu) == math.fsum(w * avar(law, lam) for lam, w in mu.atoms)
 
 
 @given(discrete_laws(), tail_levels, tail_levels)
