@@ -10,8 +10,8 @@ functions follow the left-continuous convention
 q(t) = inf{m : P[X <= m] >= t}; integration of the quantile over a lower
 tail is exact (up to rounding) for finite laws and closed-form for every
 parametric family. All types are immutable and all operations are pure
-given their inputs and an :class:`RngSpec`, so concurrent use needs no
-locking.
+given their inputs and an :class:`RngSpec`; the one lock serializes the
+building of lattice pool laws, to bound memory, not for correctness.
 
 Unbounded laws (normal, exponential) are admitted even though the limit
 theory is phrased for bounded risks; the only operational consequence is
@@ -21,6 +21,7 @@ that the quantile at level 0 is an error for laws unbounded below.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,10 +35,13 @@ _PROB_SUM_TOL = 1e-12
 # boundary (q(0.3) on ten equal atoms must hit the third, not the fourth).
 _LEVEL_TOL = 1e-12
 
-# Block size, in draws or in multinomial counts, for pooled sampling, and
-# the longest FFT window of a lattice pool law; bounds peak memory at ~64 MB
-# of 8-byte values per array.
+# Block size, in draws or in multinomial counts, for pooled sampling;
+# bounds peak memory at ~64 MB of 8-byte values.
 _POOL_CHUNK = 1 << 23
+# Longest FFT window of a lattice pool law. Building the law holds about
+# four 8-byte values per window entry at once, so this keeps the same
+# ~64 MB peak.
+_POOL_WINDOW = _POOL_CHUNK // 4
 # A lattice pool sum is drawn from a window around its mean that, by
 # Hoeffding's inequality, leaves out at most this much mass.
 _POOL_TAIL_MASS = 2.0**-60
@@ -324,48 +328,61 @@ class DiscreteDistribution(Distribution):
             return None
         return float(atoms[0]), step, units
 
-    def _pool_law(self, n: int) -> "DiscreteDistribution | None":
-        """Law of the average of n copies when the atoms lie on a lattice.
+    def _pool_window(self, n: int) -> tuple[int, int] | None:
+        """Unit sums [lo, hi] of n copies kept by the pool law, or None off a
+        lattice or when the FFT window would pass ``_POOL_WINDOW``.
 
-        None off a lattice, or when the FFT window would exceed
-        ``_POOL_CHUNK``. Cached per n on the immutable law; two threads that
-        fill one entry compute the same value.
+        The unit sum S lies in [0, n * r]; Hoeffding bounds
+        P(|S - n * mean| >= t) by 2 exp(-2 t^2 / (n r^2)), so the window
+        misses at most ``_POOL_TAIL_MASS``.
         """
         if self._lattice is None:
             return None
-        if n == 1:
-            return self
-        laws = self.__dict__.setdefault("_pool_laws", {})
-        if n not in laws:
-            laws[n] = self._lattice_pool_law(n)
-        return laws[n]
-
-    def _lattice_pool_law(self, n: int) -> "DiscreteDistribution | None":
-        # The unit sum S of n copies lies in [0, n * r]; Hoeffding bounds
-        # P(|S - n * mean| >= t) by 2 exp(-2 t^2 / (n r^2)), so the window
-        # [lo, hi] misses at most _POOL_TAIL_MASS. The pmf of (S - lo) mod M,
-        # on the power of two M covering the window, is an FFT power of the
-        # single-risk pmf times the phase e^{+2 pi i k lo / M}.
-        origin, step, units = self._lattice
+        _, _, units = self._lattice
         r = int(units[-1])
         centre = n * float((self._masses * units).sum())
         reach = r * math.sqrt(n * math.log(2.0 / _POOL_TAIL_MASS) / 2.0)
         lo = max(0, math.floor(centre - reach))
         hi = min(n * r, math.ceil(centre + reach))
-        size = 1 << (hi - lo).bit_length()
-        if size > _POOL_CHUNK:
+        return (lo, hi) if _fft_size(hi - lo) <= _POOL_WINDOW else None
+
+    def _pool_law(self, n: int) -> "DiscreteDistribution | None":
+        """Law of the average of n copies when the atoms lie on a lattice,
+        or None where :meth:`_pool_window` is None.
+
+        Laws are built one at a time under a lock, and only the last n is
+        kept: curve cells run in grid order, so each n is built about once
+        and one window's worth of memory is held however long the grid.
+        """
+        window = self._pool_window(n)
+        if window is None:
             return None
-        single = np.bincount(units % size, weights=self._masses, minlength=size)
-        freq = np.arange(size // 2 + 1)
-        phase = np.exp(2j * np.pi * (freq * (lo % size) % size) / size)
-        pmf = np.fft.irfft(np.fft.rfft(single) ** n * phase, size)[: hi - lo + 1]
+        if n == 1:
+            return self
+        with _POOL_LAW_LOCK:
+            last = self.__dict__.get("_last_pool_law")
+            if last is None or last[0] != n:
+                last = self.__dict__["_last_pool_law"] = (n, self._lattice_pool_law(n, *window))
+        return last[1]
+
+    def _lattice_pool_law(self, n: int, lo: int, hi: int) -> "DiscreteDistribution":
+        # The pmf of S mod M, on the power of two M covering [lo, hi], is an
+        # FFT power of the single-risk pmf; rolled back by lo, it lists the
+        # sums lo, ..., hi.
+        origin, step, units = self._lattice
+        size = _fft_size(hi - lo)
+        spectrum = np.fft.rfft(np.bincount(units % size, weights=self._masses, minlength=size))
+        spectrum **= n
+        pmf = np.fft.irfft(spectrum, size)
+        del spectrum
+        pmf = np.roll(pmf, -lo)[: hi - lo + 1]
         keep = np.flatnonzero(pmf > _FFT_FLOOR)
         masses = pmf[keep] / pmf[keep].sum()
         atoms = origin + step * (lo + keep) / n
         return DiscreteDistribution._sorted(atoms, masses, np.cumsum(masses))
 
     def pool_method(self, n: int) -> str:
-        return "lattice" if self._pool_law(n) is not None else "multinomial"
+        return "lattice" if self._pool_window(n) is not None else "multinomial"
 
     def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
         law = self._pool_law(n)
@@ -383,6 +400,16 @@ class DiscreteDistribution(Distribution):
             counts = gen.multinomial(n, self._masses, size=stop - start)
             values[start:stop] = (counts * self._atoms).sum(axis=1) / n
         return values
+
+
+def _fft_size(width: int) -> int:
+    """Power-of-two FFT length that holds width + 1 consecutive sums."""
+    return 1 << width.bit_length()
+
+
+# Serializes the building of lattice pool laws, so threads that reach one
+# pool size together build its law once and hold one transform at a time.
+_POOL_LAW_LOCK = threading.Lock()
 
 
 def _equal_masses(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -484,12 +511,6 @@ class Normal(Distribution):
             return self.loc
         return lam * self.loc - self.scale * float(normal_pdf(inv_normal_cdf(lam)))
 
-    def _tail_integrals(self, lam: np.ndarray) -> np.ndarray:
-        out = lam * self.loc
-        inner = lam < 1.0
-        out[inner] -= self.scale * normal_pdf(inv_normal_cdf(lam[inner]))
-        return out
-
     def mean(self) -> float:
         return self.loc
 
@@ -528,12 +549,8 @@ class Uniform(Distribution):
     def _ppf(self, t):
         return self.low + (self.high - self.low) * t
 
-    # One formula for floats and arrays: lam * lam rounds the same in both,
-    # where a float's lam**2 calls pow and an array's squares.
-    def _tail_integral(self, lam):
-        return self.low * lam + 0.5 * (self.high - self.low) * (lam * lam)
-
-    _tail_integrals = _tail_integral
+    def _tail_integral(self, lam: float) -> float:
+        return self.low * lam + 0.5 * (self.high - self.low) * lam**2
 
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
@@ -569,7 +586,6 @@ class Exponential(Distribution):
     def _ppf(self, t):
         return self.shift - np.log1p(-t) / self.rate
 
-    # No array form: np.log1p need not match math.log1p in the last bit.
     def _tail_integral(self, lam: float) -> float:
         if lam == 1.0:
             return self.shift + 1.0 / self.rate
@@ -626,8 +642,8 @@ def pool_average_sample(dist: Distribution, n: int, replications: int, rng: RngS
     Entries at or below 1e-13 (FFT noise on impossible sums) are dropped,
     so the drawn law is within total variation (window length) * 1e-13 +
     2**-60 of the exact one. Finite laws off a lattice, or whose window
-    would exceed 2**23 entries, draw multinomial counts (``multinomial``),
-    which is distributionally exact.
+    would exceed 2**21 entries (``_POOL_WINDOW``), draw multinomial counts
+    (``multinomial``), which is distributionally exact.
     """
     if n < 1:
         raise ValueError("pool size n must be >= 1")

@@ -212,10 +212,10 @@ class TestPremiumCurve:
         assert [p["method"] for p in points] == [method] * 3
 
     def test_curve_json_method_follows_the_pool_size(self, tmp_path):
-        # Units up to 2^22: one copy is its own lattice law, but the window
-        # of four copies passes the FFT cap and falls back to counts.
+        # Units up to 2^19: one copy is its own lattice law, but the window
+        # of four copies passes the 2^21-entry FFT cap and falls back to counts.
         payload = {
-            "distribution": {"family": "discrete", "outcomes": [0, 1, 4194304],
+            "distribution": {"family": "discrete", "outcomes": [0, 1, 524288],
                              "probs": [0.3, 0.4, 0.3]},
             "mixture": {"atoms": [{"lambda": 0.5, "weight": 1.0}]},
             "utility": {"family": "linear", "slope": 1.0, "intercept": 0.0},

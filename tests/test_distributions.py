@@ -2,7 +2,9 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from scipy import stats
 
 from riskpool.distributions import (
     _POOL_CHUNK,
+    _POOL_WINDOW,
     DiscreteDistribution,
     EmpiricalSample,
     Exponential,
@@ -477,9 +480,9 @@ class TestLatticePoolLaw:
         assert stats.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue > 1e-4
 
     def test_window_over_the_cap_falls_back_before_allocating(self):
-        # Units reach 2^22, so four copies span 2^24 sums: the power-of-two
-        # window would pass _POOL_CHUNK.
-        law = DiscreteDistribution([0.0, 1.0, float(_POOL_CHUNK // 2)], [0.3, 0.4, 0.3])
+        # Units reach 2^19, so four copies span 2^21 sums: the power-of-two
+        # window, 2^22, would pass _POOL_WINDOW.
+        law = DiscreteDistribution([0.0, 1.0, float(_POOL_WINDOW // 4)], [0.3, 0.4, 0.3])
         assert law.pool_method(1) == "lattice"
         tracemalloc.start()
         try:
@@ -493,16 +496,53 @@ class TestLatticePoolLaw:
         pooled = 4.0 * np.asarray(pool_average_sample(law, 4, 1000, RngSpec(1)).values)
         assert np.array_equal(pooled, np.rint(pooled))
 
+    def test_largest_window_stays_under_the_chunk_memory(self):
+        # Four copies of units up to 2^19 - 1 span 2^21 - 4 sums, a window of
+        # exactly _POOL_WINDOW entries; building its law traces no more than
+        # the ~64 MB that _POOL_CHUNK 8-byte values take.
+        law = DiscreteDistribution([0.0, 1.0, float(_POOL_WINDOW // 4 - 1)], [0.3, 0.4, 0.3])
+        tracemalloc.start()
+        try:
+            pool = law._pool_law(4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _POOL_CHUNK
+        assert law.pool_method(4) == "lattice"
+        # b ones and c tops with b + c <= 4 give 15 distinct sums.
+        assert pool._atoms.size == 15
+
     def test_single_atom_pool_is_the_atom(self):
         law = DiscreteDistribution([2.5], [1.0])
         assert law.pool_method(64) == "lattice"
         assert pool_average_sample(law, 64, 100, RngSpec(2)).values == (2.5,) * 100
 
-    def test_pool_law_is_cached_per_n(self):
+    def test_pool_law_keeps_the_last_n(self):
         law = DiscreteDistribution([0.0, 1.5, 4.0], [0.2, 0.5, 0.3])
         assert law._pool_law(1) is law
-        assert law._pool_law(64) is law._pool_law(64)
-        assert law._pool_law(64) is not law._pool_law(16)
+        first = law._pool_law(64)
+        assert law._pool_law(64) is first
+        assert law._pool_law(16) is law._pool_law(16)
+        again = law._pool_law(64)
+        assert again is not first
+        assert np.array_equal(again._atoms, first._atoms)
+        assert np.array_equal(again._masses, first._masses)
+
+    def test_threads_build_one_pool_law_once(self, monkeypatch):
+        law = DiscreteDistribution([0.0, 1.5, 4.0], [0.2, 0.5, 0.3])
+        built = []
+        build = DiscreteDistribution._lattice_pool_law
+
+        def counted(self, *args):
+            built.append(args)
+            time.sleep(0.05)  # long enough for every worker to ask meanwhile
+            return build(self, *args)
+
+        monkeypatch.setattr(DiscreteDistribution, "_lattice_pool_law", counted)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            laws = list(pool.map(lambda _: law._pool_law(64), range(8)))
+        assert len(built) == 1
+        assert all(each is laws[0] for each in laws)
 
 
 GRID_LAWS = [
