@@ -193,35 +193,40 @@ class DiscreteDistribution(Distribution):
             raise ValueError("outcomes and probabilities must be equal-length 1-d sequences")
         if out.size == 0:
             raise ValueError("at least one atom is required")
-        # Before the merge, where a NaN (sorted last) would fold into its neighbour.
-        if not np.all(np.isfinite(out)):
+        order = out.argsort(kind="stable")
+        out = out[order]
+        # -inf sorts first, +inf and NaN last, so finite ends mean finite
+        # atoms; checked before the merge, where a NaN would fold into its
+        # neighbour.
+        if not (math.isfinite(out[0]) and math.isfinite(out[-1])):
             raise ValueError("outcomes must be finite")
-        if np.any(prob <= 0.0) or not np.all(np.isfinite(prob)):
+        if not 0.0 < prob.min() <= prob.max() < math.inf:
             raise ValueError("probabilities must be strictly positive")
         total = float(prob.sum())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        order = np.argsort(out, kind="stable")
-        out, prob = out[order], prob[order]
-        if out.size > 1:
-            keep = np.empty(out.size, dtype=bool)
-            keep[0] = True
-            keep[1:] = out[1:] > out[:-1]
-            idx = np.flatnonzero(keep)
+        prob = prob[order]
+        rising = out[1:] > out[:-1]
+        if not rising.all():
+            idx = np.flatnonzero(np.concatenate(([True], rising)))
             prob = np.add.reduceat(prob, idx)
             out = out[idx]
-        self._fill(out, prob, np.cumsum(prob))
+        self._fill(out, prob, prob.cumsum())
 
     def _fill(self, atoms: np.ndarray, masses: np.ndarray, cum: np.ndarray) -> None:
-        if not np.all(np.isfinite(atoms)):
-            raise ValueError("outcomes must be finite")
         for arr in (atoms, masses, cum):
             arr.flags.writeable = False
         self.__dict__.update(_atoms=atoms, _masses=masses, _cum=cum)
 
     @classmethod
     def _sorted(cls, atoms: np.ndarray, masses: np.ndarray, cum: np.ndarray):
-        """Law of the given type on atoms already in nondecreasing order."""
+        """Law of the given type on atoms already in nondecreasing order.
+
+        Every atom is checked: the callers' maps (a shift, a utility) can
+        overflow or leave the domain anywhere along the array.
+        """
+        if not np.isfinite(atoms).all():
+            raise ValueError("outcomes must be finite")
         law = object.__new__(cls)
         law._fill(atoms, masses, cum)
         return law
@@ -250,9 +255,13 @@ class DiscreteDistribution(Distribution):
     def probabilities(self) -> tuple[float, ...]:
         return tuple(self._masses.tolist())
 
-    @cached_property
-    def _prefix(self) -> np.ndarray:
-        return np.cumsum(self._masses * self._atoms)
+    def __getattr__(self, name):
+        # Reached only when the instance lacks the attribute: the prefix sums
+        # of mass x outcome are made on first use and kept in __dict__.
+        if name != "_prefix":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        prefix = self.__dict__["_prefix"] = (self._masses * self._atoms).cumsum()
+        return prefix
 
     def quantile(self, t: float) -> float:
         # At t = 0 the search lands on the first atom, the essential infimum.
@@ -262,14 +271,16 @@ class DiscreteDistribution(Distribution):
         idx = np.searchsorted(self._cum, t - _LEVEL_TOL, side="left")
         return self._atoms[np.minimum(idx, self._atoms.size - 1)]
 
-    # The search skips the last cumulative mass: the last atom takes every
-    # level above the one before it.
+    # The search is capped at the last atom, which takes every level above
+    # the cumulative mass before it.
     def _tail_integral(self, lam: float) -> float:
-        j = int(self._cum[:-1].searchsorted(lam - _LEVEL_TOL))
-        below, prev = (float(self._prefix[j - 1]), float(self._cum[j - 1])) if j else (0.0, 0.0)
-        partial = min(max(lam - prev, 0.0), float(self._masses[j]))
-        return below + partial * float(self._atoms[j])
+        cum = self._cum
+        j = min(cum.searchsorted(lam - _LEVEL_TOL).item(), cum.size - 1)
+        below, prev = (self._prefix.item(j - 1), cum.item(j - 1)) if j else (0.0, 0.0)
+        partial = min(max(lam - prev, 0.0), self._masses.item(j))
+        return below + partial * self._atoms.item(j)
 
+    # The array form searches all but the last cumulative mass instead.
     def _tail_integrals(self, lam: np.ndarray) -> np.ndarray:
         j = self._cum[:-1].searchsorted(lam - _LEVEL_TOL)
         # At j = 0 the index j - 1 wraps around; np.where puts 0 there.
@@ -431,6 +442,9 @@ class EmpiricalSample(DiscreteDistribution):
         arr = np.sort(np.asarray(values, dtype=float).ravel())
         if arr.size == 0:
             raise ValueError("at least one value is required")
+        # -inf sorts first, +inf and NaN last.
+        if not (math.isfinite(arr[0]) and math.isfinite(arr[-1])):
+            raise ValueError("outcomes must be finite")
         self._fill(arr, *_equal_masses(arr.size))
 
     # A sample has an atom per value, so multinomial counts over it would

@@ -132,11 +132,12 @@ def mixture_value(dist: Distribution, mu: MixtureMeasure) -> float:
     """Weighted sum of building blocks over the atoms of mu.
 
     Each term is the weight times :func:`avar` at its level, bit for bit,
-    and the terms are summed exactly. From ``_ARRAY_LEVELS`` levels up, one
-    array tail-integral call covers every level (checked by the measure).
+    and the terms are summed exactly. The levels were checked by the
+    measure, so each is read straight from the law's tail integral; from
+    ``_ARRAY_LEVELS`` levels up, one array call covers every level.
     """
     if len(mu.atoms) < _ARRAY_LEVELS:
-        return math.fsum(w * avar(dist, lam) for lam, w in mu.atoms)
+        return math.fsum(w * (dist._tail_integral(lam) / lam) for lam, w in mu.atoms)
     levels, weights = np.array(mu.atoms).T
     return math.fsum((weights * (dist._tail_integrals(levels) / levels)).tolist())
 
@@ -166,18 +167,16 @@ def dual_avar_discrete(dist: DiscreteDistribution, lam: float) -> DualSolution:
     """
     lam = _check_tail(lam)
     probs = dist._masses
-    caps = probs / lam
-    q_mass = np.zeros(len(probs))
+    q_mass = np.zeros(probs.size)
     remaining = 1.0
-    for i, cap in enumerate(caps):
-        take = min(float(cap), remaining)
+    for i, cap in enumerate((probs / lam).tolist()):
+        take = min(cap, remaining)
         q_mass[i] = take
         remaining -= take
         if remaining <= 0.0:
             break
-    density = q_mass / probs
     value = float(q_mass @ dist._atoms)
-    return DualSolution(tuple(float(d) for d in density), value)
+    return DualSolution(tuple((q_mass / probs).tolist()), value)
 
 
 def check_log_condition(mu: MixtureMeasure) -> float:

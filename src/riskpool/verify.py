@@ -154,7 +154,7 @@ def enumerate_dual_vertices(dist: DiscreteDistribution, lam: float) -> float:
     coordinate pinned by total Q-mass 1; enumerating all of them is exact
     for small laws and independent of the greedy construction.
     """
-    probs, outs = dist._masses, dist._atoms
+    probs, outs = dist._masses.tolist(), dist._atoms.tolist()
     k = len(probs)
     best = math.inf
     indices = range(k)

@@ -1,5 +1,7 @@
+import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from riskpool.distributions import (
@@ -178,6 +182,57 @@ class TestConstruction:
             TwoPoint(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             Exponential(0.0)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_non_finite_outcome_rejected(self, bad, position):
+        values = [1.0, 2.0, 3.0]
+        values[position] = bad
+        with pytest.raises(ValueError, match="outcomes must be finite"):
+            DiscreteDistribution(values, (0.25, 0.25, 0.5))
+        with pytest.raises(ValueError, match="outcomes must be finite"):
+            EmpiricalSample(values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.25])
+    def test_every_bad_probability_rejected(self, bad):
+        with pytest.raises(ValueError, match="probabilities must be strictly positive"):
+            DiscreteDistribution((1.0, 2.0, 3.0), (0.5, bad, 0.5))
+
+    def test_laws_built_on_sorted_atoms_check_every_atom(self):
+        # A shift can overflow, and a mapped array may hold a NaN anywhere.
+        with pytest.raises(ValueError, match="outcomes must be finite"), np.errstate(over="ignore"):
+            DiscreteDistribution((1.0, 1e308), (0.5, 0.5)).translate(1e308)
+        masses, cum = np.full(3, 1.0 / 3.0), np.arange(1, 4) / 3.0
+        with pytest.raises(ValueError, match="outcomes must be finite"):
+            DiscreteDistribution._sorted(np.array([0.0, math.nan, 1.0]), masses, cum)
+
+    def test_bad_outcome_reported_before_bad_probability(self):
+        with pytest.raises(ValueError, match="outcomes must be finite"):
+            DiscreteDistribution((1.0, math.nan, 3.0), (0.5, -1.0, 0.5))
+
+    def test_off_sum_message_prints_the_input_order_total(self):
+        outcomes, probs = (3.0, 1.0, 4.0, 2.0), np.array([0.45, 0.7, 0.6, 0.2])
+        total = float(probs.sum())
+        assert total != float(probs[np.argsort(outcomes)].sum())  # the order shows
+        with pytest.raises(ValueError, match=f"probabilities sum to {re.escape(repr(total))}, not 1"):
+            DiscreteDistribution(outcomes, probs)
+
+    @given(st.lists(st.tuples(st.sampled_from([-2.0, -0.0, 0.0, 1.5, 7.0]), st.floats(0.05, 1.0)),
+                    min_size=1, max_size=8), st.randoms(use_true_random=False))
+    def test_shuffled_ties_merge_like_a_plain_sort(self, pairs, rnd):
+        rnd.shuffle(pairs)
+        total = sum(w for _, w in pairs)
+        outcomes = [x for x, _ in pairs]
+        probs = [w / total for _, w in pairs]
+        law = DiscreteDistribution(outcomes, probs)
+        groups = [[p for _, p in g] for _, g in
+                  itertools.groupby(sorted(zip(outcomes, probs), key=lambda xp: xp[0]), key=lambda xp: xp[0])]
+        atoms = [x for x, _ in itertools.groupby(sorted(outcomes))]
+        # numpy adds a group's first mass to the sum of the rest, in order.
+        masses = [g[0] + sum(g[1:]) for g in groups]
+        assert law._atoms.tobytes() == np.array(atoms).tobytes()
+        assert law._masses.tobytes() == np.array(masses).tobytes()
+        assert law._cum.tobytes() == np.array(list(itertools.accumulate(masses))).tobytes()
 
     def test_equality_and_hash_ignore_input_order(self):
         a = DiscreteDistribution((3.0, 1.0, 2.0), (0.5, 0.25, 0.25))

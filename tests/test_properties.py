@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from riskpool.distributions import DiscreteDistribution, EmpiricalSample
 from riskpool.preferences import CaraUtility, LinearUtility, certainty_equivalent
 from riskpool.risk_measures import (
+    _ARRAY_LEVELS,
     KusuokaFamily,
     MixtureMeasure,
     avar,
@@ -17,6 +18,7 @@ from riskpool.risk_measures import (
     kusuoka_value,
     mixture_value,
 )
+from riskpool.verify import run_duality_suite, run_property_suite
 
 from helpers import brute_force_dual_min
 
@@ -82,6 +84,31 @@ def test_array_tail_integrals_match_each_level(law, levels):
 @given(discrete_laws(), mixtures(max_atoms=40))
 def test_mixture_value_sums_the_building_blocks_exactly(law, mu):
     assert mixture_value(law, mu) == math.fsum(w * avar(law, lam) for lam, w in mu.atoms)
+
+
+@given(discrete_laws(), mixtures(max_atoms=_ARRAY_LEVELS - 1))
+def test_few_level_mixture_value_sums_avar_exactly(law, mu):
+    # Below _ARRAY_LEVELS every term reads the law's tail integral directly.
+    assert mixture_value(law, mu) == math.fsum(w * avar(law, lam) for lam, w in mu.atoms)
+
+
+# (name, failures, worst_error.hex()) of both verify suites at seed 20260808
+# with 200 trials: a speed-up must not move the suites' draws or values.
+SUITE_PINS = [
+    ("translation_invariance", 0, "0x1.0000000000000p-48"),
+    ("positive_homogeneity", 0, "0x1.0000000000000p-47"),
+    ("avar_monotone_in_level", 0, "0x1.0000000000000p-50"),
+    ("superadditivity", 0, "0x1.0000000000000p-50"),
+    ("comonotone_additivity", 0, "0x1.8000000000000p-49"),
+    ("jensen_premium_nonnegative", 0, "0x0.0p+0"),
+    ("primal_dual_greedy", 0, "0x1.8c00000000000p-48"),
+    ("primal_dual_vertex_enumeration", 0, "0x1.0000000000000p-49"),
+]
+
+
+def test_verify_suites_are_pinned():
+    results = run_property_suite(200, 20260808) + run_duality_suite(200, 20260808)
+    assert [(r.name, r.failures, r.worst_error.hex()) for r in results] == SUITE_PINS
 
 
 @given(discrete_laws(), tail_levels, tail_levels)
