@@ -108,7 +108,7 @@ def fit_rate(points, *, drop_smallest: int = 1) -> RateFit:
     y = np.log([p for _, p in used])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
-    ss_res = float(resid @ resid)
+    ss_res = float(np.square(resid).sum())
     ss_tot = float(np.square(y - y.mean()).sum())
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return RateFit(float(slope), float(intercept), r_squared, tuple(used))

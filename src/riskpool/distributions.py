@@ -290,11 +290,13 @@ class DiscreteDistribution(Distribution):
         partial = np.minimum(np.maximum(lam - prev, 0.0), self._masses[j])
         return below + partial * self._atoms[j]
 
+    # Sums, not BLAS dot products: a BLAS product splits long vectors across
+    # its threads and rounds by the thread count.
     def mean(self) -> float:
-        return float(self._masses @ self._atoms)
+        return float((self._masses * self._atoms).sum())
 
     def variance(self) -> float:
-        return float(self._masses @ np.square(self._atoms - self.mean()))
+        return float((self._masses * np.square(self._atoms - self.mean())).sum())
 
     def support_lower_bound(self) -> float:
         return float(self._atoms[0])

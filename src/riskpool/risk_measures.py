@@ -175,7 +175,7 @@ def dual_avar_discrete(dist: DiscreteDistribution, lam: float) -> DualSolution:
         remaining -= take
         if remaining <= 0.0:
             break
-    value = float(q_mass @ dist._atoms)
+    value = float((q_mass * dist._atoms).sum())
     return DualSolution(tuple((q_mass / probs).tolist()), value)
 
 

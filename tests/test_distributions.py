@@ -434,7 +434,7 @@ class TestPoolAverage:
     def test_multinomial_pool_ignores_blas_threads(self):
         # A BLAS matrix product rounded some of these rows differently at
         # one and at two OpenBLAS threads; the row-wise sum does not.
-        script = (
+        one, two = _stdout_at_blas_threads_1_and_2(
             "import numpy as np\n"
             "from riskpool.distributions import DiscreteDistribution, RngSpec, pool_average_sample\n"
             "masses = np.random.default_rng(4).dirichlet(np.ones(8000))\n"
@@ -442,16 +442,33 @@ class TestPoolAverage:
             "pooled = pool_average_sample(law, 50, 300, RngSpec(5, 2))\n"
             "print(law.pool_method(50), pooled._atoms.tobytes().hex())\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        outputs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                  text=True, check=True, timeout=120)
-            outputs.append(done.stdout)
-        assert outputs[0].startswith("multinomial ")
-        assert outputs[0] == outputs[1]
+        assert one.startswith("multinomial ")
+        assert one == two
+
+    def test_mean_ignores_blas_threads(self):
+        # A BLAS dot product splits 20 000 entries across its threads and
+        # rounded this mean differently at one and at two; a sum does not.
+        one, two = _stdout_at_blas_threads_1_and_2(
+            "import numpy as np\n"
+            "from riskpool.distributions import EmpiricalSample\n"
+            "sample = EmpiricalSample(np.random.default_rng(3).normal(size=20_000))\n"
+            "print(sample.mean().hex())\n"
+        )
+        assert one == two
+
+
+def _stdout_at_blas_threads_1_and_2(script: str) -> tuple[str, str]:
+    """Standard output of the script in two fresh interpreters, run with one
+    and with two OpenBLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        outputs.append(done.stdout)
+    return outputs[0], outputs[1]
 
 
 def _unit_pmf_power(law: DiscreteDistribution, n: int) -> np.ndarray:

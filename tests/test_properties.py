@@ -101,7 +101,7 @@ SUITE_PINS = [
     ("superadditivity", 0, "0x1.0000000000000p-50"),
     ("comonotone_additivity", 0, "0x1.8000000000000p-49"),
     ("jensen_premium_nonnegative", 0, "0x0.0p+0"),
-    ("primal_dual_greedy", 0, "0x1.8c00000000000p-48"),
+    ("primal_dual_greedy", 0, "0x1.7c00000000000p-48"),
     ("primal_dual_vertex_enumeration", 0, "0x1.0000000000000p-49"),
 ]
 
