@@ -257,7 +257,8 @@ class DiscreteDistribution(Distribution):
 
     def __getattr__(self, name):
         # Reached only when the instance lacks the attribute: the prefix sums
-        # of mass x outcome are made on first use and kept in __dict__.
+        # of mass x outcome are made on first use and kept in __dict__
+        # (threads that race here store equal arrays).
         if name != "_prefix":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         prefix = self.__dict__["_prefix"] = (self._masses * self._atoms).cumsum()

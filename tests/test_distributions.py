@@ -225,12 +225,12 @@ class TestConstruction:
         outcomes = [x for x, _ in pairs]
         probs = [w / total for _, w in pairs]
         law = DiscreteDistribution(outcomes, probs)
-        groups = [[p for _, p in g] for _, g in
-                  itertools.groupby(sorted(zip(outcomes, probs), key=lambda xp: xp[0]), key=lambda xp: xp[0])]
-        atoms = [x for x, _ in itertools.groupby(sorted(outcomes))]
+        groups = {}  # keyed by the first of equal outcomes (0.0 or -0.0) in sorted order
+        for x, p in sorted(zip(outcomes, probs), key=lambda xp: xp[0]):
+            groups.setdefault(x, []).append(p)
         # numpy adds a group's first mass to the sum of the rest, in order.
-        masses = [g[0] + sum(g[1:]) for g in groups]
-        assert law._atoms.tobytes() == np.array(atoms).tobytes()
+        masses = [g[0] + sum(g[1:]) for g in groups.values()]
+        assert law._atoms.tobytes() == np.array(list(groups)).tobytes()
         assert law._masses.tobytes() == np.array(masses).tobytes()
         assert law._cum.tobytes() == np.array(list(itertools.accumulate(masses))).tobytes()
 

@@ -81,14 +81,11 @@ def test_array_tail_integrals_match_each_level(law, levels):
     assert values.tolist() == [law.lower_quantile_integral(t) for t in levels]
 
 
-@given(discrete_laws(), mixtures(max_atoms=40))
+# One branch draws only mixtures of fewer than _ARRAY_LEVELS levels, where
+# each term reads the law's scalar tail integral; the other reaches the
+# array call.
+@given(discrete_laws(), st.one_of(mixtures(max_atoms=_ARRAY_LEVELS - 1), mixtures(max_atoms=40)))
 def test_mixture_value_sums_the_building_blocks_exactly(law, mu):
-    assert mixture_value(law, mu) == math.fsum(w * avar(law, lam) for lam, w in mu.atoms)
-
-
-@given(discrete_laws(), mixtures(max_atoms=_ARRAY_LEVELS - 1))
-def test_few_level_mixture_value_sums_avar_exactly(law, mu):
-    # Below _ARRAY_LEVELS every term reads the law's tail integral directly.
     assert mixture_value(law, mu) == math.fsum(w * avar(law, lam) for lam, w in mu.atoms)
 
 
