@@ -40,7 +40,6 @@ from .preferences import (
     UtilityDomainError,
     UtilityFunction,
     certainty_equivalent,
-    equivalent_utility_premium,
     risk_premium,
 )
 from .risk_measures import (

@@ -47,11 +47,11 @@ def theorem1_limit(sigma: float, mu: MixtureMeasure) -> float:
 
     sigma times the mu-average of :func:`normal_avar_constant`; zero when
     sigma is zero (a degenerate risk pools to itself) and zero exactly when
-    mu is the point mass at level 1.
+    mu is the point mass at level 1. sigma must be finite and nonnegative.
     """
     sigma = float(sigma)
-    if sigma < 0.0 or math.isnan(sigma):
-        raise ValueError("sigma must be nonnegative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
     if sigma == 0.0:
         return 0.0
     return sigma * math.fsum(w * normal_avar_constant(lam) for lam, w in mu.atoms)
@@ -59,11 +59,6 @@ def theorem1_limit(sigma: float, mu: MixtureMeasure) -> float:
 
 def theorem2_limit(sigma: float, family: KusuokaFamily) -> float:
     """Limit under a family: sigma times the largest member constant."""
-    sigma = float(sigma)
-    if sigma < 0.0 or math.isnan(sigma):
-        raise ValueError("sigma must be nonnegative")
-    if sigma == 0.0:
-        return 0.0
     return max(theorem1_limit(sigma, mu) for mu in family.members)
 
 

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,29 +47,6 @@ EXIT_DOMAIN = 4
 EXIT_PROPERTY = 5
 
 SEED_ENV_VAR = "RISKPOOL_SEED"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance written alongside every result file."""
-
-    tool_version: str
-    master_seed: int
-    config_hash: str
-    started_at: str
-    finished_at: str
-    config: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": "riskpool",
-            "tool_version": self.tool_version,
-            "master_seed": self.master_seed,
-            "config_hash": self.config_hash,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "config": self.config,
-        }
 
 
 def _fmt(value: float) -> str:
@@ -210,8 +186,6 @@ def _cmd_measure(args) -> int:
 def _cmd_limit(args) -> int:
     if (args.mu is None) == (args.family is None):
         raise ConfigError("limit", "exactly one of --mu, --family is required")
-    if args.sigma < 0 or math.isnan(args.sigma):
-        raise ConfigError("sigma", "must be nonnegative")
     if args.mu is not None:
         value = theorem1_limit(args.sigma, parse_mixture_text(args.mu))
         payload = {"operation": "theorem1_limit", "sigma": args.sigma, "value": value}
@@ -305,15 +279,16 @@ def _cmd_premium_curve(args) -> int:
     (out_dir / "curve.json").write_text(
         json.dumps(curve_to_dict(config_dict, curve, comparison), indent=2) + "\n"
     )
-    manifest = RunManifest(
-        tool_version=__version__,
-        master_seed=config.master_seed,
-        config_hash=curve.config_hash,
-        started_at=started,
-        finished_at=finished,
-        config=config_dict,
-    )
-    (out_dir / "manifest.json").write_text(json.dumps(manifest.to_dict(), indent=2) + "\n")
+    manifest = {  # provenance written alongside every result file
+        "tool": "riskpool",
+        "tool_version": __version__,
+        "master_seed": config.master_seed,
+        "config_hash": curve.config_hash,
+        "started_at": started,
+        "finished_at": finished,
+        "config": config_dict,
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
     print(f"curve written to {out_dir} (limit {_fmt(curve.limit)})")
     if not comparison.trend_ok:

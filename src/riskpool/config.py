@@ -21,7 +21,7 @@ from .distributions import (
     TwoPoint,
     Uniform,
 )
-from .mc_engine import DEFAULT_N_GRID, ExperimentConfig
+from .mc_engine import ExperimentConfig
 from .preferences import (
     CaraUtility,
     CrraUtility,
@@ -215,30 +215,33 @@ def experiment_config_from_dict(obj, path: str = "config") -> ExperimentConfig:
         raise ConfigError(path, "exactly one of 'mixture' and 'family' must be given")
     mixture = mixture_from_dict(obj["mixture"], f"{path}.mixture") if "mixture" in obj else None
     family = family_from_dict(obj["family"], f"{path}.family") if "family" in obj else None
-    exact = _get(obj, "exact", path, None)
-    if exact is not None and not isinstance(exact, bool):
-        raise ConfigError(f"{path}.exact", "expected true, false, or null")
-    n_grid = [
-        _as_int(n, f"{path}.n_grid[{i}]")
-        for i, n in enumerate(_as_list(_get(obj, "n_grid", path, list(DEFAULT_N_GRID)), f"{path}.n_grid"))
-    ]
+    # Only the fields the file gives are passed on: ExperimentConfig holds
+    # the one copy of every default.
+    optional = {}
+    if "exact" in obj:
+        if obj["exact"] is not None and not isinstance(obj["exact"], bool):
+            raise ConfigError(f"{path}.exact", "expected true, false, or null")
+        optional["exact"] = obj["exact"]
+    if "n_grid" in obj:
+        optional["n_grid"] = tuple(
+            _as_int(n, f"{path}.n_grid[{i}]")
+            for i, n in enumerate(_as_list(obj["n_grid"], f"{path}.n_grid"))
+        )
+    distribution = dist_from_dict(_get(obj, "distribution", path), f"{path}.distribution")
+    utility = utility_from_dict(_get(obj, "utility", path), f"{path}.utility")
+    for key, parse in (
+        ("wealth", _as_float),
+        ("replications", _as_int),
+        ("batches", _as_int),
+        ("master_seed", _as_int),
+    ):
+        if key in obj:
+            optional[key] = parse(obj[key], f"{path}.{key}")
     try:
         return ExperimentConfig(
-            distribution=dist_from_dict(_get(obj, "distribution", path), f"{path}.distribution"),
-            utility=utility_from_dict(_get(obj, "utility", path), f"{path}.utility"),
-            mixture=mixture,
-            family=family,
-            wealth=_as_float(_get(obj, "wealth", path, 0.0), f"{path}.wealth"),
-            n_grid=tuple(n_grid),
-            replications=_as_int(_get(obj, "replications", path, 100_000), f"{path}.replications"),
-            batches=_as_int(_get(obj, "batches", path, 20), f"{path}.batches"),
-            master_seed=_as_int(_get(obj, "master_seed", path, 0), f"{path}.master_seed"),
-            exact=exact,
-            ce_grid_points=_as_int(_get(obj, "ce_grid_points", path, 2**14), f"{path}.ce_grid_points"),
+            distribution=distribution, utility=utility, mixture=mixture, family=family, **optional
         )
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(path, str(exc)) from exc
 
 
@@ -252,7 +255,6 @@ def experiment_config_to_dict(config: ExperimentConfig) -> dict:
         "batches": config.batches,
         "master_seed": config.master_seed,
         "exact": config.exact,
-        "ce_grid_points": config.ce_grid_points,
     }
     if config.mixture is not None:
         out["mixture"] = mixture_to_dict(config.mixture)

@@ -57,13 +57,8 @@ def _check_level(t: float, name: str = "t") -> float:
     return t
 
 
-def _check_tail(lam):
-    """A tail level in (0, 1] as a float, or an ndarray of them as an array."""
-    if isinstance(lam, np.ndarray) and lam.ndim:
-        arr = lam.astype(float, copy=False)
-        if not ((arr > 0.0) & (arr <= 1.0)).all():
-            raise ValueError(f"tail levels must lie in (0, 1], got {lam!r}")
-        return arr
+def _check_tail(lam) -> float:
+    """A tail level in (0, 1] as a float."""
     lam = float(lam)
     if not 0.0 < lam <= 1.0 or math.isnan(lam):
         raise ValueError(f"tail level must lie in (0, 1], got {lam!r}")
@@ -110,22 +105,18 @@ class Distribution:
         one inverse CDF, called by :meth:`quantile` and :func:`quantile_grid_sample`."""
         raise NotImplementedError
 
-    def lower_quantile_integral(self, lam):
-        """Integral of the quantile function over (0, lam], lam in (0, 1].
-
-        An ndarray of levels gives the array of their integrals, each equal
-        bit for bit to the float its level gives alone.
-        """
-        lam = _check_tail(lam)
-        return self._tail_integrals(lam) if isinstance(lam, np.ndarray) else self._tail_integral(lam)
+    def lower_quantile_integral(self, lam: float) -> float:
+        """Integral of the quantile function over (0, lam], lam in (0, 1]."""
+        return self._tail_integral(_check_tail(lam))
 
     def _tail_integral(self, lam: float) -> float:
         """:meth:`lower_quantile_integral` at one checked level."""
         raise NotImplementedError
 
     def _tail_integrals(self, lam: np.ndarray) -> np.ndarray:
-        """:meth:`lower_quantile_integral` at an array of checked levels;
-        level by level unless a law has an array form."""
+        """:meth:`lower_quantile_integral` at an array of checked levels,
+        each equal bit for bit to the float its level gives alone; level by
+        level unless a law has an array form."""
         return np.array([self._tail_integral(t) for t in lam.tolist()], dtype=float)
 
     def mean(self) -> float:

@@ -64,11 +64,12 @@ class ExperimentConfig:
     batches: int = 20
     master_seed: int = 0
     exact: bool | None = None
-    ce_grid_points: int = 2**14
 
     def __post_init__(self):
         if (self.mixture is None) == (self.family is None):
             raise ValueError("exactly one of mixture and family must be set")
+        if not math.isfinite(self.wealth):
+            raise ValueError("wealth must be finite")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid must be nonempty with positive pool sizes")
@@ -180,7 +181,6 @@ def _batch_scaled_premium(config: ExperimentConfig, n: int, batch: int) -> float
             config.preference,
             config.utility,
             single_risk_mean=config.distribution.mean(),
-            grid_points=config.ce_grid_points,
         )
     except UtilityDomainError as exc:
         raise UtilityDomainError(f"pool size n={n}, batch {batch}: {exc}") from exc
@@ -222,9 +222,11 @@ def run_curve(config: ExperimentConfig, *, threads: int = 1) -> PremiumCurve:
     ``threads`` parallelizes over (n, batch) cells; every cell owns its
     stream, and cells are merged in grid order, so the result is a pure
     function of (config, master_seed). The rate fit runs on unscaled
-    premiums when they are all positive and is omitted otherwise.
+    premiums when they are all positive and is omitted otherwise. The limit
+    comes first, so a law whose variance overflows fails before sampling.
     """
     exact = _use_exact(config)
+    limit = theorem_limit(config)
     points: list[CurvePoint] = []
     if exact:
         for n in config.n_grid:
@@ -253,7 +255,7 @@ def run_curve(config: ExperimentConfig, *, threads: int = 1) -> PremiumCurve:
         rate = fit_rate(unscaled)
     return PremiumCurve(
         points=tuple(points),
-        limit=theorem_limit(config),
+        limit=limit,
         rate_fit=rate,
         master_seed=config.master_seed,
         config_hash=config_hash(config),

@@ -29,15 +29,12 @@ class UtilityDomainError(ValueError):
 class UtilityFunction:
     """Strictly increasing, continuously differentiable map with an inverse.
 
-    apply/derivative accept scalars or arrays; invert takes a value in the
+    apply accepts scalars or arrays; invert takes a value in the
     range of the function. Arguments outside the domain raise
     :class:`UtilityDomainError` rather than being clamped.
     """
 
     def apply(self, x):
-        raise NotImplementedError
-
-    def derivative(self, x):
         raise NotImplementedError
 
     def invert(self, y):
@@ -47,10 +44,6 @@ class UtilityFunction:
     def domain_lower(self) -> float:
         """Open lower endpoint of the domain (-inf when globally defined)."""
         return -math.inf
-
-    @property
-    def is_concave(self) -> bool:
-        raise NotImplementedError
 
     def _check_domain(self, x):
         lo = self.domain_lower
@@ -73,16 +66,9 @@ class LinearUtility(UtilityFunction):
         out = self.slope * np.asarray(x, dtype=float) + self.intercept
         return out if np.ndim(x) else float(out)
 
-    def derivative(self, x):
-        return np.full(np.shape(x), self.slope) if np.ndim(x) else self.slope
-
     def invert(self, y):
         out = (np.asarray(y, dtype=float) - self.intercept) / self.slope
         return out if np.ndim(y) else float(out)
-
-    @property
-    def is_concave(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -99,20 +85,12 @@ class CaraUtility(UtilityFunction):
         out = -np.expm1(-self.alpha * np.asarray(x, dtype=float)) / self.alpha
         return out if np.ndim(x) else float(out)
 
-    def derivative(self, x):
-        out = np.exp(-self.alpha * np.asarray(x, dtype=float))
-        return out if np.ndim(x) else float(out)
-
     def invert(self, y):
         arr = np.asarray(y, dtype=float)
         if np.max(arr) >= 1.0 / self.alpha:
             raise UtilityDomainError(f"value {float(np.max(arr))!r} outside range (y < 1/alpha)")
         out = -np.log1p(-self.alpha * arr) / self.alpha
         return out if np.ndim(y) else float(out)
-
-    @property
-    def is_concave(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -130,11 +108,6 @@ class LogUtility(UtilityFunction):
         out = np.log(np.asarray(x, dtype=float) + self.shift)
         return out if np.ndim(x) else float(out)
 
-    def derivative(self, x):
-        self._check_domain(x)
-        out = 1.0 / (np.asarray(x, dtype=float) + self.shift)
-        return out if np.ndim(x) else float(out)
-
     def invert(self, y):
         out = np.exp(np.asarray(y, dtype=float)) - self.shift
         return out if np.ndim(y) else float(out)
@@ -143,18 +116,13 @@ class LogUtility(UtilityFunction):
     def domain_lower(self) -> float:
         return -self.shift
 
-    @property
-    def is_concave(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class CrraUtility(UtilityFunction):
     """u(x) = ((x + shift)^(1-gamma) - 1)/(1-gamma) on x > -shift, gamma != 1.
 
     Strictly increasing for every admissible gamma; concave only for
-    gamma > 0 (callers relying on concavity should check
-    :attr:`is_concave`).
+    gamma > 0.
     """
 
     gamma: float
@@ -171,11 +139,6 @@ class CrraUtility(UtilityFunction):
         out = (np.power(np.asarray(x, dtype=float) + self.shift, g) - 1.0) / g
         return out if np.ndim(x) else float(out)
 
-    def derivative(self, x):
-        self._check_domain(x)
-        out = np.power(np.asarray(x, dtype=float) + self.shift, -self.gamma)
-        return out if np.ndim(x) else float(out)
-
     def invert(self, y):
         g = 1.0 - self.gamma
         base = g * np.asarray(y, dtype=float) + 1.0
@@ -187,10 +150,6 @@ class CrraUtility(UtilityFunction):
     @property
     def domain_lower(self) -> float:
         return -self.shift
-
-    @property
-    def is_concave(self) -> bool:
-        return self.gamma > 0.0
 
 
 def _check_parametric_support(dist: Distribution, u: UtilityFunction) -> None:
@@ -276,7 +235,6 @@ def risk_premium(
     u: UtilityFunction,
     *,
     single_risk_mean: float | None = None,
-    grid_points: int = DEFAULT_CE_GRID_POINTS,
 ) -> float:
     """wealth + E[X1] - certainty equivalent of (wealth + pooled average).
 
@@ -286,21 +244,6 @@ def risk_premium(
     estimates are not polluted by mean-estimation noise.
     """
     m1 = pool_dist.mean() if single_risk_mean is None else float(single_risk_mean)
-    ce = certainty_equivalent(pool_dist.translate(wealth), preference, u, grid_points=grid_points)
+    ce = certainty_equivalent(pool_dist.translate(wealth), preference, u)
     return wealth + m1 - ce
 
-
-def equivalent_utility_premium(
-    wealth: float,
-    pool_dist: Distribution,
-    preference,
-    u: UtilityFunction,
-    *,
-    grid_points: int = DEFAULT_CE_GRID_POINTS,
-) -> float:
-    """Solution of the equivalent-utility equation: wealth - CE(wealth + pool).
-
-    Differs from :func:`risk_premium` by exactly the single-risk mean.
-    """
-    ce = certainty_equivalent(pool_dist.translate(wealth), preference, u, grid_points=grid_points)
-    return wealth - ce

@@ -117,7 +117,7 @@ def avar(dist: Distribution, lam: float) -> float:
     heavily, so the value is nondecreasing in lam and never above the mean.
     """
     lam = _check_tail(lam)
-    return dist.lower_quantile_integral(lam) / lam
+    return dist._tail_integral(lam) / lam
 
 
 def essential_infimum(dist: Distribution) -> float:

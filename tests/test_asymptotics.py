@@ -140,6 +140,15 @@ class TestTheorem1Limit:
         with pytest.raises(ValueError):
             theorem1_limit(-1.0, MixtureMeasure.point(0.5))
 
+    # inf * 0 at the level-1 atom would otherwise come out as NaN.
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    @pytest.mark.parametrize("mu", [MixtureMeasure.point(1.0), MixtureMeasure.point(0.5)])
+    def test_non_finite_sigma_rejected(self, sigma, mu):
+        with pytest.raises(ValueError, match="finite"):
+            theorem1_limit(sigma, mu)
+        with pytest.raises(ValueError, match="finite"):
+            theorem2_limit(sigma, KusuokaFamily((mu,)))
+
 
 class TestTheorem2Limit:
     def test_mean_family_is_zero(self):

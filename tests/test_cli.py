@@ -13,6 +13,7 @@ from riskpool.config import (
     experiment_config_to_dict,
 )
 from riskpool.distributions import DiscreteDistribution, EmpiricalSample, TwoPoint
+from riskpool.mc_engine import ExperimentConfig
 from riskpool.risk_measures import MixtureMeasure
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -139,6 +140,14 @@ class TestLimit:
     def test_atom_at_zero_exits_2_citing_support(self, capsys):
         assert main(["limit", "--sigma", "1", "--mu", "delta0"]) == 2
         assert "(0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("preference", [["--mu", "0.5@0.5 + 0.5@1"], ["--family", "{δ0.3}"]])
+    def test_bad_sigma_exits_2_without_output(self, capsys, sigma, preference):
+        assert main(["limit", "--sigma", sigma, *preference, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sigma must be finite and nonnegative" in captured.err
 
 
 class TestPremiumCurve:
@@ -269,6 +278,27 @@ class TestPremiumCurve:
         config = self.write_config(tmp_path, payload)
         assert main(["premium-curve", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
         assert "config.mixture.atoms[0].weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("wealth", [math.nan, math.inf])
+    def test_non_finite_wealth_exits_2(self, tmp_path, capsys, wealth):
+        # json.dumps writes NaN / Infinity, which the config parser accepts.
+        config = self.write_config(tmp_path, {**EXACT_CONFIG, "wealth": wealth})
+        out = tmp_path / "results"
+        assert main(["premium-curve", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert "wealth must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_shipped_configs_write_strict_json(self, tmp_path, name):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out = tmp_path / "out"
+        main(["premium-curve", "--config", str(CONFIG_DIR / name), "--out-dir", str(out)])
+        written = sorted(out.glob("*.json"))
+        assert [p.name for p in written] == ["curve.json", "manifest.json"]
+        for path in written:
+            json.loads(path.read_text(), parse_constant=reject)
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["premium-curve", "--config", str(tmp_path / "nope.json")]) == 2
@@ -450,6 +480,13 @@ class TestConfigRoundTrip:
     def test_bernoulli_alias_validation(self, bad):
         with pytest.raises(ConfigError, match="bernoulli law requires"):
             experiment_config_from_dict(dict(MC_CONFIG, distribution={"family": "bernoulli", **bad}))
+
+    def test_omitted_fields_take_the_dataclass_defaults(self):
+        payload = {key: EXACT_CONFIG[key] for key in ("distribution", "mixture", "utility")}
+        config = experiment_config_from_dict(payload)
+        assert config == ExperimentConfig(
+            distribution=config.distribution, utility=config.utility, mixture=config.mixture
+        )
 
     def test_nan_outcome_rejected(self):
         dist = json.loads('{"family": "discrete", "outcomes": [1, 2, NaN], "probs": [0.3, 0.3, 0.4]}')

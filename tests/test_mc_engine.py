@@ -61,6 +61,11 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="master_seed"):
                 make_config(master_seed=bad)
 
+    @pytest.mark.parametrize("wealth", [math.nan, math.inf, -math.inf])
+    def test_wealth_must_be_finite(self, wealth):
+        with pytest.raises(ValueError, match="wealth must be finite"):
+            make_config(wealth=wealth)
+
     def test_hash_tracks_semantic_fields(self):
         a = config_hash(make_config())
         assert a == config_hash(make_config())
@@ -234,6 +239,14 @@ class TestRunCurve:
         assert curve.config_hash == config_hash(config)
         assert [p.n for p in curve.points] == [4, 16, 64]
         assert all(p.replications == 2000 for p in curve.points)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_variance_fails_before_sampling(self, monkeypatch):
+        law = DiscreteDistribution((-1e200, 1e200), (0.5, 0.5))
+        assert law.variance() == math.inf
+        monkeypatch.setattr("riskpool.mc_engine.pool_average_sample", pytest.fail)
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            run_curve(make_config(distribution=law))
 
 
 class TestCompareToLimit:

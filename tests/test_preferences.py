@@ -18,7 +18,6 @@ from riskpool.preferences import (
     UtilityDomainError,
     _pullback_value,
     certainty_equivalent,
-    equivalent_utility_premium,
     risk_premium,
 )
 from riskpool.risk_measures import KusuokaFamily, MixtureMeasure, mixture_value
@@ -41,7 +40,6 @@ class TestUtilityFamilies:
     def test_cara_values_at_zero(self):
         u = CaraUtility(1.0)
         assert u.apply(0.0) == 0.0
-        assert u.derivative(0.0) == 1.0
 
     def test_linear_invert_identity(self):
         u = LinearUtility(1.0, 0.0)
@@ -52,15 +50,6 @@ class TestUtilityFamilies:
         u = LogUtility(1.0)
         assert u.apply(0.0) == 0.0
         assert u.invert(0.0) == 0.0
-
-    @pytest.mark.parametrize("u", ALL_UTILITIES)
-    def test_derivative_matches_central_differences(self, u):
-        lo = u.domain_lower
-        grid = np.linspace(max(lo + 0.5, -4.0) if lo > -math.inf else -4.0, 4.0, 17)
-        h = 1e-6
-        for x in grid:
-            numeric = (u.apply(x + h) - u.apply(x - h)) / (2 * h)
-            assert u.derivative(x) == pytest.approx(numeric, rel=1e-6, abs=1e-9)
 
     @pytest.mark.parametrize("u", ALL_UTILITIES)
     def test_invert_apply_round_trip(self, u):
@@ -80,7 +69,7 @@ class TestUtilityFamilies:
         with pytest.raises(UtilityDomainError):
             LogUtility(1.0).apply(-1.5)
         with pytest.raises(UtilityDomainError):
-            CrraUtility(2.0, shift=0.0).derivative(-0.1)
+            CrraUtility(2.0, shift=0.0).apply(-0.1)
         with pytest.raises(UtilityDomainError):
             CaraUtility(2.0).invert(0.6)  # range is y < 1/alpha = 0.5
 
@@ -91,13 +80,6 @@ class TestUtilityFamilies:
             CaraUtility(-1.0)
         with pytest.raises(ValueError):
             CrraUtility(1.0)
-
-    def test_concavity_flags(self):
-        assert LinearUtility().is_concave
-        assert CaraUtility(1.0).is_concave
-        assert LogUtility().is_concave
-        assert CrraUtility(2.0).is_concave
-        assert not CrraUtility(-0.5).is_concave
 
 
 class TestCertaintyEquivalent:
@@ -274,35 +256,9 @@ class TestRiskPremium:
                 assert risk_premium(0.0, pool, pref, u) >= -1e-10
 
     def test_non_concave_utility_can_go_negative(self):
-        # Risk-seeking curvature flips the sign once the distortion is off;
-        # this is why mean-bound checks skip utilities flagged non-concave.
+        # Risk-seeking curvature (crra with gamma < 0) flips the sign once
+        # the distortion is off; this is why mean-bound checks skip it.
         pool = DiscreteDistribution((-1.0, 0.0, 3.0), (0.25, 0.5, 0.25))
         u = CrraUtility(-2.0, shift=5.0)
-        assert not u.is_concave
         assert risk_premium(0.0, pool, MixtureMeasure.point(1.0), u) < 0.0
 
-
-class TestEquivalentUtilityPremium:
-    def test_degenerate_pool(self):
-        point = DiscreteDistribution((2.0,), (1.0,))
-        value = equivalent_utility_premium(0.0, point, MIX, CaraUtility(1.0))
-        assert value == pytest.approx(-2.0, abs=1e-12)
-
-    def test_linear_mean_case(self):
-        pool = DiscreteDistribution((0.0, 2.0), (0.5, 0.5))
-        value = equivalent_utility_premium(0.0, pool, MixtureMeasure.point(1.0), LinearUtility())
-        assert value == pytest.approx(-1.0, abs=1e-12)
-
-    def test_identity_with_risk_premium(self):
-        pool = DiscreteDistribution((-1.0, 0.5, 2.0), (0.25, 0.5, 0.25))
-        configs = [
-            (MIX, CaraUtility(1.0)),
-            (MixtureMeasure.point(0.4), LinearUtility(2.0, 1.0)),
-            (KusuokaFamily((MIX, MixtureMeasure.point(0.4))), CaraUtility(0.5)),
-        ]
-        for v in (0.0, 1.5):
-            for pref, u in configs:
-                gap = risk_premium(v, pool, pref, u) - equivalent_utility_premium(
-                    v, pool, pref, u
-                )
-                assert gap == pytest.approx(pool.mean(), abs=1e-10)
