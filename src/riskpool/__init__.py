@@ -3,14 +3,7 @@ the asymptotics of equally shared risk pools."""
 
 __version__ = "0.1.0"
 
-from .asymptotics import (
-    RateFit,
-    fit_rate,
-    inv_normal_cdf,
-    normal_avar_constant,
-    theorem1_limit,
-    theorem2_limit,
-)
+from .asymptotics import RateFit, fit_rate, theorem1_limit, theorem2_limit
 from .distributions import (
     DiscreteDistribution,
     Distribution,
@@ -32,6 +25,7 @@ from .mc_engine import (
     estimate_scaled_premium,
     run_curve,
 )
+from .normal import inv_normal_cdf
 from .preferences import (
     CaraUtility,
     CrraUtility,
@@ -53,4 +47,5 @@ from .risk_measures import (
     essential_infimum,
     kusuoka_value,
     mixture_value,
+    preference_value,
 )

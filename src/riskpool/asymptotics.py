@@ -1,11 +1,14 @@
-"""Closed-form limit constants for pooled premiums and rate-of-convergence fits.
+"""Limit constants of pooled premiums and rate-of-convergence fits.
 
-The scaled premium of an equally shared pool converges, as the pool grows,
-to the single-risk standard deviation times a constant determined solely by
-the mixing measure: the weighted average of pdf(ppf(level))/level over its
-atoms (a family contributes the largest such average among its members).
-The constant is the negative of the mixture functional of a standard
-normal, which is how the cross-check in the test-suite certifies it.
+As the pool grows, sqrt(n) times the premium of an equally shared pool
+tends to the single-risk standard deviation sigma times minus the
+preference's value on a standard normal risk. Under a mixture that value
+is minus the weighted average of pdf(ppf(level))/level over its atoms
+(Theorem 1); under a family it is the smallest member value, so the limit
+takes the largest member constant (Theorem 2). Both limits are read from
+the normal law's tail integral through
+:func:`~riskpool.risk_measures.preference_value`, so the constant has no
+second closed form here.
 """
 
 from __future__ import annotations
@@ -15,51 +18,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normal import inv_normal_cdf, normal_pdf
-from .risk_measures import KusuokaFamily, MixtureMeasure
+from .distributions import Normal
+from .risk_measures import KusuokaFamily, MixtureMeasure, preference_value
 
 __all__ = [
     "RateFit",
     "fit_rate",
-    "inv_normal_cdf",
-    "normal_avar_constant",
     "theorem1_limit",
     "theorem2_limit",
 ]
 
-
-def normal_avar_constant(lam: float) -> float:
-    """pdf(ppf(lam))/lam for lam in (0, 1]; 0 at lam = 1 (the limit value).
-
-    Equals the negative building-block value of a standard normal law, is
-    strictly decreasing on (0, 1), and vanishes as lam -> 1.
-    """
-    lam = float(lam)
-    if not 0.0 < lam <= 1.0 or math.isnan(lam):
-        raise ValueError(f"tail level must lie in (0, 1], got {lam!r}")
-    if lam == 1.0:
-        return 0.0
-    return float(normal_pdf(inv_normal_cdf(lam))) / lam
+_STANDARD_NORMAL = Normal(0.0, 1.0)
 
 
-def theorem1_limit(sigma: float, mu: MixtureMeasure) -> float:
-    """Limit of the scaled pooled premium under a single mixture measure.
+def theorem1_limit(sigma: float, mu: MixtureMeasure | KusuokaFamily) -> float:
+    """Limit of the scaled pooled premium: -sigma * value of N(0, 1) under mu.
 
-    sigma times the mu-average of :func:`normal_avar_constant`; zero when
-    sigma is zero (a degenerate risk pools to itself) and zero exactly when
-    mu is the point mass at level 1. sigma must be finite and nonnegative.
+    mu is a mixture, or a family as in :func:`theorem2_limit`. The limit is
+    zero when sigma is zero (a degenerate risk pools to itself) and zero
+    exactly when mu is the point mass at level 1. sigma must be finite and
+    nonnegative.
     """
     sigma = float(sigma)
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
-    if sigma == 0.0:
-        return 0.0
-    return sigma * math.fsum(w * normal_avar_constant(lam) for lam, w in mu.atoms)
+    # 0.0 - x rather than -x, so a zero constant comes out +0.0.
+    return 0.0 - sigma * preference_value(_STANDARD_NORMAL, mu)
 
 
 def theorem2_limit(sigma: float, family: KusuokaFamily) -> float:
     """Limit under a family: sigma times the largest member constant."""
-    return max(theorem1_limit(sigma, mu) for mu in family.members)
+    return theorem1_limit(sigma, family)
 
 
 @dataclass(frozen=True)

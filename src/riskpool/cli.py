@@ -263,16 +263,14 @@ def _cmd_premium_curve(args) -> int:
     elif "master_seed" not in raw and os.environ.get(SEED_ENV_VAR) is not None:
         config = with_master_seed(config, _resolve_seed(None))
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
-    try:
-        curve = run_curve(config, threads=args.threads)
-    except UtilityDomainError as exc:
-        print(f"utility-domain abort: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    curve = run_curve(config, threads=args.threads)
     finished = datetime.now(timezone.utc).isoformat()
     comparison = compare_to_limit(curve)
+
+    # Made only now, so a run that fails leaves no empty directory behind.
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     config_dict = experiment_config_to_dict(config)
     write_curve_csv(out_dir / "curve.csv", curve, comparison)

@@ -9,6 +9,7 @@ through ``json`` (shortest-representation encoding), so parse -> serialize
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -75,24 +76,67 @@ def _as_list(value, path):
     return value
 
 
+def _wire_table(entries) -> dict:
+    """Wire name -> (class, ((wire key, argument, required), ...)); whether
+    an argument is required is read once, from the class's signature."""
+    table = {}
+    for name, (cls, pairs) in entries.items():
+        params = inspect.signature(cls).parameters
+        table[name] = (
+            cls,
+            tuple((key, arg, params[arg].default is inspect.Parameter.empty) for key, arg in pairs),
+        )
+    return table
+
+
+# Each family's class and its (wire key, constructor argument) pairs, in
+# serialization order. A key may be omitted exactly when the class gives
+# its argument a default, so every default is held once, by the class.
+_LAWS = _wire_table({
+    "normal": (Normal, (("mean", "loc"), ("sd", "scale"))),
+    "uniform": (Uniform, (("low", "low"), ("high", "high"))),
+    "exponential": (Exponential, (("rate", "rate"), ("shift", "shift"))),
+    "two_point": (TwoPoint, (("low", "low"), ("high", "high"), ("p_high", "p_high"))),
+})
+_UTILITIES = _wire_table({
+    "linear": (LinearUtility, (("slope", "slope"), ("intercept", "intercept"))),
+    "cara": (CaraUtility, (("alpha", "alpha"),)),
+    "log": (LogUtility, (("shift", "shift"),)),
+    "crra": (CrraUtility, (("gamma", "gamma"), ("shift", "shift"))),
+})
+
+
+def _from_wire(table, family, obj, path):
+    cls, fields = table[family]
+    kwargs = {}
+    for key, arg, required in fields:
+        if key in obj:
+            kwargs[arg] = _as_float(obj[key], f"{path}.{key}")
+        elif required:
+            raise ConfigError(f"{path}.{key}", "missing required field")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _to_wire(table, value, kind: str) -> dict:
+    for family, (cls, fields) in table.items():
+        if type(value) is cls:
+            return {"family": family, **{key: getattr(value, arg) for key, arg, _ in fields}}
+    raise TypeError(f"unsupported {kind} type {type(value).__name__}")
+
+
 def dist_from_dict(obj, path: str = "distribution") -> Distribution:
     obj = _as_mapping(obj, path)
     family = _get(obj, "family", path)
+    if isinstance(family, str) and family in _LAWS:
+        return _from_wire(_LAWS, family, obj, path)
     try:
         if family == "discrete":
             outcomes = [_as_float(v, f"{path}.outcomes[{i}]") for i, v in enumerate(_as_list(_get(obj, "outcomes", path), f"{path}.outcomes"))]
             probs = [_as_float(v, f"{path}.probs[{i}]") for i, v in enumerate(_as_list(_get(obj, "probs", path), f"{path}.probs"))]
             return DiscreteDistribution(tuple(outcomes), tuple(probs))
-        if family == "normal":
-            return Normal(
-                _as_float(_get(obj, "mean", path), f"{path}.mean"),
-                _as_float(_get(obj, "sd", path), f"{path}.sd"),
-            )
-        if family == "uniform":
-            return Uniform(
-                _as_float(_get(obj, "low", path), f"{path}.low"),
-                _as_float(_get(obj, "high", path), f"{path}.high"),
-            )
         if family == "bernoulli":
             # Input alias: loc + scale * B with B a p-coin is a two-point law.
             p = _as_float(_get(obj, "p", path), f"{path}.p")
@@ -101,17 +145,6 @@ def dist_from_dict(obj, path: str = "distribution") -> Distribution:
             if not (0.0 < p < 1.0 and math.isfinite(loc) and loc < loc + scale < math.inf):
                 raise ValueError("bernoulli law requires 0 < p < 1 and scale > 0")
             return TwoPoint(loc, loc + scale, p)
-        if family == "exponential":
-            return Exponential(
-                _as_float(_get(obj, "rate", path), f"{path}.rate"),
-                _as_float(_get(obj, "shift", path, 0.0), f"{path}.shift"),
-            )
-        if family == "two_point":
-            return TwoPoint(
-                _as_float(_get(obj, "low", path), f"{path}.low"),
-                _as_float(_get(obj, "high", path), f"{path}.high"),
-                _as_float(_get(obj, "p_high", path), f"{path}.p_high"),
-            )
         if family == "empirical":
             values = [_as_float(v, f"{path}.values[{i}]") for i, v in enumerate(_as_list(_get(obj, "values", path), f"{path}.values"))]
             return EmpiricalSample(values)
@@ -123,19 +156,11 @@ def dist_from_dict(obj, path: str = "distribution") -> Distribution:
 
 
 def dist_to_dict(dist: Distribution) -> dict:
-    if isinstance(dist, TwoPoint):
-        return {"family": "two_point", "low": dist.low, "high": dist.high, "p_high": dist.p_high}
     if isinstance(dist, EmpiricalSample):
         return {"family": "empirical", "values": list(dist.values)}
-    if isinstance(dist, DiscreteDistribution):
+    if type(dist) is DiscreteDistribution:
         return {"family": "discrete", "outcomes": list(dist.outcomes), "probs": list(dist.probabilities)}
-    if isinstance(dist, Normal):
-        return {"family": "normal", "mean": dist.loc, "sd": dist.scale}
-    if isinstance(dist, Uniform):
-        return {"family": "uniform", "low": dist.low, "high": dist.high}
-    if isinstance(dist, Exponential):
-        return {"family": "exponential", "rate": dist.rate, "shift": dist.shift}
-    raise TypeError(f"unsupported distribution type {type(dist).__name__}")
+    return _to_wire(_LAWS, dist, "distribution")
 
 
 def mixture_from_dict(obj, path: str = "mixture") -> MixtureMeasure:
@@ -175,38 +200,13 @@ def family_to_dict(family: KusuokaFamily) -> dict:
 def utility_from_dict(obj, path: str = "utility") -> UtilityFunction:
     obj = _as_mapping(obj, path)
     family = _get(obj, "family", path)
-    try:
-        if family == "linear":
-            return LinearUtility(
-                _as_float(_get(obj, "slope", path, 1.0), f"{path}.slope"),
-                _as_float(_get(obj, "intercept", path, 0.0), f"{path}.intercept"),
-            )
-        if family == "cara":
-            return CaraUtility(_as_float(_get(obj, "alpha", path), f"{path}.alpha"))
-        if family == "log":
-            return LogUtility(_as_float(_get(obj, "shift", path, 0.0), f"{path}.shift"))
-        if family == "crra":
-            return CrraUtility(
-                _as_float(_get(obj, "gamma", path), f"{path}.gamma"),
-                _as_float(_get(obj, "shift", path, 0.0), f"{path}.shift"),
-            )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(path, str(exc)) from exc
+    if isinstance(family, str) and family in _UTILITIES:
+        return _from_wire(_UTILITIES, family, obj, path)
     raise ConfigError(f"{path}.family", f"unknown family {family!r}")
 
 
 def utility_to_dict(u: UtilityFunction) -> dict:
-    if isinstance(u, LinearUtility):
-        return {"family": "linear", "slope": u.slope, "intercept": u.intercept}
-    if isinstance(u, CaraUtility):
-        return {"family": "cara", "alpha": u.alpha}
-    if isinstance(u, LogUtility):
-        return {"family": "log", "shift": u.shift}
-    if isinstance(u, CrraUtility):
-        return {"family": "crra", "gamma": u.gamma, "shift": u.shift}
-    raise TypeError(f"unsupported utility type {type(u).__name__}")
+    return _to_wire(_UTILITIES, u, "utility")
 
 
 def experiment_config_from_dict(obj, path: str = "config") -> ExperimentConfig:

@@ -496,8 +496,8 @@ class TwoPoint(DiscreteDistribution):
 
 @dataclass(frozen=True)
 class Normal(Distribution):
-    loc: float = 0.0
-    scale: float = 1.0
+    loc: float
+    scale: float
 
     def __post_init__(self):
         if not (math.isfinite(self.loc) and math.isfinite(self.scale) and self.scale > 0.0):

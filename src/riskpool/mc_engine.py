@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import RateFit, fit_rate, theorem1_limit, theorem2_limit
+from .asymptotics import RateFit, fit_rate, theorem1_limit
 from .distributions import Distribution, Normal, RngSpec, pool_average_sample
 from .preferences import (
     LinearUtility,
@@ -81,8 +81,7 @@ class ExperimentConfig:
             raise ValueError("replications must be divisible by batches")
         if self.replications // self.batches < 2:
             raise ValueError("need at least 2 replications per batch")
-        if type(self.master_seed) is not int or not 0 <= self.master_seed < 1 << 64:
-            raise ValueError("master_seed must be an integer in [0, 2**64)")
+        RngSpec(self.master_seed)  # a Philox key word in [0, 2**64)
 
     @property
     def preference(self):
@@ -152,10 +151,10 @@ def _use_exact(config: ExperimentConfig) -> bool:
 
 def theorem_limit(config: ExperimentConfig) -> float:
     """Limit constant matching the config's mixture or family."""
-    sigma = math.sqrt(config.distribution.variance())
-    if config.mixture is not None:
-        return theorem1_limit(sigma, config.mixture)
-    return theorem2_limit(sigma, config.family)
+    variance = config.distribution.variance()
+    if not math.isfinite(variance):
+        raise ValueError(f"the law's variance is not finite, got {variance!r}")
+    return theorem1_limit(math.sqrt(variance), config.preference)
 
 
 def _exact_scaled_premium(config: ExperimentConfig, n: int) -> float:
@@ -187,25 +186,44 @@ def _batch_scaled_premium(config: ExperimentConfig, n: int, batch: int) -> float
     return math.sqrt(n) * premium
 
 
-def estimate_scaled_premium(config: ExperimentConfig, n: int) -> tuple[float, float]:
-    """(estimate, stderr) of the scaled premium at one pool size.
+def _curve_points(
+    config: ExperimentConfig, n_grid: tuple[int, ...], exact: bool, threads: int = 1
+) -> list[CurvePoint]:
+    # Exact path: analytic values with stderr 0. Monte Carlo path: batch
+    # mean and batch-mean standard error per n. A utility domain violation
+    # in any replicate aborts the whole pool size (dropping offending
+    # replicates would bias the tail of the empirical law).
+    if exact:
+        return [
+            CurvePoint(n, _exact_scaled_premium(config, n), 0.0, config.replications, "exact")
+            for n in n_grid
+        ]
+    tasks = [(n, b) for n in n_grid for b in range(config.batches)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(lambda t: _batch_scaled_premium(config, *t), tasks))
+    else:
+        results = [_batch_scaled_premium(config, n, b) for n, b in tasks]
+    by_n = np.asarray(results).reshape(len(n_grid), config.batches)
+    return [
+        CurvePoint(
+            n,
+            float(values.mean()),
+            float(values.std(ddof=1) / math.sqrt(config.batches)),
+            config.replications,
+            config.distribution.pool_method(n),
+        )
+        for n, values in zip(n_grid, by_n)
+    ]
 
-    Exact path: analytic value with stderr 0. Monte Carlo path: batch mean
-    and batch-mean standard error over the config's batches. A utility
-    domain violation in any replicate aborts the whole pool size (dropping
-    offending replicates would bias the tail of the empirical law).
-    """
+
+def estimate_scaled_premium(config: ExperimentConfig, n: int) -> tuple[float, float]:
+    """(estimate, stderr) of the scaled premium at one pool size, as the
+    point :func:`run_curve` gives that n."""
     if n < 1:
         raise ValueError("pool size must be >= 1")
-    if _use_exact(config):
-        return _exact_scaled_premium(config, n), 0.0
-    values = [_batch_scaled_premium(config, n, b) for b in range(config.batches)]
-    return _aggregate(values, config.batches)
-
-
-def _aggregate(values, batches: int) -> tuple[float, float]:
-    arr = np.asarray(values)
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(batches))
+    point = _curve_points(config, (n,), _use_exact(config))[0]
+    return point.estimate, point.stderr
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -227,28 +245,7 @@ def run_curve(config: ExperimentConfig, *, threads: int = 1) -> PremiumCurve:
     """
     exact = _use_exact(config)
     limit = theorem_limit(config)
-    points: list[CurvePoint] = []
-    if exact:
-        for n in config.n_grid:
-            points.append(
-                CurvePoint(n, _exact_scaled_premium(config, n), 0.0, config.replications, "exact")
-            )
-    else:
-        tasks = [(n, b) for n in config.n_grid for b in range(config.batches)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda t: _batch_scaled_premium(config, *t), tasks))
-        else:
-            results = [_batch_scaled_premium(config, n, b) for n, b in tasks]
-        by_n: dict[int, list[float]] = {n: [] for n in config.n_grid}
-        for (n, _), value in zip(tasks, results):
-            by_n[n].append(value)
-        for n in config.n_grid:
-            estimate, stderr = _aggregate(by_n[n], config.batches)
-            points.append(
-                CurvePoint(n, estimate, stderr, config.replications, config.distribution.pool_method(n))
-            )
-
+    points = _curve_points(config, config.n_grid, exact, threads)
     unscaled = [(p.n, p.estimate / math.sqrt(p.n)) for p in points]
     rate = None
     if len(unscaled) >= 3 and all(v > 0.0 for _, v in unscaled):

@@ -1,8 +1,5 @@
-"""Standard normal density and inverse CDF.
-
-Kept free of intra-package imports so that both the distribution layer and
-the limit-constant layer can use it without cycles.
-"""
+"""Standard normal density and inverse CDF (Wichura's AS 241), the two
+functions behind the normal law's quantile and tail integral."""
 
 from __future__ import annotations
 

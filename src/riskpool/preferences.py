@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, Distribution, Normal, quantile_grid_sample
-from .risk_measures import DELTA_ONE, KusuokaFamily, MixtureMeasure, kusuoka_value, mixture_value
+from .risk_measures import DELTA_ONE, KusuokaFamily, MixtureMeasure, preference_value
 
 DEFAULT_CE_GRID_POINTS = 2**14
 
@@ -168,12 +168,6 @@ def _transformed_law(dist: DiscreteDistribution, u: UtilityFunction) -> Discrete
     return DiscreteDistribution._sorted(u.apply(dist._atoms), dist._masses, dist._cum)
 
 
-def _value_functional(transformed, preference):
-    if isinstance(preference, KusuokaFamily):
-        return kusuoka_value(transformed, preference)[0]
-    return mixture_value(transformed, preference)
-
-
 def _pullback_value(law, preference, u: UtilityFunction) -> float:
     # For cara utility the whole pullback commutes exactly with translation
     # (shifting X by c turns u(X) into an affine image of u(X - c), and the
@@ -183,9 +177,9 @@ def _pullback_value(law, preference, u: UtilityFunction) -> float:
         center = law.mean()
         shifted = law.translate(-center)
         return center + float(
-            u.invert(_value_functional(_transformed_law(shifted, u), preference))
+            u.invert(preference_value(_transformed_law(shifted, u), preference))
         )
-    return float(u.invert(_value_functional(_transformed_law(law, u), preference)))
+    return float(u.invert(preference_value(_transformed_law(law, u), preference)))
 
 
 def closed_form_certainty_equivalent(
@@ -198,7 +192,7 @@ def closed_form_certainty_equivalent(
     normal law with the point mass at level 1 (loc - alpha * scale^2 / 2).
     """
     if isinstance(u, LinearUtility):
-        return float(_value_functional(dist, mu))
+        return preference_value(dist, mu)
     if isinstance(u, CaraUtility) and isinstance(dist, Normal) and mu == DELTA_ONE:
         return dist.loc - u.alpha * dist.scale**2 / 2.0
     return None

@@ -157,6 +157,14 @@ def kusuoka_value(dist: Distribution, family: KusuokaFamily) -> tuple[float, int
     return best_value, best_index
 
 
+def preference_value(dist: Distribution, preference: MixtureMeasure | KusuokaFamily) -> float:
+    """Value of a law under a mixture, or under a family (its smallest
+    member value): the one place that tells the two preference kinds apart."""
+    if isinstance(preference, KusuokaFamily):
+        return kusuoka_value(dist, preference)[0]
+    return mixture_value(dist, preference)
+
+
 def dual_avar_discrete(dist: DiscreteDistribution, lam: float) -> DualSolution:
     """Greedy optimum of min E_Q[X] over densities dQ/dP <= 1/lam.
 

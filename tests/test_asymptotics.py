@@ -1,19 +1,20 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from riskpool.asymptotics import (
-    fit_rate,
-    inv_normal_cdf,
-    normal_avar_constant,
-    theorem1_limit,
-    theorem2_limit,
-)
+from riskpool.asymptotics import fit_rate, theorem1_limit, theorem2_limit
+from riskpool.config import experiment_config_from_dict
 from riskpool.distributions import Normal, RngSpec
-from riskpool.risk_measures import KusuokaFamily, MixtureMeasure, avar, kusuoka_value
+from riskpool.mc_engine import theorem_limit
+from riskpool.normal import inv_normal_cdf
+from riskpool.risk_measures import KusuokaFamily, MixtureMeasure, kusuoka_value
 
 from helpers import bisect_inv_normal_cdf, quad_avar_normal
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 # Frozen oracle values: bisection on the erfc CDF / quadrature of the quantile.
 PPF_0975 = 1.959963984540054
@@ -71,39 +72,10 @@ class TestInvNormalCdf:
         assert out[0] == -out[2]
 
 
-class TestNormalAvarConstant:
-    def test_frozen_values(self):
-        assert normal_avar_constant(0.5) == pytest.approx(CONSTANT_05, abs=1e-12)
-        assert normal_avar_constant(0.3) == pytest.approx(CONSTANT_03, abs=1e-12)
-        assert normal_avar_constant(1.0) == 0.0
-
-    def test_matches_quadrature(self):
-        for lam in (0.1, 0.3, 0.5, 0.9):
-            assert normal_avar_constant(lam) == pytest.approx(
-                -quad_avar_normal(lam), abs=1e-8
-            )
-
-    def test_equals_negative_building_block(self):
-        for lam in (0.2, 0.5, 0.8, 1.0):
-            assert normal_avar_constant(lam) == pytest.approx(
-                -avar(Normal(0.0, 1.0), lam), abs=1e-12
-            )
-
-    def test_strictly_decreasing_and_vanishing(self):
-        grid = np.linspace(0.02, 0.999, 80)
-        values = [normal_avar_constant(lam) for lam in grid]
-        assert all(a > b for a, b in zip(values, values[1:]))
-        assert normal_avar_constant(1.0 - 1e-12) < 1e-10
-
-    def test_validation(self):
-        for bad in (0.0, -0.1, 1.0 + 1e-12):
-            with pytest.raises(ValueError):
-                normal_avar_constant(bad)
-
-
 class TestTheorem1Limit:
     def test_mean_case_is_zero(self):
-        assert theorem1_limit(1.0, MixtureMeasure.point(1.0)) == 0.0
+        # +0.0, not -0.0: the CLI would print the sign.
+        assert theorem1_limit(1.0, MixtureMeasure.point(1.0)).hex() == "0x0.0p+0"
 
     def test_half_half_mixture(self):
         mu = MixtureMeasure(((0.5, 0.5), (1.0, 0.5)))
@@ -176,6 +148,54 @@ class TestTheorem2Limit:
         )
         value, _ = kusuoka_value(Normal(0.0, 1.0), family)
         assert theorem2_limit(1.0, family) == pytest.approx(-value, abs=1e-12)
+
+
+def scipy_limit(sigma, mu):
+    """sigma * sum of w * pdf(ppf(lam)) / lam, written with scipy.stats.norm."""
+    from scipy import stats
+
+    return sigma * math.fsum(
+        w * (0.0 if lam == 1.0 else stats.norm.pdf(stats.norm.ppf(lam)) / lam)
+        for lam, w in mu.atoms
+    )
+
+
+class TestIndependentForm:
+    def test_mixtures_match_scipy(self):
+        gen = RngSpec(31).generator()
+        for _ in range(200):
+            k = int(gen.integers(1, 9))
+            levels = np.where(gen.random(k) < 0.2, 1.0, gen.uniform(1e-6, 1.0, k))
+            weights = gen.dirichlet(np.ones(k))
+            mu = MixtureMeasure(tuple(zip(levels.tolist(), weights.tolist())))
+            sigma = float(gen.uniform(0.1, 5.0))
+            expected = scipy_limit(sigma, mu)
+            assert theorem1_limit(sigma, mu) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_families_match_scipy(self):
+        gen = RngSpec(32).generator()
+        for _ in range(100):
+            members = tuple(
+                MixtureMeasure(tuple(zip(gen.uniform(1e-3, 1.0, 3).tolist(),
+                                         gen.dirichlet(np.ones(3)).tolist())))
+                for _ in range(int(gen.integers(1, 5)))
+            )
+            expected = max(scipy_limit(1.5, mu) for mu in members)
+            assert theorem2_limit(1.5, KusuokaFamily(members)) == pytest.approx(
+                expected, rel=1e-12, abs=0.0
+            )
+
+
+# The limits of the shipped configs, bit for bit: any change in how the
+# constant is computed shows here first.
+@pytest.mark.parametrize("name, bits", [
+    ("exact_normal_linear", "0x1.9884533d43651p-1"),
+    ("normal_cara_mixture", "0x1.9884533d43651p-2"),
+    ("twopoint_family", "0x1.28b29c4cd562fp-1"),
+])
+def test_shipped_config_limits_pinned(name, bits):
+    config = experiment_config_from_dict(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    assert theorem_limit(config).hex() == bits
 
 
 class TestFitRate:

@@ -288,6 +288,21 @@ class TestPremiumCurve:
         assert "wealth must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    # Failures inside the run, after the config parsed, also leave no
+    # output directory behind.
+    @pytest.mark.parametrize("patch, code, message", [
+        ({"distribution": {"family": "uniform", "low": 0.0, "high": 1.0}, "exact": True},
+         2, "exact=True requires"),
+        ({"distribution": {"family": "discrete", "outcomes": [-1e200, 1e200], "probs": [0.5, 0.5]}},
+         2, "variance is not finite"),
+    ], ids=["exact-without-closed-form", "overflowing-variance"])
+    def test_run_time_failure_leaves_no_out_dir(self, tmp_path, capsys, patch, code, message):
+        config = self.write_config(tmp_path, {**EXACT_CONFIG, **patch})
+        out = tmp_path / "results"
+        assert main(["premium-curve", "--config", str(config), "--out-dir", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
     def test_shipped_configs_write_strict_json(self, tmp_path, name):
         def reject(constant):
@@ -332,9 +347,11 @@ class TestPremiumCurve:
         payload["replications"] = 100
         payload["batches"] = 2
         config = self.write_config(tmp_path, payload)
-        code = main(["premium-curve", "--config", str(config), "--out-dir", str(tmp_path)])
+        out = tmp_path / "results"
+        code = main(["premium-curve", "--config", str(config), "--out-dir", str(out)])
         assert code == 4
         assert "n=4" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -435,6 +452,42 @@ class TestRemovedFlags:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Every wire-table entry, with each optional key mapped to the default its
+# class gives when the key is omitted.
+WIRE_ENTRIES = [
+    ("distribution", {"family": "normal", "mean": 1.5, "sd": 2.0}, {}),
+    ("distribution", {"family": "uniform", "low": -1.0, "high": 2.0}, {}),
+    ("distribution", {"family": "exponential", "rate": 2.0, "shift": -0.5}, {"shift": 0.0}),
+    ("distribution", {"family": "two_point", "low": 0.0, "high": 1.0, "p_high": 0.25}, {}),
+    ("utility", {"family": "linear", "slope": 2.0, "intercept": -1.0},
+     {"slope": 1.0, "intercept": 0.0}),
+    ("utility", {"family": "cara", "alpha": 0.5}, {}),
+    ("utility", {"family": "log", "shift": 3.0}, {"shift": 0.0}),
+    ("utility", {"family": "crra", "gamma": 2.0, "shift": 3.0}, {"shift": 0.0}),
+]
+WIRE_IDS = [entry["family"] for _, entry, _ in WIRE_ENTRIES]
+
+
+class TestWireTable:
+    @pytest.mark.parametrize("kind, entry, defaults", WIRE_ENTRIES, ids=WIRE_IDS)
+    @pytest.mark.parametrize("with_optional", [True, False], ids=["full", "required-only"])
+    def test_round_trip(self, kind, entry, defaults, with_optional):
+        given = entry if with_optional else {k: v for k, v in entry.items() if k not in defaults}
+        config = experiment_config_from_dict(dict(MC_CONFIG, **{kind: given}))
+        emitted = experiment_config_to_dict(config)
+        expected = entry if with_optional else {**entry, **defaults}
+        assert list(emitted[kind].items()) == list(expected.items())
+        assert experiment_config_from_dict(emitted) == config
+
+    @pytest.mark.parametrize("kind, entry, defaults", WIRE_ENTRIES, ids=WIRE_IDS)
+    def test_missing_required_key_names_its_path(self, kind, entry, defaults):
+        for key in entry.keys() - defaults.keys():
+            given = {k: v for k, v in entry.items() if k != key}
+            with pytest.raises(ConfigError, match="missing required field") as exc:
+                experiment_config_from_dict(dict(MC_CONFIG, **{kind: given}))
+            assert exc.value.path == f"config.{kind}.{key}"
 
 
 class TestConfigRoundTrip:

@@ -245,7 +245,7 @@ class TestRunCurve:
         law = DiscreteDistribution((-1e200, 1e200), (0.5, 0.5))
         assert law.variance() == math.inf
         monkeypatch.setattr("riskpool.mc_engine.pool_average_sample", pytest.fail)
-        with pytest.raises(ValueError, match="sigma must be finite"):
+        with pytest.raises(ValueError, match="the law's variance is not finite"):
             run_curve(make_config(distribution=law))
 
 

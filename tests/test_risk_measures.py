@@ -82,6 +82,19 @@ class TestNormalClosedForm:
         with pytest.raises(ValueError):
             Normal(0.0, 0.0)
 
+    def test_tail_constant_strictly_decreasing_and_vanishing(self):
+        # -avar(N(0, 1), lam) = pdf(ppf(lam))/lam, the limit constant per level.
+        grid = np.linspace(0.02, 0.999, 80)
+        values = [-avar(Normal(0.0, 1.0), lam) for lam in grid]
+        assert all(a > b for a, b in zip(values, values[1:]))
+        assert -avar(Normal(0.0, 1.0), 1.0 - 1e-12) < 1e-10
+        assert avar(Normal(0.0, 1.0), 1.0) == 0.0
+
+    def test_level_validation(self):
+        for bad in (0.0, -0.1, 1.0 + 1e-12, math.nan):
+            with pytest.raises(ValueError, match="tail level"):
+                avar(Normal(0.0, 1.0), bad)
+
 
 class TestMixture:
     def test_point_mass_at_one_is_mean(self):
