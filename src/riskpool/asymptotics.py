@@ -37,13 +37,17 @@ def theorem1_limit(sigma: float, mu: MixtureMeasure | KusuokaFamily) -> float:
     mu is a mixture, or a family as in :func:`theorem2_limit`. The limit is
     zero when sigma is zero (a degenerate risk pools to itself) and zero
     exactly when mu is the point mass at level 1. sigma must be finite and
-    nonnegative.
+    nonnegative, and so must the limit: a product that overflows is an error.
     """
     sigma = float(sigma)
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
+    value = preference_value(_STANDARD_NORMAL, mu)
     # 0.0 - x rather than -x, so a zero constant comes out +0.0.
-    return 0.0 - sigma * preference_value(_STANDARD_NORMAL, mu)
+    limit = 0.0 - sigma * value
+    if not math.isfinite(limit):
+        raise ValueError(f"the limit is not finite: sigma {sigma!r} times the N(0, 1) value {value!r}")
+    return limit
 
 
 def theorem2_limit(sigma: float, family: KusuokaFamily) -> float:

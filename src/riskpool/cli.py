@@ -179,6 +179,8 @@ def _cmd_measure(args) -> int:
             "log_condition": check_family_condition(family),
         }
         text = f"{_fmt(value)} argmin={index}"
+    if not math.isfinite(value):
+        raise ConfigError(payload["operation"], f"the value is not finite, got {value!r}")
     print(json.dumps(payload) if args.json else text)
     return EXIT_OK
 

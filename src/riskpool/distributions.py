@@ -141,7 +141,8 @@ class Distribution:
         return "summed draws"
 
     def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
-        """count draws of the average of n i.i.d. copies.
+        """count draws of the average of n i.i.d. copies, in any order:
+        :func:`pool_average_sample` sorts them.
 
         Laws without an exact pooled sampler sum n draws per replicate, in
         blocks of at most ``_POOL_CHUNK`` draws.
@@ -287,8 +288,10 @@ class DiscreteDistribution(Distribution):
     def mean(self) -> float:
         return float((self._masses * self._atoms).sum())
 
+    # Atoms far apart overflow the square; the caller reports the inf.
     def variance(self) -> float:
-        return float((self._masses * np.square(self._atoms - self.mean())).sum())
+        with np.errstate(over="ignore"):
+            return float((self._masses * np.square(self._atoms - self.mean())).sum())
 
     def support_lower_bound(self) -> float:
         return float(self._atoms[0])
@@ -300,6 +303,18 @@ class DiscreteDistribution(Distribution):
         u = gen.random(count)
         idx = np.minimum(np.searchsorted(self._cum, u, side="left"), self._atoms.size - 1)
         return self._atoms[idx]
+
+    def _sorted_draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        """``np.sort(self._draw(gen, count))`` from the same uniforms, bit for bit.
+
+        The sorted uniforms are counted against the cumulative masses: atom i
+        takes those in (cum[i-1], cum[i]], and the last atom every uniform
+        above cum[-2], as the capped search of :meth:`_draw` gives it.
+        """
+        u = np.sort(gen.random(count))
+        ends = np.searchsorted(u, self._cum, side="right")
+        ends[-1] = count
+        return np.repeat(self._atoms, np.diff(ends, prepend=0))
 
     @cached_property
     def _lattice(self) -> tuple[float, float, np.ndarray] | None:
@@ -392,7 +407,7 @@ class DiscreteDistribution(Distribution):
     def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
         law = self._pool_law(n)
         if law is not None:
-            return law._draw(gen, count)
+            return law._sorted_draw(gen, count)
         # Counts come in row blocks of at most _POOL_CHUNK entries; numpy
         # draws multinomial rows in sequence, so the blocks reproduce the
         # stream of one count x atoms call. Each row is summed on its own:
@@ -519,6 +534,13 @@ class Normal(Distribution):
             return self.loc
         return lam * self.loc - self.scale * float(normal_pdf(inv_normal_cdf(lam)))
 
+    def _tail_integrals(self, lam: np.ndarray) -> np.ndarray:
+        values = np.full(lam.shape, self.loc)
+        inner = lam < 1.0
+        t = lam[inner]
+        values[inner] = t * self.loc - self.scale * normal_pdf(inv_normal_cdf(t))
+        return values
+
     def mean(self) -> float:
         return self.loc
 
@@ -644,9 +666,11 @@ def pool_average_sample(dist: Distribution, n: int, replications: int, rng: RngS
     their exact laws, two-point laws through binomial counts; empirical
     samples and the uniform law sum n draws per replicate. Other finite laws
     whose atoms lie on a lattice origin + step * k draw one uniform per
-    replicate from the inverse CDF of the pool law (``lattice``): the pmf
-    of the unit sum is an FFT power of the single-risk pmf on the window
-    that Hoeffding's inequality shows holds all but 2**-60 of the mass.
+    replicate and count the sorted uniforms against the cumulative masses
+    of the pool law (``lattice``), the same sample, bit for bit, as one
+    inverse-CDF search per uniform: the pmf of the unit sum is an FFT power
+    of the single-risk pmf on the window that Hoeffding's inequality shows
+    holds all but 2**-60 of the mass.
     Entries at or below 1e-13 (FFT noise on impossible sums) are dropped,
     so the drawn law is within total variation (window length) * 1e-13 +
     2**-60 of the exact one. Finite laws off a lattice, or whose window

@@ -13,6 +13,7 @@ All functions are pure over immutable inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,25 @@ _WEIGHT_SUM_TOL = 1e-12
 # 12 and 5000 atoms, 2-core x86-64 VM, numpy 2.4), so mixtures with fewer
 # levels call per level.
 _ARRAY_LEVELS = 6
+
+
+def _level_arrays(atoms) -> tuple[np.ndarray, np.ndarray] | None:
+    """Read-only (levels, weights) arrays of (level, weight) atoms, or None
+    below ``_ARRAY_LEVELS`` atoms, where levels are evaluated one by one."""
+    if len(atoms) < _ARRAY_LEVELS:
+        return None
+    levels, weights = np.array(atoms).T.copy()
+    levels.flags.writeable = weights.flags.writeable = False
+    return levels, weights
+
+
+def _terms(dist: Distribution, atoms, arrays) -> list[float]:
+    """weight * avar(dist, level) per atom, each bit for bit; ``arrays``
+    is ``_level_arrays(atoms)``."""
+    if arrays is None:
+        return [w * (dist._tail_integral(lam) / lam) for lam, w in atoms]
+    levels, weights = arrays
+    return (weights * (dist._tail_integrals(levels) / levels)).tolist()
 
 
 @dataclass(frozen=True)
@@ -62,9 +82,10 @@ class MixtureMeasure:
         merged: dict[float, float] = {}
         for lam, w in pairs:
             merged[lam] = merged.get(lam, 0.0) + w
-        object.__setattr__(
-            self, "atoms", tuple(sorted((lam, w) for lam, w in merged.items()))
-        )
+        atoms = tuple(sorted((lam, w) for lam, w in merged.items()))
+        object.__setattr__(self, "atoms", atoms)
+        # Not a field, so equality, hashing and repr see the atoms alone.
+        object.__setattr__(self, "_arrays", _level_arrays(atoms))
 
     @classmethod
     def point(cls, lam: float) -> "MixtureMeasure":
@@ -100,6 +121,12 @@ class KusuokaFamily:
             if not isinstance(m, MixtureMeasure):
                 raise ValueError("family members must be MixtureMeasure instances")
         object.__setattr__(self, "members", members)
+        # Every member's atoms in one run, so one search covers the family;
+        # member i owns atoms[ends[i-1]:ends[i]]. Not fields, as above.
+        atoms = tuple(a for m in members for a in m.atoms)
+        object.__setattr__(self, "_atoms", atoms)
+        object.__setattr__(self, "_ends", tuple(itertools.accumulate(len(m.atoms) for m in members)))
+        object.__setattr__(self, "_arrays", _level_arrays(atoms))
 
 
 @dataclass(frozen=True)
@@ -134,23 +161,25 @@ def mixture_value(dist: Distribution, mu: MixtureMeasure) -> float:
     Each term is the weight times :func:`avar` at its level, bit for bit,
     and the terms are summed exactly. The levels were checked by the
     measure, so each is read straight from the law's tail integral; from
-    ``_ARRAY_LEVELS`` levels up, one array call covers every level.
+    ``_ARRAY_LEVELS`` levels up, one array call covers every level, on the
+    level and weight arrays the measure built once.
     """
-    if len(mu.atoms) < _ARRAY_LEVELS:
-        return math.fsum(w * (dist._tail_integral(lam) / lam) for lam, w in mu.atoms)
-    levels, weights = np.array(mu.atoms).T
-    return math.fsum((weights * (dist._tail_integrals(levels) / levels)).tolist())
+    return math.fsum(_terms(dist, mu.atoms, mu._arrays))
 
 
 def kusuoka_value(dist: Distribution, family: KusuokaFamily) -> tuple[float, int]:
     """Smallest mixture value over the family, with the argmin member index.
 
-    Ties resolve to the first member in declaration order.
+    Each member value equals :func:`mixture_value`, bit for bit: the same
+    terms, summed exactly. The terms of all members come from one pass over
+    the family's levels, one array call from ``_ARRAY_LEVELS`` levels in
+    total up. Ties resolve to the first member in declaration order.
     """
+    terms = _terms(dist, family._atoms, family._arrays)
     best_value = math.inf
     best_index = 0
-    for i, mu in enumerate(family.members):
-        value = mixture_value(dist, mu)
+    for i, (start, stop) in enumerate(zip((0,) + family._ends, family._ends)):
+        value = math.fsum(terms[start:stop])
         if value < best_value:
             best_value = value
             best_index = i

@@ -51,6 +51,14 @@ OFF_LATTICE_DISTRIBUTION = {"family": "discrete", "outcomes": [0.0, 1.0, 1.41421
                             "probs": [0.2, 0.5, 0.3]}
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, as the CI workflow does."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestShorthandParsing:
     def test_point_mass_variants(self):
         assert parse_mixture_text("delta1").atoms == ((1.0, 1.0),)
@@ -116,6 +124,20 @@ class TestMeasure:
         assert main(["measure", "--dist", "normal01"]) == 2
         assert main(["measure", "--dist", "normal01", "--mu", "delta1", "--lambda", "0.5"]) == 2
 
+    # sd 1e300 gives a finite value; sd 1e308 overflows it to -inf, which
+    # json.dumps would print as -Infinity.
+    @pytest.mark.parametrize("mode", [
+        ["--lambda", "1e-10"], ["--mu", "delta1e-10"], ["--family", "{delta1e-10, delta1}"],
+    ])
+    def test_non_finite_value_exits_2_without_output(self, capsys, mode):
+        dist = '{"family":"normal","mean":0,"sd":%s}'
+        assert main(["measure", "--dist", dist % "1e300", *mode, "--json"]) == 0
+        assert math.isfinite(strict_json(capsys.readouterr().out)["value"])
+        assert main(["measure", "--dist", dist % "1e308", *mode, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the value is not finite, got -inf" in captured.err
+
     def test_bad_distribution_field_path(self, capsys):
         bad = '{"family":"normal","mean":0.0}'
         assert main(["measure", "--dist", bad, "--lambda", "0.5"]) == 2
@@ -148,6 +170,18 @@ class TestLimit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "sigma must be finite and nonnegative" in captured.err
+
+
+    # sigma 1e300 gives a finite limit; sigma 1e308 overflows it to inf,
+    # which json.dumps would print as Infinity.
+    @pytest.mark.parametrize("preference", [["--mu", "delta1e-10"], ["--family", "{delta1e-10, delta1}"]])
+    def test_overflowing_limit_exits_2_without_output(self, capsys, preference):
+        assert main(["limit", "--sigma", "1e300", *preference, "--json"]) == 0
+        assert math.isfinite(strict_json(capsys.readouterr().out)["value"])
+        assert main(["limit", "--sigma", "1e308", *preference, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the limit is not finite" in captured.err
 
 
 class TestPremiumCurve:
@@ -296,6 +330,7 @@ class TestPremiumCurve:
         ({"distribution": {"family": "discrete", "outcomes": [-1e200, 1e200], "probs": [0.5, 0.5]}},
          2, "variance is not finite"),
     ], ids=["exact-without-closed-form", "overflowing-variance"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_run_time_failure_leaves_no_out_dir(self, tmp_path, capsys, patch, code, message):
         config = self.write_config(tmp_path, {**EXACT_CONFIG, **patch})
         out = tmp_path / "results"
@@ -305,15 +340,12 @@ class TestPremiumCurve:
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
     def test_shipped_configs_write_strict_json(self, tmp_path, name):
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
         out = tmp_path / "out"
         main(["premium-curve", "--config", str(CONFIG_DIR / name), "--out-dir", str(out)])
         written = sorted(out.glob("*.json"))
         assert [p.name for p in written] == ["curve.json", "manifest.json"]
         for path in written:
-            json.loads(path.read_text(), parse_constant=reject)
+            strict_json(path.read_text())
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["premium-curve", "--config", str(tmp_path / "nope.json")]) == 2

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -328,6 +328,37 @@ class TestSampling:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             Normal(0.0, 1.0).sample(RngSpec(0), 0)
+
+    # Weights of 1e-18 leave cumulative masses tied; ten equal weights put
+    # the last cumulative mass at 0.9999999999999999, below 1.
+    @given(st.lists(st.tuples(st.integers(-20, 20), st.one_of(st.floats(1e-3, 1.0), st.just(1e-18))),
+                    min_size=1, max_size=12),
+           st.integers(0, 2**64 - 1), st.integers(1, 3000))
+    @example([(k, 1.0) for k in range(10)], 0, 3000)
+    def test_sorted_draw_counts_the_sorted_searched_draw(self, pairs, seed, count):
+        total = sum(w for _, w in pairs)
+        law = DiscreteDistribution([x for x, _ in pairs], [w / total for _, w in pairs])
+        counted = law._sorted_draw(RngSpec(seed).generator(), count)
+        searched = np.sort(law._draw(RngSpec(seed).generator(), count))
+        assert counted.tobytes() == searched.tobytes()
+
+    # Uniforms on, just below and just above each cumulative mass. Seven
+    # equal weights end at 0.9999999999999998, so a uniform lies above the
+    # last cumulative mass, where a seeded stream almost never draws.
+    @given(st.lists(st.one_of(st.floats(1e-3, 1.0), st.just(1e-18)), min_size=1, max_size=12))
+    @example([1.0] * 7)
+    def test_sorted_draw_at_the_cumulative_masses(self, weights):
+        law = DiscreteDistribution(np.arange(len(weights)), np.array(weights) / sum(weights))
+        cum = law._cum
+        u = np.concatenate((cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), [0.0, 1.0 - 2.0**-53]))
+        u = np.tile(u[u < 1.0], 2)
+
+        class Uniforms:
+            def random(self, count):
+                return u.copy()
+
+        counted = law._sorted_draw(Uniforms(), u.size)
+        assert counted.tobytes() == np.sort(law._draw(Uniforms(), u.size)).tobytes()
 
 
 class TestPoolAverage:

@@ -227,6 +227,36 @@ class TestRunCurve:
         assert first == second
         assert first == threaded
 
+    # A small curve shaped like the wide_family benchmark: lattice pools
+    # (n = 1 draws the law itself), cara utility, and a family that mixes
+    # 8-level members with a 2-level one. Every bit of every point and of
+    # the limit, at any thread count.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lattice_cara_family_curve_pinned(self, threads):
+        def member(top, k=8):
+            return MixtureMeasure(tuple((top * (i + 0.5) / k, 1.0 / k) for i in range(k)))
+
+        config = make_config(
+            distribution=DiscreteDistribution((0.0, 0.15, 0.35, 0.5, 0.9, 1.2),
+                                              (0.1, 0.2, 0.25, 0.15, 0.2, 0.1)),
+            utility=CaraUtility(1.0),
+            mixture=None,
+            family=KusuokaFamily((member(0.3), MixtureMeasure(((0.2, 0.5), (1.0, 0.5))),
+                                  member(0.65), member(1.0))),
+            n_grid=(1, 4, 16, 64),
+            replications=4000,
+            batches=4,
+            master_seed=20260808,
+        )
+        curve = run_curve(config, threads=threads)
+        assert curve.limit.hex() == "0x1.383d53d7d0268p-1"
+        assert [(p.n, p.method, p.estimate.hex(), p.stderr.hex()) for p in curve.points] == [
+            (1, "lattice", "0x1.cd56bfaea4929p-2", "0x1.148c13c27eecep-9"),
+            (4, "lattice", "0x1.2282f0c2e307cp-1", "0x1.16e333af23f90p-8"),
+            (16, "lattice", "0x1.30bfeb649c4a5p-1", "0x1.93d06e291e5f0p-8"),
+            (64, "lattice", "0x1.358a2d0046aadp-1", "0x1.c065f3098620fp-8"),
+        ]
+
     def test_seed_changes_results(self):
         config = make_config(exact=False)
         other = make_config(exact=False, master_seed=8)
@@ -240,7 +270,8 @@ class TestRunCurve:
         assert [p.n for p in curve.points] == [4, 16, 64]
         assert all(p.replications == 2000 for p in curve.points)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    # The overflow is reported once, by the error, not by a numpy warning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_variance_fails_before_sampling(self, monkeypatch):
         law = DiscreteDistribution((-1e200, 1e200), (0.5, 0.5))
         assert law.variance() == math.inf

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from riskpool.distributions import DiscreteDistribution, EmpiricalSample
+from riskpool.distributions import DiscreteDistribution, EmpiricalSample, Exponential, Normal, Uniform
 from riskpool.preferences import CaraUtility, LinearUtility, certainty_equivalent
 from riskpool.risk_measures import (
     _ARRAY_LEVELS,
@@ -87,6 +87,20 @@ def test_array_tail_integrals_match_each_level(law, levels):
 @given(discrete_laws(), st.one_of(mixtures(max_atoms=_ARRAY_LEVELS - 1), mixtures(max_atoms=40)))
 def test_mixture_value_sums_the_building_blocks_exactly(law, mu):
     assert mixture_value(law, mu) == math.fsum(w * avar(law, lam) for lam, w in mu.atoms)
+
+
+# Members below and above _ARRAY_LEVELS levels share one family, and some
+# repeat, so the smallest value can tie; laws with and without an array
+# tail integral.
+@given(st.one_of(discrete_laws(), st.sampled_from([Normal(0.3, 1.7), Uniform(-1.0, 2.0), Exponential(2.0, -1.0)])),
+       st.lists(st.one_of(mixtures(max_atoms=_ARRAY_LEVELS - 1), mixtures(max_atoms=12)), min_size=1, max_size=5),
+       st.data())
+def test_family_value_is_the_first_smallest_member_value(law, members, data):
+    members += data.draw(st.lists(st.sampled_from(members), max_size=3))
+    values = [mixture_value(law, mu) for mu in members]
+    best = min(values)
+    value, index = kusuoka_value(law, KusuokaFamily(tuple(members)))
+    assert (value.hex(), index) == (best.hex(), values.index(best))
 
 
 # (name, failures, worst_error.hex()) of both verify suites at seed 20260808

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -128,6 +129,17 @@ class TestMixture:
     def test_atoms_deduplicated_and_sorted(self):
         mu = MixtureMeasure(((1.0, 0.25), (0.5, 0.25), (1.0, 0.5)))
         assert mu.atoms == ((0.5, 0.25), (1.0, 0.75))
+
+    # The cached level arrays are no dataclass field: equality, hashing and
+    # repr read the atoms alone.
+    def test_level_arrays_are_read_only_and_not_fields(self):
+        mu = MixtureMeasure.equal_weight_grid(8)
+        assert [f.name for f in dataclasses.fields(mu)] == ["atoms"]
+        assert mu == MixtureMeasure(mu.atoms) and hash(mu) == hash(MixtureMeasure(mu.atoms))
+        assert repr(mu) == f"MixtureMeasure(atoms={mu.atoms!r})"
+        levels, weights = mu._arrays
+        assert (levels.tolist(), weights.tolist()) == tuple(map(list, zip(*mu.atoms)))
+        assert not levels.flags.writeable and not weights.flags.writeable
 
     def test_equal_weight_grid(self):
         mu = MixtureMeasure.equal_weight_grid(4)
