@@ -535,7 +535,7 @@ class Normal(Distribution):
         return lam * self.loc - self.scale * float(normal_pdf(inv_normal_cdf(lam)))
 
     def _tail_integrals(self, lam: np.ndarray) -> np.ndarray:
-        values = np.full(lam.shape, self.loc)
+        values = np.full(lam.shape, float(self.loc))
         inner = lam < 1.0
         t = lam[inner]
         values[inner] = t * self.loc - self.scale * normal_pdf(inv_normal_cdf(t))

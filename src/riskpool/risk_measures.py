@@ -39,9 +39,14 @@ def _level_arrays(atoms) -> tuple[np.ndarray, np.ndarray] | None:
     return levels, weights
 
 
+def _family_atoms(members):
+    """Every member's (level, weight) atoms in one run, in member order."""
+    return itertools.chain.from_iterable(m.atoms for m in members)
+
+
 def _terms(dist: Distribution, atoms, arrays) -> list[float]:
     """weight * avar(dist, level) per atom, each bit for bit; ``arrays``
-    is ``_level_arrays(atoms)``."""
+    is ``_level_arrays(atoms)``, and ``atoms`` is read only when it is None."""
     if arrays is None:
         return [w * (dist._tail_integral(lam) / lam) for lam, w in atoms]
     levels, weights = arrays
@@ -84,8 +89,6 @@ class MixtureMeasure:
             merged[lam] = merged.get(lam, 0.0) + w
         atoms = tuple(sorted((lam, w) for lam, w in merged.items()))
         object.__setattr__(self, "atoms", atoms)
-        # Not a field, so equality, hashing and repr see the atoms alone.
-        object.__setattr__(self, "_arrays", _level_arrays(atoms))
 
     @classmethod
     def point(cls, lam: float) -> "MixtureMeasure":
@@ -121,12 +124,11 @@ class KusuokaFamily:
             if not isinstance(m, MixtureMeasure):
                 raise ValueError("family members must be MixtureMeasure instances")
         object.__setattr__(self, "members", members)
-        # Every member's atoms in one run, so one search covers the family;
-        # member i owns atoms[ends[i-1]:ends[i]]. Not fields, as above.
-        atoms = tuple(a for m in members for a in m.atoms)
-        object.__setattr__(self, "_atoms", atoms)
+        # Every member's levels in one run, so one search covers the family;
+        # member i owns terms[ends[i-1]:ends[i]]. Not fields, so equality,
+        # hashing and repr see the members alone.
         object.__setattr__(self, "_ends", tuple(itertools.accumulate(len(m.atoms) for m in members)))
-        object.__setattr__(self, "_arrays", _level_arrays(atoms))
+        object.__setattr__(self, "_arrays", _level_arrays(tuple(_family_atoms(members))))
 
 
 @dataclass(frozen=True)
@@ -161,10 +163,9 @@ def mixture_value(dist: Distribution, mu: MixtureMeasure) -> float:
     Each term is the weight times :func:`avar` at its level, bit for bit,
     and the terms are summed exactly. The levels were checked by the
     measure, so each is read straight from the law's tail integral; from
-    ``_ARRAY_LEVELS`` levels up, one array call covers every level, on the
-    level and weight arrays the measure built once.
+    ``_ARRAY_LEVELS`` levels up, one array call covers every level.
     """
-    return math.fsum(_terms(dist, mu.atoms, mu._arrays))
+    return math.fsum(_terms(dist, mu.atoms, _level_arrays(mu.atoms)))
 
 
 def kusuoka_value(dist: Distribution, family: KusuokaFamily) -> tuple[float, int]:
@@ -175,7 +176,7 @@ def kusuoka_value(dist: Distribution, family: KusuokaFamily) -> tuple[float, int
     the family's levels, one array call from ``_ARRAY_LEVELS`` levels in
     total up. Ties resolve to the first member in declaration order.
     """
-    terms = _terms(dist, family._atoms, family._arrays)
+    terms = _terms(dist, _family_atoms(family.members), family._arrays)
     best_value = math.inf
     best_index = 0
     for i, (start, stop) in enumerate(zip((0,) + family._ends, family._ends)):

@@ -114,6 +114,7 @@ class TestLowerQuantileIntegral:
         Normal(0.7, 1.3),
         Uniform(-2.0, 5.0),
         Exponential(0.5, -1.0),
+        Normal(0, 1),
     ])
     def test_array_of_levels_matches_each_level(self, dist):
         levels = np.concatenate((np.linspace(1e-9, 1.0, 257), [0.1, 0.3, 0.6, 1.0 - 1e-16]))

@@ -130,17 +130,6 @@ class TestMixture:
         mu = MixtureMeasure(((1.0, 0.25), (0.5, 0.25), (1.0, 0.5)))
         assert mu.atoms == ((0.5, 0.25), (1.0, 0.75))
 
-    # The cached level arrays are no dataclass field: equality, hashing and
-    # repr read the atoms alone.
-    def test_level_arrays_are_read_only_and_not_fields(self):
-        mu = MixtureMeasure.equal_weight_grid(8)
-        assert [f.name for f in dataclasses.fields(mu)] == ["atoms"]
-        assert mu == MixtureMeasure(mu.atoms) and hash(mu) == hash(MixtureMeasure(mu.atoms))
-        assert repr(mu) == f"MixtureMeasure(atoms={mu.atoms!r})"
-        levels, weights = mu._arrays
-        assert (levels.tolist(), weights.tolist()) == tuple(map(list, zip(*mu.atoms)))
-        assert not levels.flags.writeable and not weights.flags.writeable
-
     def test_equal_weight_grid(self):
         mu = MixtureMeasure.equal_weight_grid(4)
         assert mu.atoms == ((0.125, 0.25), (0.375, 0.25), (0.625, 0.25), (0.875, 0.25))
@@ -169,6 +158,19 @@ class TestKusuoka:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             KusuokaFamily(())
+
+    # The cached level arrays are no dataclass field: equality, hashing and
+    # repr read the members alone.
+    def test_level_arrays_are_read_only_and_not_fields(self):
+        members = (MixtureMeasure.point(0.5), MixtureMeasure.equal_weight_grid(8))
+        family = KusuokaFamily(members)
+        assert [f.name for f in dataclasses.fields(family)] == ["members"]
+        assert family == KusuokaFamily(members) and hash(family) == hash(KusuokaFamily(members))
+        assert repr(family) == f"KusuokaFamily(members={members!r})"
+        levels, weights = family._arrays
+        atoms = members[0].atoms + members[1].atoms
+        assert (levels.tolist(), weights.tolist()) == tuple(map(list, zip(*atoms)))
+        assert not levels.flags.writeable and not weights.flags.writeable
 
 
 class TestDual:
