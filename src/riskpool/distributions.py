@@ -141,8 +141,8 @@ class Distribution:
         return "summed draws"
 
     def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
-        """count draws of the average of n i.i.d. copies, in any order:
-        :func:`pool_average_sample` sorts them.
+        """count draws of the average of n i.i.d. copies, in nondecreasing
+        order: each sampler sorts only what it did not draw sorted.
 
         Laws without an exact pooled sampler sum n draws per replicate, in
         blocks of at most ``_POOL_CHUNK`` draws.
@@ -153,7 +153,7 @@ class Distribution:
             stop = min(start + rows, count)
             block = self._draw(gen, (stop - start) * n).reshape(stop - start, n)
             sums[start:stop] = block.sum(axis=1)
-        return sums / n
+        return np.sort(sums / n)
 
     def sample(self, rng: RngSpec, count: int) -> "EmpiricalSample":
         """count i.i.d. draws as an :class:`EmpiricalSample`.
@@ -371,18 +371,15 @@ class DiscreteDistribution(Distribution):
         or None where :meth:`_pool_window` is None.
 
         Laws are built one at a time under a lock, and only the last n is
-        kept: curve cells run in grid order, so each n is built about once
-        and one window's worth of memory is held however long the grid.
+        kept, None included: curve cells run in grid order, so each n is
+        looked up about once and one window's worth of memory is held.
         """
-        window = self._pool_window(n)
-        if window is None:
-            return None
-        if n == 1:
-            return self
         with _POOL_LAW_LOCK:
             last = self.__dict__.get("_last_pool_law")
             if last is None or last[0] != n:
-                last = self.__dict__["_last_pool_law"] = (n, self._lattice_pool_law(n, *window))
+                window = self._pool_window(n)
+                law = None if window is None else self if n == 1 else self._lattice_pool_law(n, *window)
+                last = self.__dict__["_last_pool_law"] = (n, law)
         return last[1]
 
     def _lattice_pool_law(self, n: int, lo: int, hi: int) -> "DiscreteDistribution":
@@ -419,7 +416,7 @@ class DiscreteDistribution(Distribution):
             stop = min(start + rows, count)
             counts = gen.multinomial(n, self._masses, size=stop - start)
             values[start:stop] = (counts * self._atoms).sum(axis=1) / n
-        return values
+        return np.sort(values)
 
 
 def _fft_size(width: int) -> int:
@@ -500,14 +497,6 @@ class TwoPoint(DiscreteDistribution):
     def translate(self, c: float) -> "TwoPoint":
         return TwoPoint(self.low + c, self.high + c, self.p_high)
 
-    def pool_method(self, n: int) -> str:
-        return "binomial"
-
-    def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
-        low, high = self._atoms
-        counts = gen.binomial(n, self._masses[1], size=count)
-        return low + (high - low) * counts / n
-
 
 @dataclass(frozen=True)
 class Normal(Distribution):
@@ -561,7 +550,7 @@ class Normal(Distribution):
 
     def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
         # The pool average is exactly Normal(loc, scale / sqrt(n)).
-        return self.loc + self.scale / math.sqrt(n) * gen.standard_normal(count)
+        return np.sort(self.loc + self.scale / math.sqrt(n) * gen.standard_normal(count))
 
 
 @dataclass(frozen=True)
@@ -641,7 +630,7 @@ class Exponential(Distribution):
 
     def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
         # The pool average is exactly shift + Gamma(shape n, rate n * rate).
-        return self.shift + gen.standard_gamma(n, count) / (n * self.rate)
+        return np.sort(self.shift + gen.standard_gamma(n, count) / (n * self.rate))
 
 
 def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
@@ -661,16 +650,16 @@ def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
 def pool_average_sample(dist: Distribution, n: int, replications: int, rng: RngSpec) -> EmpiricalSample:
     """Replications of the equally shared pool average of n i.i.d. copies.
 
-    Each law draws its own pool average (:meth:`Distribution._pool_draw`)
-    and names how in ``pool_method(n)``: normal and exponential pools from
-    their exact laws, two-point laws through binomial counts; empirical
-    samples and the uniform law sum n draws per replicate. Other finite laws
-    whose atoms lie on a lattice origin + step * k draw one uniform per
-    replicate and count the sorted uniforms against the cumulative masses
-    of the pool law (``lattice``), the same sample, bit for bit, as one
-    inverse-CDF search per uniform: the pmf of the unit sum is an FFT power
-    of the single-risk pmf on the window that Hoeffding's inequality shows
-    holds all but 2**-60 of the mass.
+    Each law draws its own pool average (:meth:`Distribution._pool_draw`),
+    sorted, and names how in ``pool_method(n)``: normal and exponential
+    pools from their exact laws; empirical samples and the uniform law sum
+    n draws per replicate. Finite laws, two-point laws included, whose
+    atoms lie on a lattice origin + step * k draw one uniform per replicate
+    and count the sorted uniforms against the cumulative masses of the
+    pool law (``lattice``), so the draw comes out sorted and is not sorted
+    again: the pmf of the unit sum is an FFT power of the single-risk pmf
+    on the window that Hoeffding's inequality shows holds all but 2**-60
+    of the mass.
     Entries at or below 1e-13 (FFT noise on impossible sums) are dropped,
     so the drawn law is within total variation (window length) * 1e-13 +
     2**-60 of the exact one. Finite laws off a lattice, or whose window
@@ -681,4 +670,5 @@ def pool_average_sample(dist: Distribution, n: int, replications: int, rng: RngS
         raise ValueError("pool size n must be >= 1")
     if replications < 2:
         raise ValueError("replications must be >= 2")
-    return EmpiricalSample(dist._pool_draw(rng.generator(), n, replications))
+    values = dist._pool_draw(rng.generator(), n, replications)
+    return EmpiricalSample._sorted(values, *_equal_masses(replications))

@@ -81,8 +81,14 @@ class CaraUtility(UtilityFunction):
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("cara utility requires alpha > 0")
 
+    # A utility below the largest negative float is an error, not -inf.
     def apply(self, x):
-        out = -np.expm1(-self.alpha * np.asarray(x, dtype=float)) / self.alpha
+        with np.errstate(over="ignore"):
+            out = -np.expm1(-self.alpha * np.asarray(x, dtype=float)) / self.alpha
+        if np.isinf(out).any():
+            raise UtilityDomainError(
+                f"cara utility with alpha={self.alpha!r} overflows at argument {float(np.min(x))!r}"
+            )
         return out if np.ndim(x) else float(out)
 
     def invert(self, y):

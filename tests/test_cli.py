@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,16 @@ LATTICE_CONFIG = {
 # sqrt(2) puts the outcomes on no lattice, so pools take multinomial counts.
 OFF_LATTICE_DISTRIBUTION = {"family": "discrete", "outcomes": [0.0, 1.0, 1.4142135623730951],
                             "probs": [0.2, 0.5, 0.3]}
+# One small Monte Carlo config per pooled sampler, keyed by the method its
+# points name.
+SAMPLER_CONFIGS = {
+    "lattice": LATTICE_CONFIG,
+    "multinomial": {**MC_CONFIG, "distribution": OFF_LATTICE_DISTRIBUTION},
+    "normal-law": {**MC_CONFIG, "distribution": {"family": "normal", "mean": 0.0, "sd": 1.0}},
+    "gamma": {**MC_CONFIG, "distribution": {"family": "exponential", "rate": 1.0, "shift": 0.5},
+              "utility": {"family": "log", "shift": 0.0}},
+    "summed draws": {**MC_CONFIG, "distribution": {"family": "uniform", "low": 0.0, "high": 1.0}},
+}
 
 
 def strict_json(text: str):
@@ -209,8 +220,9 @@ class TestPremiumCurve:
         assert manifest["master_seed"] == 7
         assert manifest["config_hash"] == payload["config_hash"]
 
-    def assert_byte_identical_across_threads(self, tmp_path, payload):
-        config = self.write_config(tmp_path, payload)
+    @pytest.mark.parametrize("method", SAMPLER_CONFIGS)
+    def test_curve_byte_identical_across_threads(self, tmp_path, method):
+        config = self.write_config(tmp_path, SAMPLER_CONFIGS[method])
         outputs = []
         codes = []
         for threads, name in ((1, "a"), (4, "b")):
@@ -222,19 +234,15 @@ class TestPremiumCurve:
                 ])
             )
             outputs.append((out / "curve.csv").read_bytes())
+            points = json.loads((out / "curve.json").read_text())["points"]
+            assert {p["method"] for p in points} == {method}
         assert codes[0] == codes[1]
         assert outputs[0] == outputs[1]
-
-    def test_byte_identical_across_threads(self, tmp_path):
-        self.assert_byte_identical_across_threads(tmp_path, MC_CONFIG)
-
-    def test_lattice_curve_byte_identical_across_threads(self, tmp_path):
-        self.assert_byte_identical_across_threads(tmp_path, LATTICE_CONFIG)
 
     @pytest.mark.parametrize("name, payload, method", [
         ("exact_normal_linear.json", None, "exact"),
         ("normal_cara_mixture.json", None, "normal-law"),
-        ("twopoint_family.json", None, "binomial"),
+        ("twopoint_family.json", None, "lattice"),
         ("exponential", {
             "distribution": {"family": "exponential", "rate": 1.0, "shift": 0.5},
             "utility": {"family": "log", "shift": 0.0},
@@ -383,6 +391,24 @@ class TestPremiumCurve:
         code = main(["premium-curve", "--config", str(config), "--out-dir", str(out)])
         assert code == 4
         assert "n=4" in capsys.readouterr().err
+        assert not out.exists()
+
+    # u(-800) = -expm1(800) overflows: the pool whose every risk pays -800
+    # aborts the run, naming alpha and the argument, not as a config error
+    # and without a numpy warning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cara_overflow_exits_4(self, tmp_path, capsys):
+        payload = {
+            **MC_CONFIG,
+            "distribution": {"family": "discrete", "outcomes": [-800, 800], "probs": [0.5, 0.5]},
+            "n_grid": [4], "replications": 200, "master_seed": 20260808,
+        }
+        config = self.write_config(tmp_path, payload)
+        out = tmp_path / "results"
+        code = main(["premium-curve", "--config", str(config), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "alpha=1.0" in err and "-800.0" in err and re.search(r"n=4, batch \d+", err)
         assert not out.exists()
 
 

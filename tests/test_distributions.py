@@ -410,25 +410,44 @@ class TestPoolAverage:
         b = pool_average_sample(Uniform(0.0, 1.0), 3, 500, RngSpec(7, 2))
         assert a == b
 
-    # Pinned pool averages (n=5, 6 replications, RngSpec(20260808, 3)). The
-    # discrete law's atoms lie on a lattice of step 0.5, so it draws from
-    # its lattice pool law.
+    # Pinned pool averages: (pool size, the 6 replications drawn from
+    # RngSpec(20260808, 3)). The discrete law's atoms lie on a lattice of
+    # step 0.5, so it draws from its lattice pool law, and so does the
+    # two-point law, pinned at n = 128, where numpy's binomial sampler
+    # leaves inversion and gives other values.
     @pytest.mark.parametrize("dist, expected", [
-        (Normal(0.5, 2.0), [
+        (Normal(0.5, 2.0), (5, [
             -0.21327465764400377, -0.17086884027358484, 0.23405974854485617,
             0.3912616086589834, 0.47900129761374316, 1.3379388259434626,
-        ]),
-        (TwoPoint(-1.0, 3.0, 0.3), [-0.19999999999999996] * 3 + [0.6000000000000001] * 3),
-        (DiscreteDistribution([0.0, 1.5, 4.0], [0.2, 0.5, 0.3]), [1.7, 1.7, 1.9, 2.2, 2.2, 2.5]),
-        (Uniform(-1.0, 2.0), [
+        ])),
+        (TwoPoint(-1.0, 3.0, 0.3), (128, [0.15625, 0.15625, 0.1875, 0.25, 0.25, 0.34375])),
+        (DiscreteDistribution([0.0, 1.5, 4.0], [0.2, 0.5, 0.3]), (5, [1.7, 1.7, 1.9, 2.2, 2.2, 2.5])),
+        (Uniform(-1.0, 2.0), (5, [
             0.22644212409639913, 0.34842150158300844, 0.6488674647350962,
             0.7255314678481244, 1.0463201015213834, 1.1726945947009504,
-        ]),
-        (EmpiricalSample([0.25, -2.0, 1.0, 7.5]), [0.1, 0.8, 1.85, 2.0, 3.45, 4.9]),
+        ])),
+        (EmpiricalSample([0.25, -2.0, 1.0, 7.5]), (5, [0.1, 0.8, 1.85, 2.0, 3.45, 4.9])),
     ])
     def test_streams_pinned(self, dist, expected):
-        pooled = pool_average_sample(dist, 5, 6, RngSpec(20260808, 3))
-        assert list(pooled.values) == expected
+        n, values = expected
+        pooled = pool_average_sample(dist, n, 6, RngSpec(20260808, 3))
+        assert list(pooled.values) == values
+
+    @given(
+        low=st.floats(-1e6, 1e6),
+        width=st.floats(1e-3, 1e6),
+        p_high=st.floats(0.001, 0.999),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_two_point_pool_is_the_discrete_pool(self, low, width, p_high, n, seed):
+        # A two-point law is a finite law like any other: the same pooled
+        # sampler, the same stream, bit for bit.
+        high = low + width
+        rng = RngSpec(seed, n)
+        pooled = pool_average_sample(TwoPoint(low, high, p_high), n, 500, rng)
+        same = pool_average_sample(DiscreteDistribution([low, high], [1.0 - p_high, p_high]), n, 500, rng)
+        assert pooled == same
 
     @pytest.mark.parametrize("n", [1, 4, 64])
     def test_exponential_pool_is_gamma(self, n):
