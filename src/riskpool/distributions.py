@@ -370,9 +370,9 @@ class DiscreteDistribution(Distribution):
         """Law of the average of n copies when the atoms lie on a lattice,
         or None where :meth:`_pool_window` is None.
 
-        Laws are built one at a time under a lock, and only the last n is
-        kept, None included: curve cells run in grid order, so each n is
-        looked up about once and one window's worth of memory is held.
+        Laws are built one at a time under a lock, and only the last n's
+        answer is kept, None included: curve cells run in grid order, so
+        each n is worked out about once and one window's memory is held.
         """
         with _POOL_LAW_LOCK:
             last = self.__dict__.get("_last_pool_law")

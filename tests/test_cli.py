@@ -1,6 +1,5 @@
 import json
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -408,7 +407,7 @@ class TestPremiumCurve:
         code = main(["premium-curve", "--config", str(config), "--out-dir", str(out)])
         err = capsys.readouterr().err
         assert code == 4
-        assert "alpha=1.0" in err and "-800.0" in err and re.search(r"n=4, batch \d+", err)
+        assert "n=4, batch " in err and "alpha=1.0" in err and "-800.0" in err
         assert not out.exists()
 
 
