@@ -219,9 +219,8 @@ class TestPremiumCurve:
         assert manifest["master_seed"] == 7
         assert manifest["config_hash"] == payload["config_hash"]
 
-    @pytest.mark.parametrize("method", SAMPLER_CONFIGS)
-    def test_curve_byte_identical_across_threads(self, tmp_path, method):
-        config = self.write_config(tmp_path, SAMPLER_CONFIGS[method])
+    def assert_byte_identical_across_threads(self, tmp_path, payload, method):
+        config = self.write_config(tmp_path, payload)
         outputs = []
         codes = []
         for threads, name in ((1, "a"), (4, "b")):
@@ -237,6 +236,16 @@ class TestPremiumCurve:
             assert {p["method"] for p in points} == {method}
         assert codes[0] == codes[1]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("method", SAMPLER_CONFIGS)
+    def test_curve_byte_identical_across_threads(self, tmp_path, method):
+        self.assert_byte_identical_across_threads(tmp_path, SAMPLER_CONFIGS[method], method)
+
+    def test_byte_identical_across_threads(self, tmp_path):
+        self.assert_byte_identical_across_threads(tmp_path, MC_CONFIG, "lattice")
+
+    def test_lattice_curve_byte_identical_across_threads(self, tmp_path):
+        self.assert_byte_identical_across_threads(tmp_path, LATTICE_CONFIG, "lattice")
 
     @pytest.mark.parametrize("name, payload, method", [
         ("exact_normal_linear.json", None, "exact"),
