@@ -8,12 +8,16 @@ trend check failed (results still written); 4 utility-domain abort;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import (
@@ -251,6 +255,19 @@ def curve_to_dict(config_dict: dict, curve: PremiumCurve, comparison: LimitCompa
     }
 
 
+@functools.cache
+def _machine() -> dict:
+    """Interpreter and host facts for the manifest, read on first use and
+    kept for the process: ``platform.platform()`` reads the interpreter
+    binary on its first call, about 9 ms."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "nproc": os.cpu_count(),
+    }
+
+
 def _cmd_premium_curve(args) -> int:
     config_path = Path(args.config)
     try:
@@ -286,6 +303,9 @@ def _cmd_premium_curve(args) -> int:
         "config_hash": curve.config_hash,
         "started_at": started,
         "finished_at": finished,
+        "argv": args.argv,
+        "threads": args.threads,
+        "machine": _machine(),
         "config": config_dict,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -374,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -45,6 +45,12 @@ _POOL_WINDOW = _POOL_CHUNK // 4
 # A lattice pool sum is drawn from a window around its mean that, by
 # Hoeffding's inequality, leaves out at most this much mass.
 _POOL_TAIL_MASS = 2.0**-60
+# n copies of k atoms reach at most C(n + k - 1, k - 1) unit sums, one per
+# multiset of atoms. A window entry costs far less than drawing counts, so
+# an FFT is refused only when its window holds more than this many entries
+# per reachable sum: a sparse lattice such as units {0, 1, 2**19 - 1}, whose
+# four copies reach 15 sums spread over a window of 2**21.
+_POOL_SPARSE = 64
 # FFT rounding leaves noise near 1e-16 on every entry of a lattice pool pmf,
 # impossible sums included; entries at or below this floor are dropped.
 _FFT_FLOOR = 1e-13
@@ -192,22 +198,28 @@ class DiscreteDistribution(Distribution):
         # neighbour.
         if not (math.isfinite(out[0]) and math.isfinite(out[-1])):
             raise ValueError("outcomes must be finite")
-        if not 0.0 < prob.min() <= prob.max() < math.inf:
+        if not prob.min() > 0.0:
             raise ValueError("probabilities must be strictly positive")
+        # Positive masses with a finite sum are finite, so the largest mass
+        # is read only to tell an infinite mass from finite masses whose sum
+        # overflows, which the sum check reports.
         total = float(prob.sum())
+        if total == math.inf and prob.max() == math.inf:
+            raise ValueError("probabilities must be strictly positive")
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         prob = prob[order]
         rising = out[1:] > out[:-1]
-        if not rising.all():
+        if np.count_nonzero(rising) < rising.size:
             idx = np.flatnonzero(np.concatenate(([True], rising)))
             prob = np.add.reduceat(prob, idx)
             out = out[idx]
-        self._fill(out, prob, prob.cumsum())
+        self._fill(out, prob, np.add.accumulate(prob))
 
     def _fill(self, atoms: np.ndarray, masses: np.ndarray, cum: np.ndarray) -> None:
-        for arr in (atoms, masses, cum):
-            arr.flags.writeable = False
+        atoms.setflags(write=False)
+        masses.setflags(write=False)
+        cum.setflags(write=False)
         self.__dict__.update(_atoms=atoms, _masses=masses, _cum=cum)
 
     @classmethod
@@ -217,7 +229,7 @@ class DiscreteDistribution(Distribution):
         Every atom is checked: the callers' maps (a shift, a utility) can
         overflow or leave the domain anywhere along the array.
         """
-        if not np.isfinite(atoms).all():
+        if np.count_nonzero(np.isfinite(atoms)) < atoms.size:
             raise ValueError("outcomes must be finite")
         law = object.__new__(cls)
         law._fill(atoms, masses, cum)
@@ -253,7 +265,7 @@ class DiscreteDistribution(Distribution):
         # (threads that race here store equal arrays).
         if name != "_prefix":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        prefix = self.__dict__["_prefix"] = (self._masses * self._atoms).cumsum()
+        prefix = self.__dict__["_prefix"] = np.add.accumulate(self._masses * self._atoms)
         return prefix
 
     def quantile(self, t: float) -> float:
@@ -265,13 +277,13 @@ class DiscreteDistribution(Distribution):
         return self._atoms[np.minimum(idx, self._atoms.size - 1)]
 
     # The search is capped at the last atom, which takes every level above
-    # the cumulative mass before it.
+    # the cumulative mass before it. Every cumulative mass before atom j
+    # lies below lam - _LEVEL_TOL, so lam - prev is positive.
     def _tail_integral(self, lam: float) -> float:
         cum = self._cum
-        j = min(cum.searchsorted(lam - _LEVEL_TOL).item(), cum.size - 1)
+        j = min(int(cum.searchsorted(lam - _LEVEL_TOL)), cum.size - 1)
         below, prev = (self._prefix.item(j - 1), cum.item(j - 1)) if j else (0.0, 0.0)
-        partial = min(max(lam - prev, 0.0), self._masses.item(j))
-        return below + partial * self._atoms.item(j)
+        return below + min(lam - prev, self._masses.item(j)) * self._atoms.item(j)
 
     # The array form searches all but the last cumulative mass instead.
     def _tail_integrals(self, lam: np.ndarray) -> np.ndarray:
@@ -280,8 +292,7 @@ class DiscreteDistribution(Distribution):
         first = j == 0
         below = np.where(first, 0.0, self._prefix[j - 1])
         prev = np.where(first, 0.0, self._cum[j - 1])
-        partial = np.minimum(np.maximum(lam - prev, 0.0), self._masses[j])
-        return below + partial * self._atoms[j]
+        return below + np.minimum(lam - prev, self._masses[j]) * self._atoms[j]
 
     # Sums, not BLAS dot products: a BLAS product splits long vectors across
     # its threads and rounds by the thread count.
@@ -350,7 +361,9 @@ class DiscreteDistribution(Distribution):
 
     def _pool_window(self, n: int) -> tuple[int, int] | None:
         """Unit sums [lo, hi] of n copies kept by the pool law, or None off a
-        lattice or when the FFT window would pass ``_POOL_WINDOW``.
+        lattice, when the FFT window would pass ``_POOL_WINDOW``, or, from
+        n = 2 on (one copy is its own pool law, built without an FFT), when
+        the window is sparse by ``_POOL_SPARSE``.
 
         The unit sum S lies in [0, n * r]; Hoeffding bounds
         P(|S - n * mean| >= t) by 2 exp(-2 t^2 / (n r^2)), so the window
@@ -364,7 +377,11 @@ class DiscreteDistribution(Distribution):
         reach = r * math.sqrt(n * math.log(2.0 / _POOL_TAIL_MASS) / 2.0)
         lo = max(0, math.floor(centre - reach))
         hi = min(n * r, math.ceil(centre + reach))
-        return (lo, hi) if _fft_size(hi - lo) <= _POOL_WINDOW else None
+        if _fft_size(hi - lo) > _POOL_WINDOW:
+            return None
+        if n > 1 and hi - lo >= _POOL_SPARSE * math.comb(n + units.size - 1, units.size - 1):
+            return None
+        return lo, hi
 
     def _pool_law(self, n: int) -> "DiscreteDistribution | None":
         """Law of the average of n copies when the atoms lie on a lattice,
@@ -663,8 +680,9 @@ def pool_average_sample(dist: Distribution, n: int, replications: int, rng: RngS
     Entries at or below 1e-13 (FFT noise on impossible sums) are dropped,
     so the drawn law is within total variation (window length) * 1e-13 +
     2**-60 of the exact one. Finite laws off a lattice, or whose window
-    would exceed 2**21 entries (``_POOL_WINDOW``), draw multinomial counts
-    (``multinomial``), which is distributionally exact.
+    would exceed 2**21 entries (``_POOL_WINDOW``) or, from n = 2 on, hold
+    more than 64 entries per reachable sum (``_POOL_SPARSE``), draw
+    multinomial counts (``multinomial``), which is distributionally exact.
     """
     if n < 1:
         raise ValueError("pool size n must be >= 1")

@@ -82,21 +82,24 @@ class CaraUtility(UtilityFunction):
             raise ValueError("cara utility requires alpha > 0")
 
     # A utility below the largest negative float is an error, not -inf.
+    # Dividing by -alpha gives -(v / alpha) exactly.
     def apply(self, x):
+        arr = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):
-            out = -np.expm1(-self.alpha * np.asarray(x, dtype=float)) / self.alpha
-        if np.isinf(out).any():
+            out = np.expm1(-self.alpha * arr) / -self.alpha
+        if np.count_nonzero(np.isinf(out)):
             raise UtilityDomainError(
-                f"cara utility with alpha={self.alpha!r} overflows at argument {float(np.min(x))!r}"
+                f"cara utility with alpha={self.alpha!r} overflows at argument {float(arr.min())!r}"
             )
-        return out if np.ndim(x) else float(out)
+        return out if arr.ndim else float(out)
 
     def invert(self, y):
         arr = np.asarray(y, dtype=float)
-        if np.max(arr) >= 1.0 / self.alpha:
-            raise UtilityDomainError(f"value {float(np.max(arr))!r} outside range (y < 1/alpha)")
-        out = -np.log1p(-self.alpha * arr) / self.alpha
-        return out if np.ndim(y) else float(out)
+        top = float(arr.max())
+        if top >= 1.0 / self.alpha:
+            raise UtilityDomainError(f"value {top!r} outside range (y < 1/alpha)")
+        out = np.log1p(-self.alpha * arr) / -self.alpha
+        return out if arr.ndim else float(out)
 
 
 @dataclass(frozen=True)

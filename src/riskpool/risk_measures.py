@@ -23,7 +23,7 @@ from .distributions import DiscreteDistribution, Distribution, _check_tail
 
 _WEIGHT_SUM_TOL = 1e-12
 # One array tail-integral call costs about as much as five scalar ones
-# (numpy's fixed cost per call: 11 µs against 2.1 µs per level on laws of
+# (numpy's fixed cost per call: 12 µs against 2.4 µs per level on laws of
 # 12 and 5000 atoms, 2-core x86-64 VM, numpy 2.4), so mixtures with fewer
 # levels call per level.
 _ARRAY_LEVELS = 6
@@ -48,7 +48,8 @@ def _terms(dist: Distribution, atoms, arrays) -> list[float]:
     """weight * avar(dist, level) per atom, each bit for bit; ``arrays``
     is ``_level_arrays(atoms)``, and ``atoms`` is read only when it is None."""
     if arrays is None:
-        return [w * (dist._tail_integral(lam) / lam) for lam, w in atoms]
+        tail = dist._tail_integral
+        return [w * (tail(lam) / lam) for lam, w in atoms]
     levels, weights = arrays
     return (weights * (dist._tail_integrals(levels) / levels)).tolist()
 
@@ -73,22 +74,22 @@ class MixtureMeasure:
             raise ValueError("atoms must be (level, weight) pairs") from exc
         if not pairs:
             raise ValueError("at least one atom is required")
+        # A NaN fails both comparisons.
         for lam, w in pairs:
-            if not 0.0 < lam <= 1.0 or math.isnan(lam):
+            if not 0.0 < lam <= 1.0:
                 raise ValueError(
                     f"mixture atoms must have levels in (0, 1], got {lam!r}; "
                     "an atom at 0 is outside the supported class"
                 )
-            if not w > 0.0 or math.isinf(w):
+            if not 0.0 < w < math.inf:
                 raise ValueError("atom weights must be strictly positive and finite")
-        total = math.fsum(w for _, w in pairs)
+        total = math.fsum([w for _, w in pairs])
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"atom weights sum to {total!r}, not 1")
         merged: dict[float, float] = {}
-        for lam, w in pairs:
+        for lam, w in pairs:  # weights at one level add up in input order
             merged[lam] = merged.get(lam, 0.0) + w
-        atoms = tuple(sorted((lam, w) for lam, w in merged.items()))
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
 
     @classmethod
     def point(cls, lam: float) -> "MixtureMeasure":

@@ -109,7 +109,7 @@ def _shrink(prop: _Property, case: Case) -> Case:
 
 def _one_law(gen: np.random.Generator, max_states: int = 16):
     k = int(gen.integers(1, max_states + 1))
-    outcomes = np.round(gen.normal(0.0, 5.0, size=k), 6)
+    outcomes = gen.normal(0.0, 5.0, size=k).round(6)
     weights = gen.random(k) + 1e-3
     return weights / weights.sum(), {"outcomes": outcomes}
 
@@ -118,8 +118,8 @@ def _two_laws(gen: np.random.Generator):
     # Outcomes for X and Y on a shared finite sample space.
     k = int(gen.integers(1, 17))
     weights = gen.random(k) + 1e-3
-    x = np.round(gen.normal(0.0, 5.0, size=k), 6)
-    y = np.round(gen.normal(0.0, 5.0, size=k), 6)
+    x = gen.normal(0.0, 5.0, size=k).round(6)
+    y = gen.normal(0.0, 5.0, size=k).round(6)
     return weights / weights.sum(), {"x_outcomes": x, "y_outcomes": y}
 
 
@@ -132,7 +132,7 @@ def _random_mixture(gen: np.random.Generator) -> MixtureMeasure:
     k = int(gen.integers(1, 5))
     levels = gen.random(k) * 0.999 + 0.001
     weights = gen.random(k) + 1e-3
-    return MixtureMeasure(tuple(zip(levels, weights / weights.sum())))
+    return MixtureMeasure(tuple(zip(levels.tolist(), (weights / weights.sum()).tolist())))
 
 
 def _level(gen: np.random.Generator) -> dict:
@@ -228,7 +228,7 @@ def _superadditivity(case: Case) -> float:
 
 def _comonotone_additivity(case: Case) -> float:
     x, mu = case.outcomes["outcomes"], case.params["mixture"]
-    f_x = np.clip(x, -2.0, 3.0)  # nondecreasing transform
+    f_x = x.clip(-2.0, 3.0)  # nondecreasing transform
     total = mixture_value(case.law(x + f_x), mu)
     return abs(total - (mixture_value(case.law(x), mu) + mixture_value(case.law(f_x), mu)))
 
@@ -243,7 +243,7 @@ def _mixture_and(**draws):
 
 
 def _level_pair(gen: np.random.Generator) -> dict:
-    lam_lo, lam_hi = sorted(float(v) for v in gen.random(2) * 0.999 + 0.001)
+    lam_lo, lam_hi = sorted((gen.random(2) * 0.999 + 0.001).tolist())
     return {"lambda_low": lam_lo, "lambda_high": lam_hi}
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +289,28 @@ class TestPremiumCurve:
               "--out-dir", str(out)])
         points = json.loads((out / "curve.json").read_text())["points"]
         assert [p["method"] for p in points] == ["lattice", "multinomial"]
+
+    def test_manifest_records_the_run(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["premium-curve", "--config", str(self.write_config(tmp_path, MC_CONFIG)),
+                "--out-dir", str(out), "--threads", "2"]
+        main(argv)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["argv"] == argv
+        assert manifest["threads"] == 2
+        assert manifest["machine"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+            "nproc": os.cpu_count(),
+        }
+
+    def test_machine_facts_are_not_read_at_import(self):
+        src = Path(riskpool.verify.__file__).parents[1]
+        code = "import riskpool.cli as c; print(c._machine.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.stdout.strip() == "0"
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = self.write_config(tmp_path, MC_CONFIG)

@@ -17,6 +17,7 @@ from scipy import stats
 
 from riskpool.distributions import (
     _POOL_CHUNK,
+    _POOL_SPARSE,
     _POOL_WINDOW,
     DiscreteDistribution,
     EmpiricalSample,
@@ -150,6 +151,13 @@ class TestMoments:
         assert TwoPoint(1.0, 3.0, 0.3).variance() == pytest.approx(4 * 0.3 * 0.7)
 
 
+def _assert_rejects(message, build, *args):
+    """``build(*args)`` raises a plain ValueError with exactly ``message``."""
+    with pytest.raises(ValueError) as info:
+        build(*args)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 class TestConstruction:
     def test_duplicates_merged_and_sorted(self):
         law = DiscreteDistribution((3.0, 1.0, 3.0), (0.25, 0.5, 0.25))
@@ -178,20 +186,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Exponential(0.0)
 
+    # Rejections keep their exact type and message, so merging or reordering
+    # the checks cannot change what a caller sees.
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_every_non_finite_outcome_rejected(self, bad, position):
         values = [1.0, 2.0, 3.0]
         values[position] = bad
-        with pytest.raises(ValueError, match="outcomes must be finite"):
-            DiscreteDistribution(values, (0.25, 0.25, 0.5))
-        with pytest.raises(ValueError, match="outcomes must be finite"):
-            EmpiricalSample(values)
+        _assert_rejects("outcomes must be finite", DiscreteDistribution, values, (0.25, 0.25, 0.5))
+        _assert_rejects("outcomes must be finite", EmpiricalSample, values)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.25])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.25, -math.inf])
     def test_every_bad_probability_rejected(self, bad):
-        with pytest.raises(ValueError, match="probabilities must be strictly positive"):
-            DiscreteDistribution((1.0, 2.0, 3.0), (0.5, bad, 0.5))
+        _assert_rejects("probabilities must be strictly positive",
+                        DiscreteDistribution, (1.0, 2.0, 3.0), (0.5, bad, 0.5))
+
+    # Each mass of 1e308 is finite and only their sum overflows.
+    @pytest.mark.parametrize("probabilities, message", [
+        ((math.inf, -math.inf), "probabilities must be strictly positive"),
+        ((1e308, 1e308), "probabilities sum to inf, not 1"),
+    ])
+    def test_infinite_masses_and_overflowing_sums(self, probabilities, message):
+        with np.errstate(over="ignore"):
+            _assert_rejects(message, DiscreteDistribution, (1.0, 2.0), probabilities)
 
     def test_laws_built_on_sorted_atoms_check_every_atom(self):
         # A shift can overflow, and a mapped array may hold a NaN anywhere.
@@ -616,8 +633,12 @@ class TestLatticePoolLaw:
     def test_largest_window_stays_under_the_chunk_memory(self):
         # Four copies of units up to 2^19 - 1 span 2^21 - 4 sums, a window of
         # exactly _POOL_WINDOW entries; building its law traces no more than
-        # the ~64 MB that _POOL_CHUNK 8-byte values take.
-        law = DiscreteDistribution([0.0, 1.0, float(_POOL_WINDOW // 4 - 1)], [0.3, 0.4, 0.3])
+        # the ~64 MB that _POOL_CHUNK 8-byte values take. Units 0..30 below
+        # the top let four copies reach C(35, 4) sums at most, enough that
+        # the window is not sparse.
+        units = [*range(31), _POOL_WINDOW // 4 - 1]
+        law = DiscreteDistribution(np.array(units, dtype=float), np.full(32, 1.0 / 32))
+        assert _POOL_SPARSE * math.comb(35, 4) > _POOL_WINDOW
         tracemalloc.start()
         try:
             pool = law._pool_law(4)
@@ -626,8 +647,23 @@ class TestLatticePoolLaw:
             tracemalloc.stop()
         assert peak <= 8 * _POOL_CHUNK
         assert law.pool_method(4) == "lattice"
-        # b ones and c tops with b + c <= 4 give 15 distinct sums.
-        assert pool._atoms.size == 15
+        # j tops and 4 - j units from 0..30 give 121 + 91 + 61 + 31 + 1 sums.
+        assert pool._atoms.size == 305
+
+    def test_sparse_window_takes_multinomial_counts(self):
+        # Units {0, 1, 2^19 - 1}: four copies reach 15 sums, spread over a
+        # window of 2^21 - 3 entries, so the pool draws counts and no FFT
+        # is built. One copy is its own lattice law.
+        law = DiscreteDistribution([0.0, 1.0, float(_POOL_WINDOW // 4 - 1)], [0.3, 0.4, 0.3])
+        assert law.pool_method(1) == "lattice"
+        tracemalloc.start()
+        try:
+            assert law._pool_law(4) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert law.pool_method(4) == "multinomial"
 
     def test_single_atom_pool_is_the_atom(self):
         law = DiscreteDistribution([2.5], [1.0])

@@ -126,6 +126,24 @@ class TestMixture:
         with pytest.raises(ValueError):
             MixtureMeasure(())
 
+    @pytest.mark.parametrize("atoms, message", [
+        *[(((level, 1.0),), f"mixture atoms must have levels in (0, 1], got {level!r}; "
+           "an atom at 0 is outside the supported class") for level in (0.0, math.nan, 1.5)],
+        *[(((0.5, bad), (1.0, 0.5)), "atom weights must be strictly positive and finite")
+          for bad in (0.0, -0.5, math.nan, math.inf)],
+        (((0.5, 0.6), (1.0, 0.6)), "atom weights sum to 1.2, not 1"),
+    ])
+    def test_rejections_keep_their_type_and_message(self, atoms, message):
+        with pytest.raises(ValueError) as info:
+            MixtureMeasure(atoms)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    # Weights at one level add up in input order; added smallest first,
+    # these three would give 0x1.fffffffffffffp-1.
+    def test_duplicate_levels_merge_in_input_order(self):
+        mu = MixtureMeasure(((0.5, 0.6301015765852002), (0.5, 0.0017408660772408532), (0.5, 0.3681575573375589)))
+        assert [(level, weight.hex()) for level, weight in mu.atoms] == [(0.5, "0x1.0000000000000p+0")]
+
     def test_atoms_deduplicated_and_sorted(self):
         mu = MixtureMeasure(((1.0, 0.25), (0.5, 0.25), (1.0, 0.5)))
         assert mu.atoms == ((0.5, 0.25), (1.0, 0.75))
