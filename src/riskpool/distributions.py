@@ -45,12 +45,18 @@ _POOL_WINDOW = _POOL_CHUNK // 4
 # A lattice pool sum is drawn from a window around its mean that, by
 # Hoeffding's inequality, leaves out at most this much mass.
 _POOL_TAIL_MASS = 2.0**-60
-# n copies of k atoms reach at most C(n + k - 1, k - 1) unit sums, one per
-# multiset of atoms. A window entry costs far less than drawing counts, so
-# an FFT is refused only when its window holds more than this many entries
-# per reachable sum: a sparse lattice such as units {0, 1, 2**19 - 1}, whose
-# four copies reach 15 sums spread over a window of 2**21.
-_POOL_SPARSE = 64
+# Building a lattice pool law costs about 0.11 us per FFT entry, once per
+# pool size; drawing multinomial counts costs 0.06-0.3 us per atom and
+# replicate (more at larger n), a lattice draw about 0.03 us. At the 100 000
+# replicates per pool size of the default and shipped configs, whole curves
+# (n = 4-256, 3 and 10 atoms, FFTs of 2**16-2**21 entries) ran faster on the
+# lattice in every case up to 0.52 FFT entries per atom and replicate, and
+# faster on counts in every case from 2.1 on (2-core x86-64 VM, numpy 2.4;
+# scripts/pool_crossover.py). So, from two copies on, an FFT longer than
+# this many entries per atom draws counts instead: units {0, 1, 2**19 - 1}
+# at n = 4 would build 2**21 entries to keep 15 sums. A config drawing
+# far more replicates per pool size could gain from a longer FFT.
+_POOL_ENTRIES_PER_ATOM = 200_000
 # FFT rounding leaves noise near 1e-16 on every entry of a lattice pool pmf,
 # impossible sums included; entries at or below this floor are dropped.
 _FFT_FLOOR = 1e-13
@@ -363,7 +369,7 @@ class DiscreteDistribution(Distribution):
         """Unit sums [lo, hi] of n copies kept by the pool law, or None off a
         lattice, when the FFT window would pass ``_POOL_WINDOW``, or, from
         n = 2 on (one copy is its own pool law, built without an FFT), when
-        the window is sparse by ``_POOL_SPARSE``.
+        it would pass ``_POOL_ENTRIES_PER_ATOM`` per atom.
 
         The unit sum S lies in [0, n * r]; Hoeffding bounds
         P(|S - n * mean| >= t) by 2 exp(-2 t^2 / (n r^2)), so the window
@@ -377,9 +383,8 @@ class DiscreteDistribution(Distribution):
         reach = r * math.sqrt(n * math.log(2.0 / _POOL_TAIL_MASS) / 2.0)
         lo = max(0, math.floor(centre - reach))
         hi = min(n * r, math.ceil(centre + reach))
-        if _fft_size(hi - lo) > _POOL_WINDOW:
-            return None
-        if n > 1 and hi - lo >= _POOL_SPARSE * math.comb(n + units.size - 1, units.size - 1):
+        size = _fft_size(hi - lo)
+        if size > _POOL_WINDOW or (n > 1 and size > _POOL_ENTRIES_PER_ATOM * units.size):
             return None
         return lo, hi
 
@@ -680,8 +685,8 @@ def pool_average_sample(dist: Distribution, n: int, replications: int, rng: RngS
     Entries at or below 1e-13 (FFT noise on impossible sums) are dropped,
     so the drawn law is within total variation (window length) * 1e-13 +
     2**-60 of the exact one. Finite laws off a lattice, or whose window
-    would exceed 2**21 entries (``_POOL_WINDOW``) or, from n = 2 on, hold
-    more than 64 entries per reachable sum (``_POOL_SPARSE``), draw
+    would exceed 2**21 entries (``_POOL_WINDOW``) or, from n = 2 on,
+    200 000 entries per atom (``_POOL_ENTRIES_PER_ATOM``), draw
     multinomial counts (``multinomial``), which is distributionally exact.
     """
     if n < 1:

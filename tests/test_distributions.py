@@ -17,7 +17,7 @@ from scipy import stats
 
 from riskpool.distributions import (
     _POOL_CHUNK,
-    _POOL_SPARSE,
+    _POOL_ENTRIES_PER_ATOM,
     _POOL_WINDOW,
     DiscreteDistribution,
     EmpiricalSample,
@@ -634,11 +634,11 @@ class TestLatticePoolLaw:
         # Four copies of units up to 2^19 - 1 span 2^21 - 4 sums, a window of
         # exactly _POOL_WINDOW entries; building its law traces no more than
         # the ~64 MB that _POOL_CHUNK 8-byte values take. Units 0..30 below
-        # the top let four copies reach C(35, 4) sums at most, enough that
-        # the window is not sparse.
+        # the top make 32 atoms, enough that the window is no longer than
+        # _POOL_ENTRIES_PER_ATOM per atom.
         units = [*range(31), _POOL_WINDOW // 4 - 1]
         law = DiscreteDistribution(np.array(units, dtype=float), np.full(32, 1.0 / 32))
-        assert _POOL_SPARSE * math.comb(35, 4) > _POOL_WINDOW
+        assert _POOL_ENTRIES_PER_ATOM * 32 >= _POOL_WINDOW
         tracemalloc.start()
         try:
             pool = law._pool_law(4)
@@ -650,10 +650,11 @@ class TestLatticePoolLaw:
         # j tops and 4 - j units from 0..30 give 121 + 91 + 61 + 31 + 1 sums.
         assert pool._atoms.size == 305
 
-    def test_sparse_window_takes_multinomial_counts(self):
+    def test_long_window_per_atom_takes_multinomial_counts(self):
         # Units {0, 1, 2^19 - 1}: four copies reach 15 sums, spread over a
-        # window of 2^21 - 3 entries, so the pool draws counts and no FFT
-        # is built. One copy is its own lattice law.
+        # 2^21-entry FFT, more than _POOL_ENTRIES_PER_ATOM per atom, so the
+        # pool draws counts and no FFT is built. One copy is its own lattice
+        # law.
         law = DiscreteDistribution([0.0, 1.0, float(_POOL_WINDOW // 4 - 1)], [0.3, 0.4, 0.3])
         assert law.pool_method(1) == "lattice"
         tracemalloc.start()
@@ -664,6 +665,19 @@ class TestLatticePoolLaw:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert law.pool_method(4) == "multinomial"
+
+    def test_counts_start_past_entries_per_atom(self):
+        # Three atoms allow 600 000 entries: four copies of units up to
+        # 2^17 - 1 take a 2^19-entry FFT and keep the lattice, up to 2^18 - 1
+        # a 2^20-entry one and draw counts. Short sparse windows, such as
+        # units {0, 1, 1000} along the grid, keep the lattice.
+        assert 1 << 19 <= 3 * _POOL_ENTRIES_PER_ATOM < 1 << 20
+        below = DiscreteDistribution([0.0, 1.0, float((1 << 17) - 1)], [0.3, 0.4, 0.3])
+        above = DiscreteDistribution([0.0, 1.0, float((1 << 18) - 1)], [0.3, 0.4, 0.3])
+        assert below.pool_method(4) == "lattice"
+        assert above.pool_method(4) == "multinomial"
+        short = DiscreteDistribution([0.0, 1.0, 1000.0], [0.3, 0.4, 0.3])
+        assert [short.pool_method(n) for n in (1, 4, 16, 64, 256)] == ["lattice"] * 5
 
     def test_single_atom_pool_is_the_atom(self):
         law = DiscreteDistribution([2.5], [1.0])
