@@ -101,6 +101,62 @@ class RngSpec:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+class BatchStream:
+    """One batch's stream, drawn once for every pool size of a curve.
+
+    A premium curve draws batch b from ``RngSpec(seed, b)`` at every pool
+    size (common random numbers). Normal and lattice pools take the same
+    n-free base draw at every n, sorted standard normals or sorted
+    uniforms, each from a fresh generator at the head of the stream; that
+    draw is made and sorted once, on first use, and kept here. The other
+    samplers take a fresh :meth:`generator` in every cell. The equal masses
+    1/k and cumulative masses i/k of a k-replicate pool are kept too, and
+    may be shared by every stream of a curve.
+
+    Kept arrays are read-only and cost one float64 per replicate. Threads
+    that race on a memo store equal arrays.
+    """
+
+    def __init__(self, rng: RngSpec, masses: tuple[np.ndarray, np.ndarray] | None = None):
+        self.rng = rng
+        self._masses = masses
+        self._kept = {}
+
+    @classmethod
+    def for_curve(cls, master_seed: int, batches: int, count: int) -> list["BatchStream"]:
+        """The streams (master_seed, b), b < batches, of count replicates
+        each, sharing one pair of equal-mass arrays."""
+        masses = _equal_masses(count)
+        return [cls(RngSpec(master_seed, b), masses) for b in range(batches)]
+
+    def generator(self) -> np.random.Generator:
+        """A fresh generator at the head of the stream."""
+        return self.rng.generator()
+
+    def sorted_uniforms(self, count: int) -> np.ndarray:
+        """``np.sort(self.generator().random(count))``, drawn once."""
+        return self._sorted_base("random", count)
+
+    def sorted_normals(self, count: int) -> np.ndarray:
+        """``np.sort(self.generator().standard_normal(count))``, drawn once."""
+        return self._sorted_base("standard_normal", count)
+
+    def _sorted_base(self, method: str, count: int) -> np.ndarray:
+        draw = self._kept.get((method, count))
+        if draw is None:
+            draw = np.sort(getattr(self.generator(), method)(count))
+            draw.setflags(write=False)
+            self._kept[method, count] = draw
+        return draw
+
+    def equal_masses(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Masses 1/count and cumulative masses i/count."""
+        masses = self._masses
+        if masses is None or masses[0].size != count:
+            masses = self._masses = _equal_masses(count)
+        return masses
+
+
 class Distribution:
     """Interface shared by all supported laws."""
 
@@ -152,13 +208,14 @@ class Distribution:
         recorded per curve point."""
         return "summed draws"
 
-    def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
+    def _pool_draw(self, stream: BatchStream, n: int, count: int) -> np.ndarray:
         """count draws of the average of n i.i.d. copies, in nondecreasing
         order: each sampler sorts only what it did not draw sorted.
 
         Laws without an exact pooled sampler sum n draws per replicate, in
         blocks of at most ``_POOL_CHUNK`` draws.
         """
+        gen = stream.generator()
         sums = np.zeros(count)
         rows = max(1, _POOL_CHUNK // n)
         for start in range(0, count, rows):
@@ -321,16 +378,16 @@ class DiscreteDistribution(Distribution):
         idx = np.minimum(np.searchsorted(self._cum, u, side="left"), self._atoms.size - 1)
         return self._atoms[idx]
 
-    def _sorted_draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        """``np.sort(self._draw(gen, count))`` from the same uniforms, bit for bit.
+    def _sorted_draw(self, u: np.ndarray) -> np.ndarray:
+        """``np.sort(self._draw(gen, u.size))`` from the sorted uniforms
+        ``u = np.sort(gen.random(u.size))``, bit for bit.
 
         The sorted uniforms are counted against the cumulative masses: atom i
         takes those in (cum[i-1], cum[i]], and the last atom every uniform
         above cum[-2], as the capped search of :meth:`_draw` gives it.
         """
-        u = np.sort(gen.random(count))
         ends = np.searchsorted(u, self._cum, side="right")
-        ends[-1] = count
+        ends[-1] = u.size
         return np.repeat(self._atoms, np.diff(ends, prepend=0))
 
     @cached_property
@@ -367,9 +424,9 @@ class DiscreteDistribution(Distribution):
 
     def _pool_window(self, n: int) -> tuple[int, int] | None:
         """Unit sums [lo, hi] of n copies kept by the pool law, or None off a
-        lattice, when the FFT window would pass ``_POOL_WINDOW``, or, from
-        n = 2 on (one copy is its own pool law, built without an FFT), when
-        it would pass ``_POOL_ENTRIES_PER_ATOM`` per atom.
+        lattice or, from n = 2 on (one copy is its own pool law, built
+        without an FFT), when the FFT window would pass ``_POOL_WINDOW`` or
+        ``_POOL_ENTRIES_PER_ATOM`` per atom.
 
         The unit sum S lies in [0, n * r]; Hoeffding bounds
         P(|S - n * mean| >= t) by 2 exp(-2 t^2 / (n r^2)), so the window
@@ -379,12 +436,14 @@ class DiscreteDistribution(Distribution):
             return None
         _, _, units = self._lattice
         r = int(units[-1])
+        if n == 1:
+            return 0, r
         centre = n * float((self._masses * units).sum())
         reach = r * math.sqrt(n * math.log(2.0 / _POOL_TAIL_MASS) / 2.0)
         lo = max(0, math.floor(centre - reach))
         hi = min(n * r, math.ceil(centre + reach))
         size = _fft_size(hi - lo)
-        if size > _POOL_WINDOW or (n > 1 and size > _POOL_ENTRIES_PER_ATOM * units.size):
+        if size > _POOL_WINDOW or size > _POOL_ENTRIES_PER_ATOM * units.size:
             return None
         return lo, hi
 
@@ -423,15 +482,16 @@ class DiscreteDistribution(Distribution):
     def pool_method(self, n: int) -> str:
         return "lattice" if self._pool_window(n) is not None else "multinomial"
 
-    def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
+    def _pool_draw(self, stream: BatchStream, n: int, count: int) -> np.ndarray:
         law = self._pool_law(n)
         if law is not None:
-            return law._sorted_draw(gen, count)
+            return law._sorted_draw(stream.sorted_uniforms(count))
         # Counts come in row blocks of at most _POOL_CHUNK entries; numpy
         # draws multinomial rows in sequence, so the blocks reproduce the
         # stream of one count x atoms call. Each row is summed on its own:
         # a BLAS product rounds a row by its place in the call and by the
         # BLAS thread count.
+        gen = stream.generator()
         values = np.empty(count)
         rows = max(1, _POOL_CHUNK // self._atoms.size)
         for start in range(0, count, rows):
@@ -570,9 +630,11 @@ class Normal(Distribution):
     def pool_method(self, n: int) -> str:
         return "normal-law"
 
-    def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
-        # The pool average is exactly Normal(loc, scale / sqrt(n)).
-        return np.sort(self.loc + self.scale / math.sqrt(n) * gen.standard_normal(count))
+    def _pool_draw(self, stream: BatchStream, n: int, count: int) -> np.ndarray:
+        # The pool average is exactly Normal(loc, scale / sqrt(n)). The map
+        # is nondecreasing, so it keeps the sorted draw sorted: the result is
+        # np.sort of the mapped unsorted draw, bit for bit.
+        return self.loc + self.scale / math.sqrt(n) * stream.sorted_normals(count)
 
 
 @dataclass(frozen=True)
@@ -650,9 +712,9 @@ class Exponential(Distribution):
     def pool_method(self, n: int) -> str:
         return "gamma"
 
-    def _pool_draw(self, gen: np.random.Generator, n: int, count: int) -> np.ndarray:
+    def _pool_draw(self, stream: BatchStream, n: int, count: int) -> np.ndarray:
         # The pool average is exactly shift + Gamma(shape n, rate n * rate).
-        return np.sort(self.shift + gen.standard_gamma(n, count) / (n * self.rate))
+        return np.sort(self.shift + stream.generator().standard_gamma(n, count) / (n * self.rate))
 
 
 def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
@@ -669,7 +731,9 @@ def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
     return EmpiricalSample._sorted(dist._ppf(t), *_equal_masses(n_points))
 
 
-def pool_average_sample(dist: Distribution, n: int, replications: int, rng: RngSpec) -> EmpiricalSample:
+def pool_average_sample(
+    dist: Distribution, n: int, replications: int, rng: RngSpec | BatchStream
+) -> EmpiricalSample:
     """Replications of the equally shared pool average of n i.i.d. copies.
 
     Each law draws its own pool average (:meth:`Distribution._pool_draw`),
@@ -684,14 +748,23 @@ def pool_average_sample(dist: Distribution, n: int, replications: int, rng: RngS
     of the mass.
     Entries at or below 1e-13 (FFT noise on impossible sums) are dropped,
     so the drawn law is within total variation (window length) * 1e-13 +
-    2**-60 of the exact one. Finite laws off a lattice, or whose window
-    would exceed 2**21 entries (``_POOL_WINDOW``) or, from n = 2 on,
-    200 000 entries per atom (``_POOL_ENTRIES_PER_ATOM``), draw
-    multinomial counts (``multinomial``), which is distributionally exact.
+    2**-60 of the exact one. Finite laws off a lattice, or, from n = 2 on,
+    whose window would exceed 2**21 entries (``_POOL_WINDOW``) or 200 000
+    entries per atom (``_POOL_ENTRIES_PER_ATOM``), draw multinomial counts
+    (``multinomial``), which is distributionally exact.
+
+    Every sampler starts at the head of ``rng``'s stream, so the result
+    depends only on (dist, n, replications, rng). Given a
+    :class:`BatchStream`, as a premium curve passes each batch at every
+    pool size, normal and lattice pools reuse the stream's sorted base
+    draw, drawn once per batch instead of once per pool size, with the
+    same result bit for bit; given an :class:`RngSpec`, the draw is made
+    afresh.
     """
     if n < 1:
         raise ValueError("pool size n must be >= 1")
     if replications < 2:
         raise ValueError("replications must be >= 2")
-    values = dist._pool_draw(rng.generator(), n, replications)
-    return EmpiricalSample._sorted(values, *_equal_masses(replications))
+    stream = rng if isinstance(rng, BatchStream) else BatchStream(rng)
+    values = dist._pool_draw(stream, n, replications)
+    return EmpiricalSample._sorted(values, *stream.equal_masses(replications))

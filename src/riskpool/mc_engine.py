@@ -13,7 +13,11 @@ Randomness is drawn from counter-based streams keyed by (master_seed,
 batch), so the same seed reuses the same raw draws across pool sizes and
 across utility choices (common random numbers, sharpening convergence and
 utility-robustness comparisons), and results are bit-identical regardless
-of how many workers execute the batch grid.
+of how many workers execute the batch grid. Normal and lattice pools take
+the same sorted base draw (standard normals or uniforms) at every pool
+size, so each batch's is drawn once per curve and reused: one float64 per
+replicate, held until the curve's points are computed (0.8 MB at 100 000
+replicates).
 
 Configurations with a closed-form premium (normal risks with linear
 utility at any mixture or family, or with cara utility under the point
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import RateFit, fit_rate, theorem1_limit
-from .distributions import Distribution, Normal, RngSpec, pool_average_sample
+from .distributions import BatchStream, Distribution, Normal, RngSpec, pool_average_sample
 from .preferences import (
     LinearUtility,
     UtilityDomainError,
@@ -169,10 +173,9 @@ def _exact_scaled_premium(config: ExperimentConfig, n: int) -> float:
     return -math.sqrt(n) * closed_form_certainty_equivalent(centred, config.preference, config.utility)
 
 
-def _batch_scaled_premium(config: ExperimentConfig, n: int, batch: int) -> float:
+def _batch_scaled_premium(config: ExperimentConfig, n: int, stream: BatchStream) -> float:
     per_batch = config.replications // config.batches
-    rng = RngSpec(config.master_seed, batch)
-    pool = pool_average_sample(config.distribution, n, per_batch, rng)
+    pool = pool_average_sample(config.distribution, n, per_batch, stream)
     try:
         premium = risk_premium(
             config.wealth,
@@ -182,7 +185,7 @@ def _batch_scaled_premium(config: ExperimentConfig, n: int, batch: int) -> float
             single_risk_mean=config.distribution.mean(),
         )
     except UtilityDomainError as exc:
-        raise UtilityDomainError(f"pool size n={n}, batch {batch}: {exc}") from exc
+        raise UtilityDomainError(f"pool size n={n}, batch {stream.rng.stream_id}: {exc}") from exc
     return math.sqrt(n) * premium
 
 
@@ -198,12 +201,15 @@ def _curve_points(
             CurvePoint(n, _exact_scaled_premium(config, n), 0.0, config.replications, "exact")
             for n in n_grid
         ]
-    tasks = [(n, b) for n in n_grid for b in range(config.batches)]
+    # One stream per batch, shared by its cells at every n; cells run
+    # n-major, so a lattice law builds each pool size's law once.
+    streams = BatchStream.for_curve(config.master_seed, config.batches, config.replications // config.batches)
+    tasks = [(n, stream) for n in n_grid for stream in streams]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda t: _batch_scaled_premium(config, *t), tasks))
     else:
-        results = [_batch_scaled_premium(config, n, b) for n, b in tasks]
+        results = [_batch_scaled_premium(config, n, stream) for n, stream in tasks]
     by_n = np.asarray(results).reshape(len(n_grid), config.batches)
     return [
         CurvePoint(
@@ -237,11 +243,12 @@ def config_hash(config: ExperimentConfig) -> str:
 def run_curve(config: ExperimentConfig, *, threads: int = 1) -> PremiumCurve:
     """Estimate the scaled premium on the whole n grid.
 
-    ``threads`` parallelizes over (n, batch) cells; every cell owns its
-    stream, and cells are merged in grid order, so the result is a pure
-    function of (config, master_seed). The rate fit runs on unscaled
-    premiums when they are all positive and is omitted otherwise. The limit
-    comes first, so a law whose variance overflows fails before sampling.
+    ``threads`` parallelizes over (n, batch) cells; every cell starts at
+    the head of its batch's stream, and cells are merged in grid order, so
+    the result is a pure function of (config, master_seed). The rate fit
+    runs on unscaled premiums when they are all positive and is omitted
+    otherwise. The limit comes first, so a law whose variance overflows
+    fails before sampling.
     """
     exact = _use_exact(config)
     limit = theorem_limit(config)

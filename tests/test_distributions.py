@@ -19,6 +19,7 @@ from riskpool.distributions import (
     _POOL_CHUNK,
     _POOL_ENTRIES_PER_ATOM,
     _POOL_WINDOW,
+    BatchStream,
     DiscreteDistribution,
     EmpiricalSample,
     Exponential,
@@ -356,7 +357,7 @@ class TestSampling:
     def test_sorted_draw_counts_the_sorted_searched_draw(self, pairs, seed, count):
         total = sum(w for _, w in pairs)
         law = DiscreteDistribution([x for x, _ in pairs], [w / total for _, w in pairs])
-        counted = law._sorted_draw(RngSpec(seed).generator(), count)
+        counted = law._sorted_draw(BatchStream(RngSpec(seed)).sorted_uniforms(count))
         searched = np.sort(law._draw(RngSpec(seed).generator(), count))
         assert counted.tobytes() == searched.tobytes()
 
@@ -375,7 +376,7 @@ class TestSampling:
             def random(self, count):
                 return u.copy()
 
-        counted = law._sorted_draw(Uniforms(), u.size)
+        counted = law._sorted_draw(np.sort(u))
         assert counted.tobytes() == np.sort(law._draw(Uniforms(), u.size)).tobytes()
 
 
@@ -602,7 +603,7 @@ class TestLatticePoolLaw:
         law = DiscreteDistribution([0.0, 0.3, 0.4, 1.0], [0.4, 0.1, 0.2, 0.3])
         n, count = 12, 100_000
         pool = law._pool_law(n)
-        pooled = law._pool_draw(RngSpec(20260808, 1).generator(), n, count)
+        pooled = law._pool_draw(BatchStream(RngSpec(20260808, 1)), n, count)
         idx = np.searchsorted(pool._atoms, pooled)
         assert np.array_equal(pool._atoms[idx], pooled)
         observed = np.bincount(idx, minlength=pool._atoms.size)
@@ -665,6 +666,17 @@ class TestLatticePoolLaw:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert law.pool_method(4) == "multinomial"
+
+    def test_one_copy_of_a_long_lattice_is_its_own_pool_law(self):
+        # Units {0, 1, 2^22}: from two copies on the FFT window would pass
+        # _POOL_WINDOW, so pools draw counts, but one copy is the law itself
+        # and draws its own sorted inverse-transform sample.
+        law = DiscreteDistribution([0.0, 1.0, float(1 << 22)], [0.3, 0.4, 0.3])
+        assert law.pool_method(1) == "lattice"
+        assert law._pool_law(1) is law
+        assert law.pool_method(2) == "multinomial"
+        pooled = pool_average_sample(law, 1, 1000, RngSpec(4, 1))
+        assert pooled._atoms.tobytes() == np.sort(law._draw(RngSpec(4, 1).generator(), 1000)).tobytes()
 
     def test_counts_start_past_entries_per_atom(self):
         # Three atoms allow 600 000 entries: four copies of units up to

@@ -1,8 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 
-from riskpool.distributions import DiscreteDistribution, Normal, TwoPoint
+from riskpool import distributions
+from riskpool.distributions import (
+    BatchStream,
+    DiscreteDistribution,
+    Exponential,
+    Normal,
+    RngSpec,
+    TwoPoint,
+    Uniform,
+    pool_average_sample,
+)
 from riskpool.mc_engine import (
     ExperimentConfig,
     compare_to_limit,
@@ -11,7 +22,7 @@ from riskpool.mc_engine import (
     run_curve,
     theorem_limit,
 )
-from riskpool.preferences import CaraUtility, LinearUtility, LogUtility, UtilityDomainError
+from riskpool.preferences import CaraUtility, LinearUtility, LogUtility, UtilityDomainError, risk_premium
 from riskpool.risk_measures import KusuokaFamily, MixtureMeasure, mixture_value
 
 from helpers import enumerate_pool_law
@@ -278,6 +289,95 @@ class TestRunCurve:
         monkeypatch.setattr("riskpool.mc_engine.pool_average_sample", pytest.fail)
         with pytest.raises(ValueError, match="the law's variance is not finite"):
             run_curve(make_config(distribution=law))
+
+
+# One law per pooled sampler, each with the methods of its curve on the
+# grid (1, 4, 16, 64). Units {0, 1, 2^16 - 1} (step 2^-12, so cara stays
+# finite) leave the lattice for multinomial counts at n = 16, so a kept
+# uniform draw must not reach the counts.
+SAMPLER_LAWS = [
+    (Normal(0.5, 2.0), ["normal-law"] * 4),
+    (DiscreteDistribution((0.0, 1.5, 4.0), (0.2, 0.5, 0.3)), ["lattice"] * 4),
+    (DiscreteDistribution((0.0, 2.0**-12, 16.0 - 2.0**-12), (0.3, 0.4, 0.3)), ["lattice"] * 2 + ["multinomial"] * 2),
+    (DiscreteDistribution(tuple(math.sqrt(k) for k in range(7)), (0.1, 0.2, 0.1, 0.15, 0.15, 0.2, 0.1)),
+     ["multinomial"] * 4),
+    (Exponential(1.0, 1.0), ["gamma"] * 4),
+    (Uniform(1.0, 3.0), ["summed draws"] * 4),
+]
+
+
+def sampler_config(distribution, **overrides):
+    base = dict(
+        distribution=distribution,
+        utility=CaraUtility(0.5),
+        mixture=MIX,
+        n_grid=(1, 4, 16, 64),
+        replications=600,
+        batches=3,
+        master_seed=20260808,
+        exact=False,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+class TestBatchStreams:
+    # Every point is the batch mean and standard error of cells that each
+    # draw from a fresh RngSpec(seed, b), bit for bit, at any thread count.
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("distribution, methods", SAMPLER_LAWS)
+    def test_points_equal_their_fresh_cells(self, distribution, methods, threads):
+        config = sampler_config(distribution)
+        curve = run_curve(config, threads=threads)
+        assert [p.method for p in curve.points] == methods
+        for point in curve.points:
+            cells = np.array([
+                math.sqrt(point.n) * risk_premium(
+                    config.wealth,
+                    pool_average_sample(distribution, point.n, 200, RngSpec(config.master_seed, b)),
+                    config.preference,
+                    config.utility,
+                    single_risk_mean=distribution.mean(),
+                )
+                for b in range(config.batches)
+            ])
+            assert point.estimate.hex() == float(cells.mean()).hex()
+            assert point.stderr.hex() == float(cells.std(ddof=1) / math.sqrt(config.batches)).hex()
+
+    # Normal and lattice curves draw each batch's base sample once per
+    # curve, not once per pool size; other samplers open the stream in
+    # every cell. Nothing is kept from one run_curve call to the next.
+    @pytest.mark.parametrize("distribution, methods", SAMPLER_LAWS)
+    def test_generators_per_curve(self, distribution, methods, monkeypatch):
+        calls = []
+        generator = RngSpec.generator
+        monkeypatch.setattr(RngSpec, "generator", lambda self: calls.append(self) or generator(self))
+        config = sampler_config(distribution)
+        cells = sum(method not in ("normal-law", "lattice") for method in methods)
+        # Cells that reuse a kept draw add the batch's first draw only.
+        expected = config.batches * (cells + (cells < len(methods)))
+        for _ in range(2):
+            calls.clear()
+            run_curve(config)
+            assert len(calls) == expected
+        assert sorted({spec.stream_id for spec in calls}) == list(range(config.batches))
+
+    def test_equal_masses_built_once_per_curve(self, monkeypatch):
+        built = []
+        equal_masses = distributions._equal_masses
+        monkeypatch.setattr(distributions, "_equal_masses", lambda k: built.append(k) or equal_masses(k))
+        run_curve(sampler_config(Normal(0.0, 1.0)))
+        assert built == [200]
+
+    # Uniforms and normals of one count are kept apart, each read-only and
+    # equal to a fresh sorted draw from the head of the stream.
+    def test_kept_draws_are_read_only(self):
+        stream = BatchStream(RngSpec(3, 1))
+        uniforms, normals = stream.sorted_uniforms(50), stream.sorted_normals(50)
+        assert not uniforms.flags.writeable and not normals.flags.writeable
+        assert stream.sorted_uniforms(50) is uniforms and stream.sorted_normals(50) is normals
+        assert uniforms.tobytes() == np.sort(RngSpec(3, 1).generator().random(50)).tobytes()
+        assert normals.tobytes() == np.sort(RngSpec(3, 1).generator().standard_normal(50)).tobytes()
 
 
 class TestCompareToLimit:
