@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,53 +85,27 @@ class RngSpec:
     identical specs yield identical draws regardless of execution order,
     thread count, or how many other streams were consumed in between.
     Both fields are Philox key words in [0, 2**64).
+
+    The sorted standard normals and sorted uniforms at the head of the
+    stream are drawn once, on first use, and kept read-only for as long as
+    the spec lives; equality, hashing and repr see only the key. Threads
+    that race on a kept draw store equal arrays.
     """
 
     master_seed: int
     stream_id: int = 0
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for field in ("master_seed", "stream_id"):
-            value = getattr(self, field)
+        for name in ("master_seed", "stream_id"):
+            value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 1 << 64:
-                raise ValueError(f"{field} must be an integer in [0, 2**64)")
-
-    def generator(self) -> np.random.Generator:
-        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-
-class BatchStream:
-    """One batch's stream, drawn once for every pool size of a curve.
-
-    A premium curve draws batch b from ``RngSpec(seed, b)`` at every pool
-    size (common random numbers). Normal and lattice pools take the same
-    n-free base draw at every n, sorted standard normals or sorted
-    uniforms, each from a fresh generator at the head of the stream; that
-    draw is made and sorted once, on first use, and kept here. The other
-    samplers take a fresh :meth:`generator` in every cell. The equal masses
-    1/k and cumulative masses i/k of a k-replicate pool are kept too, and
-    may be shared by every stream of a curve.
-
-    Kept arrays are read-only and cost one float64 per replicate. Threads
-    that race on a memo store equal arrays.
-    """
-
-    def __init__(self, rng: RngSpec, masses: tuple[np.ndarray, np.ndarray] | None = None):
-        self.rng = rng
-        self._masses = masses
-        self._kept = {}
-
-    @classmethod
-    def for_curve(cls, master_seed: int, batches: int, count: int) -> list["BatchStream"]:
-        """The streams (master_seed, b), b < batches, of count replicates
-        each, sharing one pair of equal-mass arrays."""
-        masses = _equal_masses(count)
-        return [cls(RngSpec(master_seed, b), masses) for b in range(batches)]
+                raise ValueError(f"{name} must be an integer in [0, 2**64)")
 
     def generator(self) -> np.random.Generator:
         """A fresh generator at the head of the stream."""
-        return self.rng.generator()
+        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
     def sorted_uniforms(self, count: int) -> np.ndarray:
         """``np.sort(self.generator().random(count))``, drawn once."""
@@ -148,13 +122,6 @@ class BatchStream:
             draw.setflags(write=False)
             self._kept[method, count] = draw
         return draw
-
-    def equal_masses(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Masses 1/count and cumulative masses i/count."""
-        masses = self._masses
-        if masses is None or masses[0].size != count:
-            masses = self._masses = _equal_masses(count)
-        return masses
 
 
 class Distribution:
@@ -208,14 +175,14 @@ class Distribution:
         recorded per curve point."""
         return "summed draws"
 
-    def _pool_draw(self, stream: BatchStream, n: int, count: int) -> np.ndarray:
+    def _pool_draw(self, rng: RngSpec, n: int, count: int) -> np.ndarray:
         """count draws of the average of n i.i.d. copies, in nondecreasing
         order: each sampler sorts only what it did not draw sorted.
 
         Laws without an exact pooled sampler sum n draws per replicate, in
         blocks of at most ``_POOL_CHUNK`` draws.
         """
-        gen = stream.generator()
+        gen = rng.generator()
         sums = np.zeros(count)
         rows = max(1, _POOL_CHUNK // n)
         for start in range(0, count, rows):
@@ -482,16 +449,16 @@ class DiscreteDistribution(Distribution):
     def pool_method(self, n: int) -> str:
         return "lattice" if self._pool_window(n) is not None else "multinomial"
 
-    def _pool_draw(self, stream: BatchStream, n: int, count: int) -> np.ndarray:
+    def _pool_draw(self, rng: RngSpec, n: int, count: int) -> np.ndarray:
         law = self._pool_law(n)
         if law is not None:
-            return law._sorted_draw(stream.sorted_uniforms(count))
+            return law._sorted_draw(rng.sorted_uniforms(count))
         # Counts come in row blocks of at most _POOL_CHUNK entries; numpy
         # draws multinomial rows in sequence, so the blocks reproduce the
         # stream of one count x atoms call. Each row is summed on its own:
         # a BLAS product rounds a row by its place in the call and by the
         # BLAS thread count.
-        gen = stream.generator()
+        gen = rng.generator()
         values = np.empty(count)
         rows = max(1, _POOL_CHUNK // self._atoms.size)
         for start in range(0, count, rows):
@@ -511,9 +478,15 @@ def _fft_size(width: int) -> int:
 _POOL_LAW_LOCK = threading.Lock()
 
 
+# Every cell of a curve pools the same number of replicates, so one entry
+# serves the whole curve.
+@lru_cache(maxsize=1)
 def _equal_masses(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masses 1/k and their exact cumulative masses i/k."""
-    return np.full(k, 1.0 / k), np.arange(1, k + 1, dtype=float) / k
+    """Masses 1/k and their exact cumulative masses i/k, read-only."""
+    masses, cum = np.full(k, 1.0 / k), np.arange(1, k + 1, dtype=float) / k
+    masses.setflags(write=False)
+    cum.setflags(write=False)
+    return masses, cum
 
 
 class EmpiricalSample(DiscreteDistribution):
@@ -630,11 +603,11 @@ class Normal(Distribution):
     def pool_method(self, n: int) -> str:
         return "normal-law"
 
-    def _pool_draw(self, stream: BatchStream, n: int, count: int) -> np.ndarray:
+    def _pool_draw(self, rng: RngSpec, n: int, count: int) -> np.ndarray:
         # The pool average is exactly Normal(loc, scale / sqrt(n)). The map
         # is nondecreasing, so it keeps the sorted draw sorted: the result is
         # np.sort of the mapped unsorted draw, bit for bit.
-        return self.loc + self.scale / math.sqrt(n) * stream.sorted_normals(count)
+        return self.loc + self.scale / math.sqrt(n) * rng.sorted_normals(count)
 
 
 @dataclass(frozen=True)
@@ -712,9 +685,9 @@ class Exponential(Distribution):
     def pool_method(self, n: int) -> str:
         return "gamma"
 
-    def _pool_draw(self, stream: BatchStream, n: int, count: int) -> np.ndarray:
+    def _pool_draw(self, rng: RngSpec, n: int, count: int) -> np.ndarray:
         # The pool average is exactly shift + Gamma(shape n, rate n * rate).
-        return np.sort(self.shift + stream.generator().standard_gamma(n, count) / (n * self.rate))
+        return np.sort(self.shift + rng.generator().standard_gamma(n, count) / (n * self.rate))
 
 
 def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
@@ -731,40 +704,19 @@ def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
     return EmpiricalSample._sorted(dist._ppf(t), *_equal_masses(n_points))
 
 
-def pool_average_sample(
-    dist: Distribution, n: int, replications: int, rng: RngSpec | BatchStream
-) -> EmpiricalSample:
+def pool_average_sample(dist: Distribution, n: int, replications: int, rng: RngSpec) -> EmpiricalSample:
     """Replications of the equally shared pool average of n i.i.d. copies.
 
-    Each law draws its own pool average (:meth:`Distribution._pool_draw`),
-    sorted, and names how in ``pool_method(n)``: normal and exponential
-    pools from their exact laws; empirical samples and the uniform law sum
-    n draws per replicate. Finite laws, two-point laws included, whose
-    atoms lie on a lattice origin + step * k draw one uniform per replicate
-    and count the sorted uniforms against the cumulative masses of the
-    pool law (``lattice``), so the draw comes out sorted and is not sorted
-    again: the pmf of the unit sum is an FFT power of the single-risk pmf
-    on the window that Hoeffding's inequality shows holds all but 2**-60
-    of the mass.
-    Entries at or below 1e-13 (FFT noise on impossible sums) are dropped,
-    so the drawn law is within total variation (window length) * 1e-13 +
-    2**-60 of the exact one. Finite laws off a lattice, or, from n = 2 on,
-    whose window would exceed 2**21 entries (``_POOL_WINDOW``) or 200 000
-    entries per atom (``_POOL_ENTRIES_PER_ATOM``), draw multinomial counts
-    (``multinomial``), which is distributionally exact.
-
-    Every sampler starts at the head of ``rng``'s stream, so the result
-    depends only on (dist, n, replications, rng). Given a
-    :class:`BatchStream`, as a premium curve passes each batch at every
-    pool size, normal and lattice pools reuse the stream's sorted base
-    draw, drawn once per batch instead of once per pool size, with the
-    same result bit for bit; given an :class:`RngSpec`, the draw is made
-    afresh.
+    The law draws its own pool average, sorted, by the sampler that
+    ``dist.pool_method(n)`` names (:meth:`Distribution._pool_draw`). Every
+    sampler starts at the head of ``rng``'s stream, so the result depends
+    only on (dist, n, replications) and the key of ``rng``: a spec reused
+    across pool sizes, which keeps its sorted base draws, gives the same
+    bits as a fresh one.
     """
     if n < 1:
         raise ValueError("pool size n must be >= 1")
     if replications < 2:
         raise ValueError("replications must be >= 2")
-    stream = rng if isinstance(rng, BatchStream) else BatchStream(rng)
-    values = dist._pool_draw(stream, n, replications)
-    return EmpiricalSample._sorted(values, *stream.equal_masses(replications))
+    values = dist._pool_draw(rng, n, replications)
+    return EmpiricalSample._sorted(values, *_equal_masses(replications))

@@ -142,11 +142,21 @@ class CrraUtility(UtilityFunction):
         if not ok:
             raise ValueError("crra utility requires finite gamma != 1")
 
+    # As for cara, a utility beyond the largest float is an error, not inf.
+    # u rises with x, so the overflow is at the largest argument when
+    # 1 - gamma > 0 and at the smallest (x + shift near 0) otherwise.
     def apply(self, x):
         self._check_domain(x)
+        arr = np.asarray(x, dtype=float)
         g = 1.0 - self.gamma
-        out = (np.power(np.asarray(x, dtype=float) + self.shift, g) - 1.0) / g
-        return out if np.ndim(x) else float(out)
+        with np.errstate(over="ignore"):
+            out = (np.power(arr + self.shift, g) - 1.0) / g
+        if np.count_nonzero(np.isinf(out)):
+            at = arr.max() if g > 0.0 else arr.min()
+            raise UtilityDomainError(
+                f"crra utility with gamma={self.gamma!r} overflows at argument {float(at)!r}"
+            )
+        return out if arr.ndim else float(out)
 
     def invert(self, y):
         g = 1.0 - self.gamma

@@ -445,6 +445,32 @@ class TestPremiumCurve:
         assert "n=4, batch " in err and "alpha=1.0" in err and "-800.0" in err
         assert not out.exists()
 
+    # u(x) = (x^2 - 1)/2 at gamma = -1 overflows from x ~ 1.3e154 on.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_crra_overflow_exits_4(self, tmp_path, capsys):
+        payload = {
+            "distribution": {"family": "discrete", "outcomes": [1e155, 1.1e155], "probs": [0.5, 0.5]},
+            "mixture": {"atoms": [{"lambda": 0.5, "weight": 1.0}]},
+            "utility": {"family": "crra", "gamma": -1.0},
+            "n_grid": [4], "replications": 200, "batches": 2, "master_seed": 20260808,
+        }
+        config = self.write_config(tmp_path, payload)
+        out = tmp_path / "results"
+        code = main(["premium-curve", "--config", str(config), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "n=4, batch " in err and "gamma=-1.0" in err and "overflows at argument 1.1e+155" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2_without_output(self, tmp_path, capsys, threads):
+        config = self.write_config(tmp_path, MC_CONFIG)
+        out = tmp_path / "results"
+        code = main(["premium-curve", "--config", str(config), "--out-dir", str(out), "--threads", threads])
+        assert code == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_duality_passes(self, capsys):

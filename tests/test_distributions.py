@@ -19,7 +19,6 @@ from riskpool.distributions import (
     _POOL_CHUNK,
     _POOL_ENTRIES_PER_ATOM,
     _POOL_WINDOW,
-    BatchStream,
     DiscreteDistribution,
     EmpiricalSample,
     Exponential,
@@ -290,6 +289,15 @@ class TestConstruction:
         top = RngSpec(2**64 - 1, 2**64 - 1).generator().random(3)
         assert not np.array_equal(top, RngSpec(0, 2**64 - 1).generator().random(3))
 
+    # Kept draws are a cache: equality, hashing and repr see the key only.
+    def test_rng_spec_with_kept_draws_is_its_key(self):
+        kept, fresh = RngSpec(3, 1), RngSpec(3, 1)
+        kept.sorted_uniforms(40)
+        kept.sorted_normals(40)
+        assert kept == fresh and hash(kept) == hash(fresh)
+        assert repr(kept) == repr(fresh) == "RngSpec(master_seed=3, stream_id=1)"
+        assert kept != RngSpec(3, 2)
+
     def test_translate(self):
         assert UNIFORM_1234.translate(1.0).outcomes == (2.0, 3.0, 4.0, 5.0)
         assert Normal(0.0, 1.0).translate(2.0) == Normal(2.0, 1.0)
@@ -357,7 +365,7 @@ class TestSampling:
     def test_sorted_draw_counts_the_sorted_searched_draw(self, pairs, seed, count):
         total = sum(w for _, w in pairs)
         law = DiscreteDistribution([x for x, _ in pairs], [w / total for _, w in pairs])
-        counted = law._sorted_draw(BatchStream(RngSpec(seed)).sorted_uniforms(count))
+        counted = law._sorted_draw(RngSpec(seed).sorted_uniforms(count))
         searched = np.sort(law._draw(RngSpec(seed).generator(), count))
         assert counted.tobytes() == searched.tobytes()
 
@@ -603,7 +611,7 @@ class TestLatticePoolLaw:
         law = DiscreteDistribution([0.0, 0.3, 0.4, 1.0], [0.4, 0.1, 0.2, 0.3])
         n, count = 12, 100_000
         pool = law._pool_law(n)
-        pooled = law._pool_draw(BatchStream(RngSpec(20260808, 1)), n, count)
+        pooled = law._pool_draw(RngSpec(20260808, 1), n, count)
         idx = np.searchsorted(pool._atoms, pooled)
         assert np.array_equal(pool._atoms[idx], pooled)
         observed = np.bincount(idx, minlength=pool._atoms.size)

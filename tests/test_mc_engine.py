@@ -5,7 +5,6 @@ import pytest
 
 from riskpool import distributions
 from riskpool.distributions import (
-    BatchStream,
     DiscreteDistribution,
     Exponential,
     Normal,
@@ -238,6 +237,12 @@ class TestRunCurve:
         assert first == second
         assert first == threaded
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("exact", [None, False])
+    def test_threads_below_one_rejected(self, threads, exact):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_curve(make_config(exact=exact), threads=threads)
+
     # A small curve shaped like the wide_family benchmark: lattice pools
     # (n = 1 draws the law itself), cara utility, and a family that mixes
     # 8-level members with a 2-level one. Every bit of every point and of
@@ -362,20 +367,32 @@ class TestBatchStreams:
             assert len(calls) == expected
         assert sorted({spec.stream_id for spec in calls}) == list(range(config.batches))
 
-    def test_equal_masses_built_once_per_curve(self, monkeypatch):
-        built = []
-        equal_masses = distributions._equal_masses
-        monkeypatch.setattr(distributions, "_equal_masses", lambda k: built.append(k) or equal_masses(k))
-        run_curve(sampler_config(Normal(0.0, 1.0)))
-        assert built == [200]
+    def test_equal_masses_built_once_per_curve(self):
+        distributions._equal_masses.cache_clear()
+        config = sampler_config(Normal(0.0, 1.0))
+        run_curve(config)
+        info = distributions._equal_masses.cache_info()
+        assert (info.misses, info.hits) == (1, len(config.n_grid) * config.batches - 1)
+        masses, cum = distributions._equal_masses(200)
+        assert not masses.flags.writeable and not cum.flags.writeable
+
+    # One spec reused across the grid, keeping its sorted base draws, gives
+    # the bits of a fresh spec per pool size.
+    @pytest.mark.parametrize("distribution, methods", SAMPLER_LAWS)
+    def test_reused_spec_equals_fresh_specs(self, distribution, methods):
+        reused = RngSpec(20260808, 2)
+        for n in (1, 4, 16, 64):
+            kept = pool_average_sample(distribution, n, 200, reused)
+            fresh = pool_average_sample(distribution, n, 200, RngSpec(20260808, 2))
+            assert kept._atoms.tobytes() == fresh._atoms.tobytes()
 
     # Uniforms and normals of one count are kept apart, each read-only and
     # equal to a fresh sorted draw from the head of the stream.
     def test_kept_draws_are_read_only(self):
-        stream = BatchStream(RngSpec(3, 1))
-        uniforms, normals = stream.sorted_uniforms(50), stream.sorted_normals(50)
+        rng = RngSpec(3, 1)
+        uniforms, normals = rng.sorted_uniforms(50), rng.sorted_normals(50)
         assert not uniforms.flags.writeable and not normals.flags.writeable
-        assert stream.sorted_uniforms(50) is uniforms and stream.sorted_normals(50) is normals
+        assert rng.sorted_uniforms(50) is uniforms and rng.sorted_normals(50) is normals
         assert uniforms.tobytes() == np.sort(RngSpec(3, 1).generator().random(50)).tobytes()
         assert normals.tobytes() == np.sort(RngSpec(3, 1).generator().standard_normal(50)).tobytes()
 
