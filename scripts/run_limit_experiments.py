@@ -24,7 +24,7 @@ except ImportError:  # running from a checkout without installation
     import riskpool
 
 from riskpool import ExperimentConfig, compare_to_limit, run_curve
-from riskpool.cli import curve_to_dict, write_curve_csv
+from riskpool.cli import write_curve
 from riskpool.config import experiment_config_from_dict, experiment_config_to_dict, with_master_seed
 
 CONFIGS = Path(__file__).resolve().parent / "configs"
@@ -39,13 +39,7 @@ def load_config(name: str, seed: int) -> ExperimentConfig:
 def run_one(name: str, config: ExperimentConfig, out_dir: Path, threads: int) -> None:
     curve = run_curve(config, threads=threads)
     comparison = compare_to_limit(curve)
-    target = out_dir / name
-    target.mkdir(parents=True, exist_ok=True)
-    write_curve_csv(target / "curve.csv", curve, comparison)
-    (target / "curve.json").write_text(
-        json.dumps(curve_to_dict(experiment_config_to_dict(config), curve, comparison), indent=2)
-        + "\n"
-    )
+    write_curve(out_dir / name, experiment_config_to_dict(config), curve, comparison)
     print(f"\n{name}: limit {curve.limit:.10f}")
     print(f"  {'n':>6} {'estimate':>12} {'stderr':>10} {'gap':>10} {'z':>8}")
     for row in comparison.rows:

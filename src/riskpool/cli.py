@@ -202,24 +202,6 @@ def _cmd_limit(args) -> int:
     return EXIT_OK
 
 
-def write_curve_csv(path: Path, curve: PremiumCurve, comparison: LimitComparison) -> None:
-    lines = ["n,estimate,stderr,limit,abs_gap,z_score"]
-    for row in comparison.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.n),
-                    _repr_float(row.estimate),
-                    _repr_float(row.stderr),
-                    _repr_float(curve.limit),
-                    _repr_float(row.abs_gap),
-                    _repr_float(row.z_score),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-
-
 def curve_to_dict(config_dict: dict, curve: PremiumCurve, comparison: LimitComparison) -> dict:
     points = []
     for point, row in zip(curve.points, comparison.rows):
@@ -253,6 +235,22 @@ def curve_to_dict(config_dict: dict, curve: PremiumCurve, comparison: LimitCompa
         "trend_ok": comparison.trend_ok,
         "note": comparison.note,
     }
+
+
+def write_curve(out_dir: Path, config_dict: dict, curve: PremiumCurve, comparison: LimitComparison) -> None:
+    """Make ``out_dir`` and write ``curve.csv`` and ``curve.json`` into it.
+
+    The one writer of both files, whose bytes are pinned across thread counts.
+    """
+    lines = ["n,estimate,stderr,limit,abs_gap,z_score"]
+    for row in comparison.rows:
+        fields = (row.estimate, row.stderr, curve.limit, row.abs_gap, row.z_score)
+        lines.append(",".join([str(row.n), *map(_repr_float, fields)]))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "curve.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / "curve.json").write_text(
+        json.dumps(curve_to_dict(config_dict, curve, comparison), indent=2) + "\n"
+    )
 
 
 @functools.cache
@@ -289,13 +287,8 @@ def _cmd_premium_curve(args) -> int:
 
     # Made only now, so a run that fails leaves no empty directory behind.
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     config_dict = experiment_config_to_dict(config)
-    write_curve_csv(out_dir / "curve.csv", curve, comparison)
-    (out_dir / "curve.json").write_text(
-        json.dumps(curve_to_dict(config_dict, curve, comparison), indent=2) + "\n"
-    )
+    write_curve(out_dir, config_dict, curve, comparison)
     manifest = {  # provenance written alongside every result file
         "tool": "riskpool",
         "tool_version": __version__,
@@ -397,9 +390,8 @@ def main(argv=None) -> int:
     args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # A domain abort is a ValueError too, so it is caught first; a
+    # ConfigError is one of the ValueErrors below.
     except UtilityDomainError as exc:
         print(f"utility-domain abort: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -230,13 +230,17 @@ class DiscreteDistribution(Distribution):
             raise ValueError("outcomes must be finite")
         if not prob.min() > 0.0:
             raise ValueError("probabilities must be strictly positive")
-        # Positive masses with a finite sum are finite, so the largest mass
-        # is read only to tell an infinite mass from finite masses whose sum
-        # overflows, which the sum check reports.
-        total = float(prob.sum())
-        if total == math.inf and prob.max() == math.inf:
-            raise ValueError("probabilities must be strictly positive")
+        # No accepted mass exceeds 2, so capping there changes no accepted
+        # sum and keeps numpy's sum from overflowing and warning, more
+        # cheaply than silencing it. A failed check takes the true total for
+        # its message, and tells an infinite mass from finite masses whose
+        # sum overflows.
+        total = float(np.minimum(prob, 2.0).sum())
         if abs(total - 1.0) > _PROB_SUM_TOL:
+            with np.errstate(over="ignore"):
+                total = float(prob.sum())
+            if total == math.inf and prob.max() == math.inf:
+                raise ValueError("probabilities must be strictly positive")
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         prob = prob[order]
         rising = out[1:] > out[:-1]
@@ -337,8 +341,15 @@ class DiscreteDistribution(Distribution):
     def support_lower_bound(self) -> float:
         return float(self._atoms[0])
 
+    # A shift that overflows is reported by _sorted, as a non-finite atom.
+    # Silencing numpy's warning costs more than the shift, so it is done
+    # only when |c| plus the largest |atom| passes the largest float.
     def translate(self, c: float) -> "DiscreteDistribution":
-        return self._sorted(self._atoms + c, self._masses, self._cum)
+        atoms = self._atoms
+        if abs(float(c)) + max(-atoms.item(0), atoms.item(-1)) < math.inf:
+            return self._sorted(atoms + c, self._masses, self._cum)
+        with np.errstate(over="ignore"):
+            return self._sorted(atoms + c, self._masses, self._cum)
 
     def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         u = gen.random(count)

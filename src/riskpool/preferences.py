@@ -30,27 +30,41 @@ class UtilityFunction:
     """Strictly increasing, continuously differentiable map with an inverse.
 
     apply accepts scalars or arrays; invert takes a value in the
-    range of the function. Arguments outside the domain raise
-    :class:`UtilityDomainError` rather than being clamped.
+    range of the function. Both return a float for a scalar and an array
+    for an array. Arguments outside the domain, values outside the range,
+    and results beyond the largest float raise :class:`UtilityDomainError`
+    rather than being clamped. A utility states only its formula
+    ``_apply``, its inverse ``_invert`` (with its range check) and, through
+    a ``shift`` field, its open domain x > -shift.
     """
 
     def apply(self, x):
-        raise NotImplementedError
+        arr = np.asarray(x, dtype=float)
+        lo = self.domain_lower
+        if lo > -math.inf and arr.min() <= lo:
+            raise UtilityDomainError(
+                f"argument {float(arr.min())!r} outside utility domain (x > {lo!r})"
+            )
+        return self._finite(self._apply, arr)
 
     def invert(self, y):
-        raise NotImplementedError
+        return self._finite(self._invert, np.asarray(y, dtype=float))
+
+    # A value beyond the largest float is an error, not inf. Both maps rise,
+    # so the overflow is at the largest argument when it is to +inf and at
+    # the smallest when it is to -inf.
+    def _finite(self, formula, arr):
+        with np.errstate(over="ignore"):
+            out = formula(arr)
+        if np.count_nonzero(np.isinf(out)):
+            at = arr.max() if np.max(out) == math.inf else arr.min()
+            raise UtilityDomainError(f"{self!r} overflows at argument {float(at)!r}")
+        return out if arr.ndim else float(out)
 
     @property
     def domain_lower(self) -> float:
-        """Open lower endpoint of the domain (-inf when globally defined)."""
-        return -math.inf
-
-    def _check_domain(self, x):
-        lo = self.domain_lower
-        if lo > -math.inf and np.min(x) <= lo:
-            raise UtilityDomainError(
-                f"argument {float(np.min(x))!r} outside utility domain (x > {lo!r})"
-            )
+        """Open lower endpoint of the domain: -shift, or -inf without a shift."""
+        return -getattr(self, "shift", math.inf)
 
 
 @dataclass(frozen=True)
@@ -62,13 +76,11 @@ class LinearUtility(UtilityFunction):
         if not (math.isfinite(self.slope) and self.slope > 0.0 and math.isfinite(self.intercept)):
             raise ValueError("linear utility requires slope > 0")
 
-    def apply(self, x):
-        out = self.slope * np.asarray(x, dtype=float) + self.intercept
-        return out if np.ndim(x) else float(out)
+    def _apply(self, x):
+        return self.slope * x + self.intercept
 
-    def invert(self, y):
-        out = (np.asarray(y, dtype=float) - self.intercept) / self.slope
-        return out if np.ndim(y) else float(out)
+    def _invert(self, y):
+        return (y - self.intercept) / self.slope
 
 
 @dataclass(frozen=True)
@@ -81,25 +93,15 @@ class CaraUtility(UtilityFunction):
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("cara utility requires alpha > 0")
 
-    # A utility below the largest negative float is an error, not -inf.
     # Dividing by -alpha gives -(v / alpha) exactly.
-    def apply(self, x):
-        arr = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            out = np.expm1(-self.alpha * arr) / -self.alpha
-        if np.count_nonzero(np.isinf(out)):
-            raise UtilityDomainError(
-                f"cara utility with alpha={self.alpha!r} overflows at argument {float(arr.min())!r}"
-            )
-        return out if arr.ndim else float(out)
+    def _apply(self, x):
+        return np.expm1(-self.alpha * x) / -self.alpha
 
-    def invert(self, y):
-        arr = np.asarray(y, dtype=float)
-        top = float(arr.max())
+    def _invert(self, y):
+        top = float(y.max())
         if top >= 1.0 / self.alpha:
             raise UtilityDomainError(f"value {top!r} outside range (y < 1/alpha)")
-        out = np.log1p(-self.alpha * arr) / -self.alpha
-        return out if arr.ndim else float(out)
+        return np.log1p(-self.alpha * y) / -self.alpha
 
 
 @dataclass(frozen=True)
@@ -112,18 +114,11 @@ class LogUtility(UtilityFunction):
         if not math.isfinite(self.shift):
             raise ValueError("log utility requires a finite shift")
 
-    def apply(self, x):
-        self._check_domain(x)
-        out = np.log(np.asarray(x, dtype=float) + self.shift)
-        return out if np.ndim(x) else float(out)
+    def _apply(self, x):
+        return np.log(x + self.shift)
 
-    def invert(self, y):
-        out = np.exp(np.asarray(y, dtype=float)) - self.shift
-        return out if np.ndim(y) else float(out)
-
-    @property
-    def domain_lower(self) -> float:
-        return -self.shift
+    def _invert(self, y):
+        return np.exp(y) - self.shift
 
 
 @dataclass(frozen=True)
@@ -142,33 +137,16 @@ class CrraUtility(UtilityFunction):
         if not ok:
             raise ValueError("crra utility requires finite gamma != 1")
 
-    # As for cara, a utility beyond the largest float is an error, not inf.
-    # u rises with x, so the overflow is at the largest argument when
-    # 1 - gamma > 0 and at the smallest (x + shift near 0) otherwise.
-    def apply(self, x):
-        self._check_domain(x)
-        arr = np.asarray(x, dtype=float)
+    def _apply(self, x):
         g = 1.0 - self.gamma
-        with np.errstate(over="ignore"):
-            out = (np.power(arr + self.shift, g) - 1.0) / g
-        if np.count_nonzero(np.isinf(out)):
-            at = arr.max() if g > 0.0 else arr.min()
-            raise UtilityDomainError(
-                f"crra utility with gamma={self.gamma!r} overflows at argument {float(at)!r}"
-            )
-        return out if arr.ndim else float(out)
+        return (np.power(x + self.shift, g) - 1.0) / g
 
-    def invert(self, y):
+    def _invert(self, y):
         g = 1.0 - self.gamma
-        base = g * np.asarray(y, dtype=float) + 1.0
-        if np.min(base) <= 0.0:
+        base = g * y + 1.0
+        if base.min() <= 0.0:
             raise UtilityDomainError("value outside utility range")
-        out = np.power(base, 1.0 / g) - self.shift
-        return out if np.ndim(y) else float(out)
-
-    @property
-    def domain_lower(self) -> float:
-        return -self.shift
+        return np.power(base, 1.0 / g) - self.shift
 
 
 def _check_parametric_support(dist: Distribution, u: UtilityFunction) -> None:

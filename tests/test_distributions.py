@@ -206,14 +206,16 @@ class TestConstruction:
         ((math.inf, -math.inf), "probabilities must be strictly positive"),
         ((1e308, 1e308), "probabilities sum to inf, not 1"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_masses_and_overflowing_sums(self, probabilities, message):
-        with np.errstate(over="ignore"):
-            _assert_rejects(message, DiscreteDistribution, (1.0, 2.0), probabilities)
+        _assert_rejects(message, DiscreteDistribution, (1.0, 2.0), probabilities)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_laws_built_on_sorted_atoms_check_every_atom(self):
         # A shift can overflow, and a mapped array may hold a NaN anywhere.
-        with pytest.raises(ValueError, match="outcomes must be finite"), np.errstate(over="ignore"):
-            DiscreteDistribution((1.0, 1e308), (0.5, 0.5)).translate(1e308)
+        for atoms, shift in (((1.0, 1e308), 1e308), ((-1e308, 1.0), np.float64(-1e308))):
+            with pytest.raises(ValueError, match="outcomes must be finite"):
+                DiscreteDistribution(atoms, (0.5, 0.5)).translate(shift)
         masses, cum = np.full(3, 1.0 / 3.0), np.arange(1, 4) / 3.0
         with pytest.raises(ValueError, match="outcomes must be finite"):
             DiscreteDistribution._sorted(np.array([0.0, math.nan, 1.0]), masses, cum)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,19 +52,53 @@ class TestUtilityFamilies:
         assert u.apply(0.0) == 0.0
         assert u.invert(0.0) == 0.0
 
+    # A scalar in gives a float out: a Python float, a numpy float or a 0-d array.
     @pytest.mark.parametrize("u", ALL_UTILITIES)
     def test_invert_apply_round_trip(self, u):
         lo = u.domain_lower
         grid = np.linspace(max(lo + 0.1, -5.0) if lo > -math.inf else -5.0, 5.0, 23)
         for x in grid:
-            assert u.invert(u.apply(x)) == pytest.approx(x, abs=1e-10)
+            for scalar in (float, np.float64, np.asarray):
+                y = u.apply(scalar(x))
+                back = u.invert(scalar(y))
+                assert type(y) is float and type(back) is float
+                assert back == pytest.approx(x, abs=1e-10)
 
+    # An array in gives an array of its shape out, one element included.
     @pytest.mark.parametrize("u", ALL_UTILITIES)
     def test_strictly_increasing(self, u):
         lo = u.domain_lower
         grid = np.linspace(max(lo + 0.1, -5.0) if lo > -math.inf else -5.0, 5.0, 23)
         values = u.apply(grid)
         assert np.all(np.diff(values) > 0)
+        for x in (grid, grid[:1]):
+            y = u.apply(x)
+            back = u.invert(y)
+            assert type(y) is np.ndarray and type(back) is np.ndarray
+            assert y.shape == back.shape == x.shape
+
+    # A value beyond the largest float is an error naming the utility with
+    # its parameters and the argument, not inf and not a numpy warning: the
+    # largest argument when the overflow is to +inf, the smallest when to -inf.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("u, method, args, at", [
+        (LinearUtility(1e300), "apply", [1.0, 1e10], 1e10),
+        (LinearUtility(1e300), "apply", [-1e10, 1.0], -1e10),
+        (LinearUtility(1e-300), "invert", [1.0, 1e10], 1e10),
+        (CaraUtility(1.0), "apply", [-800.0, 0.0, 800.0], -800.0),
+        (CaraUtility(10.0), "invert", [-1e308, 0.0], -1e308),
+        (LogUtility(1e308), "apply", [0.0, 1e308], 1e308),
+        (LogUtility(), "invert", [0.0, 1000.0], 1000.0),
+        (CrraUtility(-1.0), "apply", [1.0, 1.1e155], 1.1e155),
+        (CrraUtility(3.0), "apply", [1e-200, 1.0], 1e-200),
+        (CrraUtility(0.5), "invert", [1.0, 1e300], 1e300),
+    ], ids=["linear-apply-up", "linear-apply-down", "linear-invert", "cara-apply", "cara-invert",
+            "log-apply", "log-invert", "crra-apply-up", "crra-apply-down", "crra-invert"])
+    def test_overflow_names_the_utility_and_argument(self, u, method, args, at):
+        message = re.escape(f"{u!r} overflows at argument {at!r}")
+        for x in (at, np.array(args)):
+            with pytest.raises(UtilityDomainError, match=message):
+                getattr(u, method)(x)
 
     def test_domain_violations_raise(self):
         with pytest.raises(UtilityDomainError):
