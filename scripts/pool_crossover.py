@@ -99,7 +99,7 @@ def main() -> int:
                 faster = "lattice" if lattice < counts else "multinomial"
                 print(
                     f"{n}\t{k}\t2^{e}\t{(1 << e) / (REPLICATIONS * k):.2f}\t{lattice * 1e3:.1f}\t"
-                    f"{counts * 1e3:.1f}\t{faster}\t{law(k, top).pool_method(n)}",
+                    f"{counts * 1e3:.1f}\t{faster}\t{law(k, top).pool_sampler(n).method}",
                     flush=True,
                 )
     return 0

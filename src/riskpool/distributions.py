@@ -10,8 +10,8 @@ functions follow the left-continuous convention
 q(t) = inf{m : P[X <= m] >= t}; integration of the quantile over a lower
 tail is exact (up to rounding) for finite laws and closed-form for every
 parametric family. All types are immutable and all operations are pure
-given their inputs and an :class:`RngSpec`; the one lock serializes the
-building of lattice pool laws, to bound memory, not for correctness.
+given their inputs and an :class:`RngSpec`; a pool size's sampler holds
+what it needs (a lattice pool law, say) and nothing else keeps it.
 
 Unbounded laws (normal, exponential) are admitted even though the limit
 theory is phrased for bounded risks; the only operational consequence is
@@ -21,7 +21,7 @@ that the quantile at level 0 is an error for laws unbounded below.
 from __future__ import annotations
 
 import math
-import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -124,6 +124,17 @@ class RngSpec:
         return draw
 
 
+@dataclass(frozen=True)
+class PoolSampler:
+    """How a law draws the average of n i.i.d. copies: ``method`` names it,
+    as a curve point records it, and ``draw(rng, count)`` returns count draws
+    in nondecreasing order from the head of ``rng``'s stream, sorting only
+    what it did not draw sorted."""
+
+    method: str
+    draw: Callable[[RngSpec, int], np.ndarray]
+
+
 class Distribution:
     """Interface shared by all supported laws."""
 
@@ -170,26 +181,26 @@ class Distribution:
     def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         raise NotImplementedError
 
-    def pool_method(self, n: int) -> str:
-        """How :meth:`_pool_draw` samples a pool average of n copies, as
-        recorded per curve point."""
-        return "summed draws"
+    def pool_sampler(self, n: int) -> PoolSampler:
+        """The sampler of the average of n i.i.d. copies."""
+        if n < 1:
+            raise ValueError("pool size n must be >= 1")
+        return self._pool_sampler(n)
 
-    def _pool_draw(self, rng: RngSpec, n: int, count: int) -> np.ndarray:
-        """count draws of the average of n i.i.d. copies, in nondecreasing
-        order: each sampler sorts only what it did not draw sorted.
+    def _pool_sampler(self, n: int) -> PoolSampler:
+        # Laws without an exact pooled sampler sum n draws per replicate, in
+        # blocks of at most _POOL_CHUNK draws.
+        def summed(rng: RngSpec, count: int) -> np.ndarray:
+            gen = rng.generator()
+            sums = np.zeros(count)
+            rows = max(1, _POOL_CHUNK // n)
+            for start in range(0, count, rows):
+                stop = min(start + rows, count)
+                block = self._draw(gen, (stop - start) * n).reshape(stop - start, n)
+                sums[start:stop] = block.sum(axis=1)
+            return np.sort(sums / n)
 
-        Laws without an exact pooled sampler sum n draws per replicate, in
-        blocks of at most ``_POOL_CHUNK`` draws.
-        """
-        gen = rng.generator()
-        sums = np.zeros(count)
-        rows = max(1, _POOL_CHUNK // n)
-        for start in range(0, count, rows):
-            stop = min(start + rows, count)
-            block = self._draw(gen, (stop - start) * n).reshape(stop - start, n)
-            sums[start:stop] = block.sum(axis=1)
-        return np.sort(sums / n)
+        return PoolSampler("summed draws", summed)
 
     def sample(self, rng: RngSpec, count: int) -> "EmpiricalSample":
         """count i.i.d. draws as an :class:`EmpiricalSample`.
@@ -427,19 +438,11 @@ class DiscreteDistribution(Distribution):
 
     def _pool_law(self, n: int) -> "DiscreteDistribution | None":
         """Law of the average of n copies when the atoms lie on a lattice,
-        or None where :meth:`_pool_window` is None.
-
-        Laws are built one at a time under a lock, and only the last n's
-        answer is kept, None included: curve cells run in grid order, so
-        each n is worked out about once and one window's memory is held.
-        """
-        with _POOL_LAW_LOCK:
-            last = self.__dict__.get("_last_pool_law")
-            if last is None or last[0] != n:
-                window = self._pool_window(n)
-                law = None if window is None else self if n == 1 else self._lattice_pool_law(n, *window)
-                last = self.__dict__["_last_pool_law"] = (n, law)
-        return last[1]
+        or None where :meth:`_pool_window` is None."""
+        window = self._pool_window(n)
+        if window is None:
+            return None
+        return self if n == 1 else self._lattice_pool_law(n, *window)
 
     def _lattice_pool_law(self, n: int, lo: int, hi: int) -> "DiscreteDistribution":
         # The pmf of S mod M, on the power of two M covering [lo, hi], is an
@@ -457,36 +460,31 @@ class DiscreteDistribution(Distribution):
         atoms = origin + step * (lo + keep) / n
         return DiscreteDistribution._sorted(atoms, masses, np.cumsum(masses))
 
-    def pool_method(self, n: int) -> str:
-        return "lattice" if self._pool_window(n) is not None else "multinomial"
-
-    def _pool_draw(self, rng: RngSpec, n: int, count: int) -> np.ndarray:
+    def _pool_sampler(self, n: int) -> PoolSampler:
         law = self._pool_law(n)
         if law is not None:
-            return law._sorted_draw(rng.sorted_uniforms(count))
+            return PoolSampler("lattice", lambda rng, count: law._sorted_draw(rng.sorted_uniforms(count)))
         # Counts come in row blocks of at most _POOL_CHUNK entries; numpy
         # draws multinomial rows in sequence, so the blocks reproduce the
         # stream of one count x atoms call. Each row is summed on its own:
         # a BLAS product rounds a row by its place in the call and by the
         # BLAS thread count.
-        gen = rng.generator()
-        values = np.empty(count)
-        rows = max(1, _POOL_CHUNK // self._atoms.size)
-        for start in range(0, count, rows):
-            stop = min(start + rows, count)
-            counts = gen.multinomial(n, self._masses, size=stop - start)
-            values[start:stop] = (counts * self._atoms).sum(axis=1) / n
-        return np.sort(values)
+        def counted(rng: RngSpec, count: int) -> np.ndarray:
+            gen = rng.generator()
+            values = np.empty(count)
+            rows = max(1, _POOL_CHUNK // self._atoms.size)
+            for start in range(0, count, rows):
+                stop = min(start + rows, count)
+                counts = gen.multinomial(n, self._masses, size=stop - start)
+                values[start:stop] = (counts * self._atoms).sum(axis=1) / n
+            return np.sort(values)
+
+        return PoolSampler("multinomial", counted)
 
 
 def _fft_size(width: int) -> int:
     """Power-of-two FFT length that holds width + 1 consecutive sums."""
     return 1 << width.bit_length()
-
-
-# Serializes the building of lattice pool laws, so threads that reach one
-# pool size together build its law once and hold one transform at a time.
-_POOL_LAW_LOCK = threading.Lock()
 
 
 # Every cell of a curve pools the same number of replicates, so one entry
@@ -521,8 +519,7 @@ class EmpiricalSample(DiscreteDistribution):
 
     # A sample has an atom per value, so multinomial counts over it would
     # cost replications x size; it sums draws like the continuous laws.
-    pool_method = Distribution.pool_method
-    _pool_draw = Distribution._pool_draw
+    _pool_sampler = Distribution._pool_sampler
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -611,14 +608,12 @@ class Normal(Distribution):
     def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         return self.loc + self.scale * gen.standard_normal(count)
 
-    def pool_method(self, n: int) -> str:
-        return "normal-law"
-
-    def _pool_draw(self, rng: RngSpec, n: int, count: int) -> np.ndarray:
+    def _pool_sampler(self, n: int) -> PoolSampler:
         # The pool average is exactly Normal(loc, scale / sqrt(n)). The map
         # is nondecreasing, so it keeps the sorted draw sorted: the result is
         # np.sort of the mapped unsorted draw, bit for bit.
-        return self.loc + self.scale / math.sqrt(n) * rng.sorted_normals(count)
+        scale = self.scale / math.sqrt(n)
+        return PoolSampler("normal-law", lambda rng, count: self.loc + scale * rng.sorted_normals(count))
 
 
 @dataclass(frozen=True)
@@ -693,12 +688,12 @@ class Exponential(Distribution):
     def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         return self.shift + gen.standard_exponential(count) / self.rate
 
-    def pool_method(self, n: int) -> str:
-        return "gamma"
-
-    def _pool_draw(self, rng: RngSpec, n: int, count: int) -> np.ndarray:
+    def _pool_sampler(self, n: int) -> PoolSampler:
         # The pool average is exactly shift + Gamma(shape n, rate n * rate).
-        return np.sort(self.shift + rng.generator().standard_gamma(n, count) / (n * self.rate))
+        def gamma(rng: RngSpec, count: int) -> np.ndarray:
+            return np.sort(self.shift + rng.generator().standard_gamma(n, count) / (n * self.rate))
+
+        return PoolSampler("gamma", gamma)
 
 
 def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
@@ -715,19 +710,15 @@ def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
     return EmpiricalSample._sorted(dist._ppf(t), *_equal_masses(n_points))
 
 
-def pool_average_sample(dist: Distribution, n: int, replications: int, rng: RngSpec) -> EmpiricalSample:
-    """Replications of the equally shared pool average of n i.i.d. copies.
+def pool_average_sample(sampler: PoolSampler, replications: int, rng: RngSpec) -> EmpiricalSample:
+    """Replications of the equally shared pool average of n i.i.d. copies,
+    drawn by ``sampler = dist.pool_sampler(n)``.
 
-    The law draws its own pool average, sorted, by the sampler that
-    ``dist.pool_method(n)`` names (:meth:`Distribution._pool_draw`). Every
-    sampler starts at the head of ``rng``'s stream, so the result depends
-    only on (dist, n, replications) and the key of ``rng``: a spec reused
-    across pool sizes, which keeps its sorted base draws, gives the same
-    bits as a fresh one.
+    Every sampler starts at the head of ``rng``'s stream, so the result
+    depends only on (dist, n, replications) and the key of ``rng``: a spec
+    reused across pool sizes, which keeps its sorted base draws, gives the
+    same bits as a fresh one.
     """
-    if n < 1:
-        raise ValueError("pool size n must be >= 1")
     if replications < 2:
         raise ValueError("replications must be >= 2")
-    values = dist._pool_draw(rng, n, replications)
-    return EmpiricalSample._sorted(values, *_equal_masses(replications))
+    return EmpiricalSample._sorted(sampler.draw(rng, replications), *_equal_masses(replications))

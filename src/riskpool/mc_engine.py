@@ -18,7 +18,9 @@ of how many workers execute the batch grid. Each curve makes one
 size. Normal and lattice pools take the same sorted base draw (standard
 normals or uniforms) at every n, which the spec keeps after its first use:
 one float64 per replicate, freed with the specs when the curve's points
-are computed (0.8 MB at 100 000 replicates).
+are computed (0.8 MB at 100 000 replicates). The law's sampler for a pool
+size is asked for once, in the calling thread, before that n's batches
+run; its ``method`` is the one the point records.
 
 Configurations with a closed-form premium (normal risks with linear
 utility at any mixture or family, or with cara utility under the point
@@ -33,11 +35,12 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .asymptotics import RateFit, fit_rate, theorem1_limit
-from .distributions import Distribution, Normal, RngSpec, pool_average_sample
+from .distributions import Distribution, Normal, PoolSampler, RngSpec, pool_average_sample
 from .preferences import (
     LinearUtility,
     UtilityDomainError,
@@ -96,8 +99,8 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class CurvePoint:
     """One pool size's estimate; ``method`` is "exact" on the closed-form
-    path and otherwise the law's ``pool_method(n)``, the pooled sampler
-    used at this n."""
+    path and otherwise ``pool_sampler(n).method``, the law's pooled sampler
+    at this n."""
 
     n: int
     estimate: float
@@ -174,9 +177,8 @@ def _exact_scaled_premium(config: ExperimentConfig, n: int) -> float:
     return -math.sqrt(n) * closed_form_certainty_equivalent(centred, config.preference, config.utility)
 
 
-def _batch_scaled_premium(config: ExperimentConfig, n: int, rng: RngSpec) -> float:
-    per_batch = config.replications // config.batches
-    pool = pool_average_sample(config.distribution, n, per_batch, rng)
+def _batch_scaled_premium(config: ExperimentConfig, n: int, sampler: PoolSampler, rng: RngSpec) -> float:
+    pool = pool_average_sample(sampler, config.replications // config.batches, rng)
     try:
         premium = risk_premium(
             config.wealth,
@@ -203,26 +205,19 @@ def _curve_points(
             for n in n_grid
         ]
     # One spec per batch, shared by its cells at every n and dropped with
-    # the curve; cells run n-major, so a lattice law builds each pool
-    # size's law once.
+    # the curve. Each n's sampler (a lattice law's pool law, say) is made
+    # once, here, and dropped after that n's batches. An executor starts no
+    # thread before its first task, so at one thread the cells run here.
     specs = [RngSpec(config.master_seed, b) for b in range(config.batches)]
-    tasks = [(n, rng) for n in n_grid for rng in specs]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: _batch_scaled_premium(config, *t), tasks))
-    else:
-        results = [_batch_scaled_premium(config, n, rng) for n, rng in tasks]
-    by_n = np.asarray(results).reshape(len(n_grid), config.batches)
-    return [
-        CurvePoint(
-            n,
-            float(values.mean()),
-            float(values.std(ddof=1) / math.sqrt(config.batches)),
-            config.replications,
-            config.distribution.pool_method(n),
-        )
-        for n, values in zip(n_grid, by_n)
-    ]
+    points = []
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        run = pool.map if threads > 1 else map
+        for n in n_grid:
+            sampler = config.distribution.pool_sampler(n)
+            values = np.array(list(run(partial(_batch_scaled_premium, config, n, sampler), specs)))
+            stderr = float(values.std(ddof=1) / math.sqrt(config.batches))
+            points.append(CurvePoint(n, float(values.mean()), stderr, config.replications, sampler.method))
+    return points
 
 
 def estimate_scaled_premium(config: ExperimentConfig, n: int) -> tuple[float, float]:

@@ -57,9 +57,11 @@ class UtilityFunction:
         with np.errstate(over="ignore"):
             out = formula(arr)
         if np.count_nonzero(np.isinf(out)):
-            at = arr.max() if np.max(out) == math.inf else arr.min()
-            raise UtilityDomainError(f"{self!r} overflows at argument {float(at)!r}")
+            raise self._overflow(float(arr.max() if np.max(out) == math.inf else arr.min()))
         return out if arr.ndim else float(out)
+
+    def _overflow(self, at: float) -> UtilityDomainError:
+        return UtilityDomainError(f"{self!r} overflows at argument {at!r}")
 
     @property
     def domain_lower(self) -> float:
@@ -100,7 +102,9 @@ class CaraUtility(UtilityFunction):
     def _invert(self, y):
         top = float(y.max())
         if top >= 1.0 / self.alpha:
-            raise UtilityDomainError(f"value {top!r} outside range (y < 1/alpha)")
+            raise UtilityDomainError(
+                f"{self!r} has no inverse at value {top!r} (range y < {1.0 / self.alpha!r})"
+            )
         return np.log1p(-self.alpha * y) / -self.alpha
 
 
@@ -145,7 +149,11 @@ class CrraUtility(UtilityFunction):
         g = 1.0 - self.gamma
         base = g * y + 1.0
         if base.min() <= 0.0:
-            raise UtilityDomainError("value outside utility range")
+            # g * y + 1 > 0 bounds y from below for g > 0, from above for g < 0.
+            value, side = (y.min(), ">") if g > 0.0 else (y.max(), "<")
+            raise UtilityDomainError(
+                f"{self!r} has no inverse at value {float(value)!r} (range y {side} {-1.0 / g!r})"
+            )
         return np.power(base, 1.0 / g) - self.shift
 
 
@@ -170,12 +178,16 @@ def _pullback_value(law, preference, u: UtilityFunction) -> float:
     # (shifting X by c turns u(X) into an affine image of u(X - c), and the
     # functional is affine-equivariant), so the law is mean-centered first:
     # the exp/log round trip then never runs into its saturation regime.
+    # Cara's u overflows only at its smallest argument, which an overflow
+    # names as the law's own value, uncentred.
     if isinstance(u, CaraUtility):
         center = law.mean()
         shifted = law.translate(-center)
-        return center + float(
-            u.invert(preference_value(_transformed_law(shifted, u), preference))
-        )
+        try:
+            image = _transformed_law(shifted, u)
+        except UtilityDomainError as exc:
+            raise u._overflow(center + shifted.support_lower_bound()) from exc
+        return center + float(u.invert(preference_value(image, preference)))
     return float(u.invert(preference_value(_transformed_law(law, u), preference)))
 
 

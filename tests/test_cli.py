@@ -429,21 +429,25 @@ class TestPremiumCurve:
 
     # u(-800) = -expm1(800) overflows: the pool whose every risk pays -800
     # aborts the run, naming alpha and the argument, not as a config error
-    # and without a numpy warning.
+    # and without a numpy warning. The argument is the pool's own -800, not
+    # the value the certainty equivalent applies u to after centring the
+    # batch's law on its mean: the first failing batch has mean 0 at seed
+    # 20260808 with 10 batches, but 20 at seed 0 with 2.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_cara_overflow_exits_4(self, tmp_path, capsys):
-        payload = {
-            **MC_CONFIG,
-            "distribution": {"family": "discrete", "outcomes": [-800, 800], "probs": [0.5, 0.5]},
-            "n_grid": [4], "replications": 200, "master_seed": 20260808,
-        }
-        config = self.write_config(tmp_path, payload)
-        out = tmp_path / "results"
-        code = main(["premium-curve", "--config", str(config), "--out-dir", str(out)])
-        err = capsys.readouterr().err
-        assert code == 4
-        assert "n=4, batch " in err and "alpha=1.0" in err and "-800.0" in err
-        assert not out.exists()
+        for seed, batches in ((20260808, 10), (0, 2)):
+            payload = {
+                **MC_CONFIG,
+                "distribution": {"family": "discrete", "outcomes": [-800, 800], "probs": [0.5, 0.5]},
+                "n_grid": [4], "replications": 200, "batches": batches, "master_seed": seed,
+            }
+            config = self.write_config(tmp_path, payload)
+            out = tmp_path / "results"
+            code = main(["premium-curve", "--config", str(config), "--out-dir", str(out)])
+            err = capsys.readouterr().err
+            assert code == 4
+            assert "n=4, batch " in err and "alpha=1.0" in err and "overflows at argument -800.0" in err
+            assert not out.exists()
 
     # u(x) = (x^2 - 1)/2 at gamma = -1 overflows from x ~ 1.3e154 on.
     @pytest.mark.filterwarnings("error::RuntimeWarning")

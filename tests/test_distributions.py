@@ -4,9 +4,7 @@ import os
 import re
 import subprocess
 import sys
-import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -392,13 +390,13 @@ class TestSampling:
 
 class TestPoolAverage:
     def test_normal_forced_sampling(self):
-        pooled = pool_average_sample(Normal(0.0, 1.0), 4, 2000, RngSpec(0))
+        pooled = pool_average_sample(Normal(0.0, 1.0).pool_sampler(4), 2000, RngSpec(0))
         assert isinstance(pooled, EmpiricalSample)
         assert abs(pooled.mean()) <= 5 * 0.5 / math.sqrt(2000)
 
     def test_two_point_pair_enumeration(self):
         # S_2/2 for a fair coin lives on {0, 1/2, 1} with probs {1/4, 1/2, 1/4}.
-        pooled = pool_average_sample(TwoPoint(0.0, 1.0, 0.5), 2, 100_000, RngSpec(99))
+        pooled = pool_average_sample(TwoPoint(0.0, 1.0, 0.5).pool_sampler(2), 100_000, RngSpec(99))
         values = np.asarray(pooled.values)
         for point, prob in ((0.0, 0.25), (0.5, 0.5), (1.0, 0.25)):
             freq = float(np.mean(values == point))
@@ -406,7 +404,7 @@ class TestPoolAverage:
             assert abs(freq - prob) <= 4 * sd
 
     def test_pool_of_one_replicates_the_single_risk(self):
-        pooled = pool_average_sample(UNIFORM_1234, 1, 50_000, RngSpec(5))
+        pooled = pool_average_sample(UNIFORM_1234.pool_sampler(1), 50_000, RngSpec(5))
         assert set(pooled.values) <= {1.0, 2.0, 3.0, 4.0}
         assert abs(pooled.mean() - 2.5) <= 5 * math.sqrt(1.25 / 50_000)
 
@@ -419,7 +417,7 @@ class TestPoolAverage:
     ])
     def test_pool_moments(self, dist):
         n, reps = 8, 40_000
-        pooled = pool_average_sample(dist, n, reps, RngSpec(17))
+        pooled = pool_average_sample(dist.pool_sampler(n), reps, RngSpec(17))
         se_mean = math.sqrt(dist.variance() / n / reps)
         assert abs(pooled.mean() - dist.mean()) <= 5 * se_mean
         target_var = dist.variance() / n
@@ -429,13 +427,13 @@ class TestPoolAverage:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            pool_average_sample(UNIFORM_1234, 0, 10, RngSpec(0))
+            pool_average_sample(UNIFORM_1234.pool_sampler(0), 10, RngSpec(0))
         with pytest.raises(ValueError):
-            pool_average_sample(UNIFORM_1234, 2, 1, RngSpec(0))
+            pool_average_sample(UNIFORM_1234.pool_sampler(2), 1, RngSpec(0))
 
     def test_deterministic_across_calls(self):
-        a = pool_average_sample(Uniform(0.0, 1.0), 3, 500, RngSpec(7, 2))
-        b = pool_average_sample(Uniform(0.0, 1.0), 3, 500, RngSpec(7, 2))
+        a = pool_average_sample(Uniform(0.0, 1.0).pool_sampler(3), 500, RngSpec(7, 2))
+        b = pool_average_sample(Uniform(0.0, 1.0).pool_sampler(3), 500, RngSpec(7, 2))
         assert a == b
 
     # Pinned pool averages: (pool size, the 6 replications drawn from
@@ -458,7 +456,7 @@ class TestPoolAverage:
     ])
     def test_streams_pinned(self, dist, expected):
         n, values = expected
-        pooled = pool_average_sample(dist, n, 6, RngSpec(20260808, 3))
+        pooled = pool_average_sample(dist.pool_sampler(n), 6, RngSpec(20260808, 3))
         assert list(pooled.values) == values
 
     @given(
@@ -473,14 +471,15 @@ class TestPoolAverage:
         # sampler, the same stream, bit for bit.
         high = low + width
         rng = RngSpec(seed, n)
-        pooled = pool_average_sample(TwoPoint(low, high, p_high), n, 500, rng)
-        same = pool_average_sample(DiscreteDistribution([low, high], [1.0 - p_high, p_high]), n, 500, rng)
+        pooled = pool_average_sample(TwoPoint(low, high, p_high).pool_sampler(n), 500, rng)
+        same_law = DiscreteDistribution([low, high], [1.0 - p_high, p_high])
+        same = pool_average_sample(same_law.pool_sampler(n), 500, rng)
         assert pooled == same
 
     @pytest.mark.parametrize("n", [1, 4, 64])
     def test_exponential_pool_is_gamma(self, n):
         dist = Exponential(2.0, 0.5)
-        pooled = pool_average_sample(dist, n, 20_000, RngSpec(11, n))
+        pooled = pool_average_sample(dist.pool_sampler(n), 20_000, RngSpec(11, n))
         law = stats.gamma(n, loc=dist.shift, scale=1.0 / (n * dist.rate))
         assert stats.kstest(pooled.values, law.cdf).pvalue > 1e-4
 
@@ -489,7 +488,7 @@ class TestPoolAverage:
             raise AssertionError("pooled exponential summed single draws")
 
         monkeypatch.setattr(Exponential, "_draw", refuse)
-        pooled = pool_average_sample(Exponential(1.0), 4096, 100, RngSpec(3))
+        pooled = pool_average_sample(Exponential(1.0).pool_sampler(4096), 100, RngSpec(3))
         assert pooled.size == 100
 
     def test_multinomial_blocks_reproduce_one_call(self):
@@ -498,9 +497,9 @@ class TestPoolAverage:
         # two. Each row of the one-call reference is summed on its own.
         masses = np.random.default_rng(4).dirichlet(np.ones(10_000))
         law = DiscreteDistribution(np.sqrt(np.arange(10_000)), masses)
-        assert law.pool_method(50) == "multinomial"
+        assert law.pool_sampler(50).method == "multinomial"
         rng = RngSpec(5, 2)
-        pooled = pool_average_sample(law, 50, 1000, rng)
+        pooled = pool_average_sample(law.pool_sampler(50), 1000, rng)
         counts = rng.generator().multinomial(50, law._masses, size=1000)
         assert pooled == EmpiricalSample([(row * law._atoms).sum() / 50 for row in counts])
 
@@ -512,8 +511,8 @@ class TestPoolAverage:
             "from riskpool.distributions import DiscreteDistribution, RngSpec, pool_average_sample\n"
             "masses = np.random.default_rng(4).dirichlet(np.ones(8000))\n"
             "law = DiscreteDistribution(np.sqrt(np.arange(8000)), masses)\n"
-            "pooled = pool_average_sample(law, 50, 300, RngSpec(5, 2))\n"
-            "print(law.pool_method(50), pooled._atoms.tobytes().hex())\n"
+            "pooled = pool_average_sample(law.pool_sampler(50), 300, RngSpec(5, 2))\n"
+            "print(law.pool_sampler(50).method, pooled._atoms.tobytes().hex())\n"
         )
         assert one.startswith("multinomial ")
         assert one == two
@@ -568,7 +567,7 @@ class TestLatticePoolLaw:
         assert origin == atoms[0]
         assert found_step == pytest.approx(step, rel=1e-12)
         assert found_units.tolist() == units
-        assert law.pool_method(16) == "lattice"
+        assert law.pool_sampler(16).method == "lattice"
 
     @pytest.mark.parametrize("atoms", [
         [0.0, 1.0, math.sqrt(2.0)], [0.0, 1e-10, 1.0], [-1e308, 0.0, 1e308],
@@ -577,7 +576,7 @@ class TestLatticePoolLaw:
         law = DiscreteDistribution(atoms, [0.2, 0.5, 0.3])
         assert law._lattice is None
         assert law._pool_law(16) is None
-        assert law.pool_method(16) == "multinomial"
+        assert law.pool_sampler(16).method == "multinomial"
 
     @pytest.mark.parametrize("atoms, probs", [
         ([0.0, 1.5, 4.0], [0.2, 0.5, 0.3]),
@@ -613,7 +612,7 @@ class TestLatticePoolLaw:
         law = DiscreteDistribution([0.0, 0.3, 0.4, 1.0], [0.4, 0.1, 0.2, 0.3])
         n, count = 12, 100_000
         pool = law._pool_law(n)
-        pooled = law._pool_draw(RngSpec(20260808, 1), n, count)
+        pooled = law.pool_sampler(n).draw(RngSpec(20260808, 1), count)
         idx = np.searchsorted(pool._atoms, pooled)
         assert np.array_equal(pool._atoms[idx], pooled)
         observed = np.bincount(idx, minlength=pool._atoms.size)
@@ -628,7 +627,7 @@ class TestLatticePoolLaw:
         # Units reach 2^19, so four copies span 2^21 sums: the power-of-two
         # window, 2^22, would pass _POOL_WINDOW.
         law = DiscreteDistribution([0.0, 1.0, float(_POOL_WINDOW // 4)], [0.3, 0.4, 0.3])
-        assert law.pool_method(1) == "lattice"
+        assert law.pool_sampler(1).method == "lattice"
         tracemalloc.start()
         try:
             assert law._pool_law(4) is None
@@ -636,9 +635,9 @@ class TestLatticePoolLaw:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert law.pool_method(4) == "multinomial"
+        assert law.pool_sampler(4).method == "multinomial"
         # Sums of four integer outcomes, averaged.
-        pooled = 4.0 * np.asarray(pool_average_sample(law, 4, 1000, RngSpec(1)).values)
+        pooled = 4.0 * np.asarray(pool_average_sample(law.pool_sampler(4), 1000, RngSpec(1)).values)
         assert np.array_equal(pooled, np.rint(pooled))
 
     def test_largest_window_stays_under_the_chunk_memory(self):
@@ -657,7 +656,7 @@ class TestLatticePoolLaw:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * _POOL_CHUNK
-        assert law.pool_method(4) == "lattice"
+        assert law.pool_sampler(4).method == "lattice"
         # j tops and 4 - j units from 0..30 give 121 + 91 + 61 + 31 + 1 sums.
         assert pool._atoms.size == 305
 
@@ -667,7 +666,7 @@ class TestLatticePoolLaw:
         # pool draws counts and no FFT is built. One copy is its own lattice
         # law.
         law = DiscreteDistribution([0.0, 1.0, float(_POOL_WINDOW // 4 - 1)], [0.3, 0.4, 0.3])
-        assert law.pool_method(1) == "lattice"
+        assert law.pool_sampler(1).method == "lattice"
         tracemalloc.start()
         try:
             assert law._pool_law(4) is None
@@ -675,17 +674,17 @@ class TestLatticePoolLaw:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert law.pool_method(4) == "multinomial"
+        assert law.pool_sampler(4).method == "multinomial"
 
     def test_one_copy_of_a_long_lattice_is_its_own_pool_law(self):
         # Units {0, 1, 2^22}: from two copies on the FFT window would pass
         # _POOL_WINDOW, so pools draw counts, but one copy is the law itself
         # and draws its own sorted inverse-transform sample.
         law = DiscreteDistribution([0.0, 1.0, float(1 << 22)], [0.3, 0.4, 0.3])
-        assert law.pool_method(1) == "lattice"
+        assert law.pool_sampler(1).method == "lattice"
         assert law._pool_law(1) is law
-        assert law.pool_method(2) == "multinomial"
-        pooled = pool_average_sample(law, 1, 1000, RngSpec(4, 1))
+        assert law.pool_sampler(2).method == "multinomial"
+        pooled = pool_average_sample(law.pool_sampler(1), 1000, RngSpec(4, 1))
         assert pooled._atoms.tobytes() == np.sort(law._draw(RngSpec(4, 1).generator(), 1000)).tobytes()
 
     def test_counts_start_past_entries_per_atom(self):
@@ -696,42 +695,15 @@ class TestLatticePoolLaw:
         assert 1 << 19 <= 3 * _POOL_ENTRIES_PER_ATOM < 1 << 20
         below = DiscreteDistribution([0.0, 1.0, float((1 << 17) - 1)], [0.3, 0.4, 0.3])
         above = DiscreteDistribution([0.0, 1.0, float((1 << 18) - 1)], [0.3, 0.4, 0.3])
-        assert below.pool_method(4) == "lattice"
-        assert above.pool_method(4) == "multinomial"
+        assert below.pool_sampler(4).method == "lattice"
+        assert above.pool_sampler(4).method == "multinomial"
         short = DiscreteDistribution([0.0, 1.0, 1000.0], [0.3, 0.4, 0.3])
-        assert [short.pool_method(n) for n in (1, 4, 16, 64, 256)] == ["lattice"] * 5
+        assert [short.pool_sampler(n).method for n in (1, 4, 16, 64, 256)] == ["lattice"] * 5
 
     def test_single_atom_pool_is_the_atom(self):
         law = DiscreteDistribution([2.5], [1.0])
-        assert law.pool_method(64) == "lattice"
-        assert pool_average_sample(law, 64, 100, RngSpec(2)).values == (2.5,) * 100
-
-    def test_pool_law_keeps_the_last_n(self):
-        law = DiscreteDistribution([0.0, 1.5, 4.0], [0.2, 0.5, 0.3])
-        assert law._pool_law(1) is law
-        first = law._pool_law(64)
-        assert law._pool_law(64) is first
-        assert law._pool_law(16) is law._pool_law(16)
-        again = law._pool_law(64)
-        assert again is not first
-        assert np.array_equal(again._atoms, first._atoms)
-        assert np.array_equal(again._masses, first._masses)
-
-    def test_threads_build_one_pool_law_once(self, monkeypatch):
-        law = DiscreteDistribution([0.0, 1.5, 4.0], [0.2, 0.5, 0.3])
-        built = []
-        build = DiscreteDistribution._lattice_pool_law
-
-        def counted(self, *args):
-            built.append(args)
-            time.sleep(0.05)  # long enough for every worker to ask meanwhile
-            return build(self, *args)
-
-        monkeypatch.setattr(DiscreteDistribution, "_lattice_pool_law", counted)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            laws = list(pool.map(lambda _: law._pool_law(64), range(8)))
-        assert len(built) == 1
-        assert all(each is laws[0] for each in laws)
+        assert law.pool_sampler(64).method == "lattice"
+        assert pool_average_sample(law.pool_sampler(64), 100, RngSpec(2)).values == (2.5,) * 100
 
 
 GRID_LAWS = [

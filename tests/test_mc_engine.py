@@ -339,7 +339,7 @@ class TestBatchStreams:
             cells = np.array([
                 math.sqrt(point.n) * risk_premium(
                     config.wealth,
-                    pool_average_sample(distribution, point.n, 200, RngSpec(config.master_seed, b)),
+                    pool_average_sample(distribution.pool_sampler(point.n), 200, RngSpec(config.master_seed, b)),
                     config.preference,
                     config.utility,
                     single_risk_mean=distribution.mean(),
@@ -367,6 +367,22 @@ class TestBatchStreams:
             assert len(calls) == expected
         assert sorted({spec.stream_id for spec in calls}) == list(range(config.batches))
 
+    # The engine asks for each pool size's sampler once, so a lattice law
+    # finds each window once and builds each pool law of two or more copies
+    # once, at any thread count.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_sampler_per_pool_size(self, threads, monkeypatch):
+        calls = {"_pool_window": 0, "_lattice_pool_law": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _method=getattr(DiscreteDistribution, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(DiscreteDistribution, name, counted)
+        law = DiscreteDistribution((0, 1.5, 4), (0.2, 0.5, 0.3))
+        run_curve(sampler_config(law), threads=threads)
+        assert calls == {"_pool_window": 4, "_lattice_pool_law": 3}
+
     def test_equal_masses_built_once_per_curve(self):
         distributions._equal_masses.cache_clear()
         config = sampler_config(Normal(0.0, 1.0))
@@ -382,8 +398,8 @@ class TestBatchStreams:
     def test_reused_spec_equals_fresh_specs(self, distribution, methods):
         reused = RngSpec(20260808, 2)
         for n in (1, 4, 16, 64):
-            kept = pool_average_sample(distribution, n, 200, reused)
-            fresh = pool_average_sample(distribution, n, 200, RngSpec(20260808, 2))
+            kept = pool_average_sample(distribution.pool_sampler(n), 200, reused)
+            fresh = pool_average_sample(distribution.pool_sampler(n), 200, RngSpec(20260808, 2))
             assert kept._atoms.tobytes() == fresh._atoms.tobytes()
 
     # Uniforms and normals of one count are kept apart, each read-only and

@@ -100,6 +100,21 @@ class TestUtilityFamilies:
             with pytest.raises(UtilityDomainError, match=message):
                 getattr(u, method)(x)
 
+    # A value outside the range is an error naming the utility, the value
+    # and the range's bound: cara's y < 1/alpha, crra's y < 1/(gamma - 1)
+    # for gamma > 1 and y > -1/(1 - gamma) for gamma < 1.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("u, args, at, bound", [
+        (CaraUtility(2.0), [0.0, 0.6], 0.6, "y < 0.5"),
+        (CrraUtility(2.0), [0.0, 1.5], 1.5, "y < 1.0"),
+        (CrraUtility(0.5), [-3.0, 0.0], -3.0, "y > -2.0"),
+    ], ids=["cara", "crra-gamma-above-1", "crra-gamma-below-1"])
+    def test_range_error_names_the_utility_and_value(self, u, args, at, bound):
+        message = re.escape(f"{u!r} has no inverse at value {at!r} (range {bound})")
+        for y in (at, np.array(args)):
+            with pytest.raises(UtilityDomainError, match=message):
+                u.invert(y)
+
     def test_domain_violations_raise(self):
         with pytest.raises(UtilityDomainError):
             LogUtility(1.0).apply(-1.5)
