@@ -14,6 +14,7 @@ import math
 import os
 import platform
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -22,6 +23,7 @@ import numpy as np
 from . import __version__
 from .config import (
     ConfigError,
+    config_hash,
     dist_from_dict,
     experiment_config_from_dict,
     experiment_config_to_dict,
@@ -202,54 +204,45 @@ def _cmd_limit(args) -> int:
     return EXIT_OK
 
 
-def curve_to_dict(config_dict: dict, curve: PremiumCurve, comparison: LimitComparison) -> dict:
-    points = []
-    for point, row in zip(curve.points, comparison.rows):
-        points.append(
-            {
-                "n": point.n,
-                "estimate": point.estimate,
-                "stderr": point.stderr,
-                "replications": point.replications,
-                "method": point.method,
-                "unscaled_premium": point.estimate / math.sqrt(point.n),
-                "abs_gap": row.abs_gap,
-                "z_score": row.z_score if math.isfinite(row.z_score) else repr(row.z_score),
-            }
-        )
-    rate = None
-    if curve.rate_fit is not None:
-        rate = {
-            "slope": curve.rate_fit.slope,
-            "intercept": curve.rate_fit.intercept,
-            "r_squared": curve.rate_fit.r_squared,
-            "points": [[n, p] for n, p in curve.rate_fit.points],
+def curve_to_dict(config_dict: dict, digest: str, curve: PremiumCurve, comparison: LimitComparison) -> dict:
+    """curve.json: each point is its :class:`CurvePoint` fields plus the
+    unscaled premium and its comparison row; a non-finite z-score is its repr."""
+    points = [
+        {
+            **asdict(point),
+            "unscaled_premium": point.estimate / math.sqrt(point.n),
+            "abs_gap": row.abs_gap,
+            "z_score": row.z_score if math.isfinite(row.z_score) else repr(row.z_score),
         }
+        for point, row in zip(curve.points, comparison.rows)
+    ]
     return {
         "config": config_dict,
-        "config_hash": curve.config_hash,
-        "master_seed": curve.master_seed,
+        "config_hash": digest,
+        "master_seed": config_dict["master_seed"],
         "limit": curve.limit,
         "points": points,
-        "rate_fit": rate,
+        "rate_fit": None if curve.rate_fit is None else asdict(curve.rate_fit),
         "trend_ok": comparison.trend_ok,
         "note": comparison.note,
     }
 
 
-def write_curve(out_dir: Path, config_dict: dict, curve: PremiumCurve, comparison: LimitComparison) -> None:
+def write_curve(
+    out_dir: Path, config_dict: dict, digest: str, curve: PremiumCurve, comparison: LimitComparison
+) -> None:
     """Make ``out_dir`` and write ``curve.csv`` and ``curve.json`` into it.
 
     The one writer of both files, whose bytes are pinned across thread counts.
     """
     lines = ["n,estimate,stderr,limit,abs_gap,z_score"]
-    for row in comparison.rows:
-        fields = (row.estimate, row.stderr, curve.limit, row.abs_gap, row.z_score)
-        lines.append(",".join([str(row.n), *map(_repr_float, fields)]))
+    for point, row in zip(curve.points, comparison.rows):
+        fields = (point.estimate, point.stderr, curve.limit, row.abs_gap, row.z_score)
+        lines.append(",".join([str(point.n), *map(_repr_float, fields)]))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "curve.csv").write_text("\n".join(lines) + "\n")
     (out_dir / "curve.json").write_text(
-        json.dumps(curve_to_dict(config_dict, curve, comparison), indent=2) + "\n"
+        json.dumps(curve_to_dict(config_dict, digest, curve, comparison), indent=2) + "\n"
     )
 
 
@@ -288,12 +281,13 @@ def _cmd_premium_curve(args) -> int:
     # Made only now, so a run that fails leaves no empty directory behind.
     out_dir = Path(args.out_dir)
     config_dict = experiment_config_to_dict(config)
-    write_curve(out_dir, config_dict, curve, comparison)
+    digest = config_hash(config_dict)
+    write_curve(out_dir, config_dict, digest, curve, comparison)
     manifest = {  # provenance written alongside every result file
         "tool": "riskpool",
         "tool_version": __version__,
         "master_seed": config.master_seed,
-        "config_hash": curve.config_hash,
+        "config_hash": digest,
         "started_at": started,
         "finished_at": finished,
         "argv": args.argv,

@@ -9,7 +9,9 @@ through ``json`` (shortest-representation encoding), so parse -> serialize
 
 from __future__ import annotations
 
+import hashlib
 import inspect
+import json
 import math
 from dataclasses import replace
 
@@ -261,6 +263,14 @@ def experiment_config_to_dict(config: ExperimentConfig) -> dict:
     else:
         out["family"] = family_to_dict(config.family)
     return out
+
+
+def config_hash(config_dict: dict) -> str:
+    """SHA-256 of the canonical JSON of a config's wire dict, as
+    :func:`experiment_config_to_dict` gives it: every semantically
+    meaningful field, no speed knobs."""
+    payload = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def with_master_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -188,19 +188,11 @@ class Distribution:
         return self._pool_sampler(n)
 
     def _pool_sampler(self, n: int) -> PoolSampler:
-        # Laws without an exact pooled sampler sum n draws per replicate, in
-        # blocks of at most _POOL_CHUNK draws.
-        def summed(rng: RngSpec, count: int) -> np.ndarray:
-            gen = rng.generator()
-            sums = np.zeros(count)
-            rows = max(1, _POOL_CHUNK // n)
-            for start in range(0, count, rows):
-                stop = min(start + rows, count)
-                block = self._draw(gen, (stop - start) * n).reshape(stop - start, n)
-                sums[start:stop] = block.sum(axis=1)
-            return np.sort(sums / n)
+        # Laws without an exact pooled sampler sum n draws per replicate.
+        def summed(gen: np.random.Generator, rows: int) -> np.ndarray:
+            return self._draw(gen, rows * n).reshape(rows, n).sum(axis=1) / n
 
-        return PoolSampler("summed draws", summed)
+        return PoolSampler("summed draws", partial(_sorted_row_blocks, summed, n))
 
     def sample(self, rng: RngSpec, count: int) -> "EmpiricalSample":
         """count i.i.d. draws as an :class:`EmpiricalSample`.
@@ -464,22 +456,29 @@ class DiscreteDistribution(Distribution):
         law = self._pool_law(n)
         if law is not None:
             return PoolSampler("lattice", lambda rng, count: law._sorted_draw(rng.sorted_uniforms(count)))
-        # Counts come in row blocks of at most _POOL_CHUNK entries; numpy
-        # draws multinomial rows in sequence, so the blocks reproduce the
-        # stream of one count x atoms call. Each row is summed on its own:
-        # a BLAS product rounds a row by its place in the call and by the
-        # BLAS thread count.
-        def counted(rng: RngSpec, count: int) -> np.ndarray:
-            gen = rng.generator()
-            values = np.empty(count)
-            rows = max(1, _POOL_CHUNK // self._atoms.size)
-            for start in range(0, count, rows):
-                stop = min(start + rows, count)
-                counts = gen.multinomial(n, self._masses, size=stop - start)
-                values[start:stop] = (counts * self._atoms).sum(axis=1) / n
-            return np.sort(values)
+        # numpy draws multinomial rows in sequence, so row blocks reproduce
+        # the stream of one count x atoms call. Each row is summed on its
+        # own: a BLAS product rounds a row by its place in the call and by
+        # the BLAS thread count.
+        def counted(gen: np.random.Generator, rows: int) -> np.ndarray:
+            return (gen.multinomial(n, self._masses, size=rows) * self._atoms).sum(axis=1) / n
 
-        return PoolSampler("multinomial", counted)
+        return PoolSampler("multinomial", partial(_sorted_row_blocks, counted, self._atoms.size))
+
+
+def _sorted_row_blocks(
+    block: Callable[[np.random.Generator, int], np.ndarray], width: int, rng: RngSpec, count: int
+) -> np.ndarray:
+    """count values from the head of ``rng``'s stream, sorted: ``block(gen,
+    rows)`` gives the values of ``rows`` consecutive rows of ``width``
+    entries each, asked for in blocks of at most ``_POOL_CHUNK`` entries."""
+    gen = rng.generator()
+    values = np.empty(count)
+    rows = max(1, _POOL_CHUNK // width)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        values[start:stop] = block(gen, stop - start)
+    return np.sort(values)
 
 
 def _fft_size(width: int) -> int:

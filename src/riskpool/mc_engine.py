@@ -26,12 +26,15 @@ Configurations with a closed-form premium (normal risks with linear
 utility at any mixture or family, or with cara utility under the point
 mass at level 1) take an exact path with zero standard error; the flag
 auto-enables there and can be forced off to exercise the sampler.
+
+A :class:`PremiumCurve` holds only what the run computed: its points, the
+limit and the rate fit. The config's seed, wire form and hash live with
+the config (:mod:`riskpool.config`), and the ``premium-curve`` command
+writes them beside the curve.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -116,15 +119,12 @@ class PremiumCurve:
     points: tuple[CurvePoint, ...]
     limit: float
     rate_fit: RateFit | None
-    master_seed: int
-    config_hash: str
 
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    n: int
-    estimate: float
-    stderr: float
+    """One point's distance to the limit, in the curve's point order."""
+
     abs_gap: float
     z_score: float
 
@@ -229,14 +229,6 @@ def estimate_scaled_premium(config: ExperimentConfig, n: int) -> tuple[float, fl
     return point.estimate, point.stderr
 
 
-def config_hash(config: ExperimentConfig) -> str:
-    """Hash over every semantically meaningful field (not speed knobs)."""
-    from .config import experiment_config_to_dict
-
-    payload = json.dumps(experiment_config_to_dict(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def run_curve(config: ExperimentConfig, *, threads: int = 1) -> PremiumCurve:
     """Estimate the scaled premium on the whole n grid.
 
@@ -256,13 +248,7 @@ def run_curve(config: ExperimentConfig, *, threads: int = 1) -> PremiumCurve:
     rate = None
     if len(unscaled) >= 3 and all(v > 0.0 for _, v in unscaled):
         rate = fit_rate(unscaled)
-    return PremiumCurve(
-        points=tuple(points),
-        limit=limit,
-        rate_fit=rate,
-        master_seed=config.master_seed,
-        config_hash=config_hash(config),
-    )
+    return PremiumCurve(points=tuple(points), limit=limit, rate_fit=rate)
 
 
 def compare_to_limit(curve: PremiumCurve) -> LimitComparison:
@@ -281,11 +267,10 @@ def compare_to_limit(curve: PremiumCurve) -> LimitComparison:
             z = (p.estimate - curve.limit) / p.stderr
         else:
             z = 0.0 if gap == 0.0 else math.copysign(math.inf, p.estimate - curve.limit)
-        rows.append(ComparisonRow(p.n, p.estimate, p.stderr, gap, z))
-    trend_ok = True
-    tail = rows[-3:]
-    for prev, cur in zip(tail, tail[1:]):
-        slack = 2.0 * math.hypot(prev.stderr, cur.stderr)
-        if cur.abs_gap > prev.abs_gap + slack:
-            trend_ok = False
+        rows.append(ComparisonRow(gap, z))
+    tail = list(zip(curve.points, rows))[-3:]
+    trend_ok = not any(
+        cur.abs_gap > prev.abs_gap + 2.0 * math.hypot(p.stderr, q.stderr)
+        for (p, prev), (q, cur) in zip(tail, tail[1:])
+    )
     return LimitComparison(tuple(rows), trend_ok, _TOLERANCE_NOTE)

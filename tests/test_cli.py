@@ -312,6 +312,18 @@ class TestPremiumCurve:
                               timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
         assert done.stdout.strip() == "0"
 
+    def test_limit_experiments_write_manifests(self, tmp_path):
+        script = CONFIG_DIR.parent / "run_limit_experiments.py"
+        src = Path(riskpool.verify.__file__).parents[1]
+        subprocess.run([sys.executable, str(script), "--seed", "7", "--out-dir", str(tmp_path)],
+                       capture_output=True, text=True, check=True, timeout=300,
+                       env={**os.environ, "PYTHONPATH": str(src)})
+        for name in ("normal_cara_mixture", "twopoint_family"):
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            payload = json.loads((tmp_path / name / "curve.json").read_text())
+            assert manifest["master_seed"] == payload["master_seed"] == 7
+            assert manifest["config_hash"] == payload["config_hash"]
+
     def test_seed_flag_overrides_config(self, tmp_path):
         config = self.write_config(tmp_path, MC_CONFIG)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

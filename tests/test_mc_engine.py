@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +20,11 @@ from riskpool.distributions import (
 from riskpool.mc_engine import (
     ExperimentConfig,
     compare_to_limit,
-    config_hash,
     estimate_scaled_premium,
     run_curve,
     theorem_limit,
 )
+from riskpool.config import config_hash, experiment_config_to_dict
 from riskpool.preferences import CaraUtility, LinearUtility, LogUtility, UtilityDomainError, risk_premium
 from riskpool.risk_measures import KusuokaFamily, MixtureMeasure, mixture_value
 
@@ -77,10 +81,10 @@ class TestConfigValidation:
             make_config(wealth=wealth)
 
     def test_hash_tracks_semantic_fields(self):
-        a = config_hash(make_config())
-        assert a == config_hash(make_config())
-        assert a != config_hash(make_config(master_seed=8))
-        assert a != config_hash(make_config(mixture=MixtureMeasure.point(0.4)))
+        a = config_hash(experiment_config_to_dict(make_config()))
+        assert a == config_hash(experiment_config_to_dict(make_config()))
+        assert a != config_hash(experiment_config_to_dict(make_config(master_seed=8)))
+        assert a != config_hash(experiment_config_to_dict(make_config(mixture=MixtureMeasure.point(0.4))))
 
 
 class TestExactPath:
@@ -273,6 +277,20 @@ class TestRunCurve:
             (64, "lattice", "0x1.358a2d0046aadp-1", "0x1.c065f3098620fp-8"),
         ]
 
+    def test_run_curve_imports_no_wire_format(self):
+        # The engine sits below riskpool.config: a curve runs without it.
+        script = (
+            "import sys\n"
+            "from riskpool import ExperimentConfig, LinearUtility, MixtureMeasure, Normal, run_curve\n"
+            "run_curve(ExperimentConfig(Normal(0.0, 1.0), LinearUtility(), MixtureMeasure.point(0.5),\n"
+            "                           n_grid=(4,), replications=20, batches=2, exact=False))\n"
+            "print('riskpool.config' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "False"
+
     def test_seed_changes_results(self):
         config = make_config(exact=False)
         other = make_config(exact=False, master_seed=8)
@@ -281,8 +299,6 @@ class TestRunCurve:
     def test_curve_metadata(self):
         config = make_config()
         curve = run_curve(config)
-        assert curve.master_seed == 7
-        assert curve.config_hash == config_hash(config)
         assert [p.n for p in curve.points] == [4, 16, 64]
         assert all(p.replications == 2000 for p in curve.points)
 
@@ -449,7 +465,5 @@ class TestCompareToLimit:
             ),
             limit=1.0,
             rate_fit=None,
-            master_seed=0,
-            config_hash="x",
         )
         assert not compare_to_limit(curve).trend_ok
