@@ -45,17 +45,19 @@ _POOL_WINDOW = _POOL_CHUNK // 4
 # A lattice pool sum is drawn from a window around its mean that, by
 # Hoeffding's inequality, leaves out at most this much mass.
 _POOL_TAIL_MASS = 2.0**-60
-# Building a lattice pool law costs about 0.11 us per FFT entry, once per
-# pool size; drawing multinomial counts costs 0.06-0.3 us per atom and
-# replicate (more at larger n), a lattice draw about 0.03 us. At the 100 000
+# Building a lattice pool law costs about 0.05-0.08 us per FFT entry, once
+# per pool size; drawing multinomial counts costs 0.05-0.25 us per atom and
+# replicate (more at larger n), a lattice draw about 0.02 us. At the 100 000
 # replicates per pool size of the default and shipped configs, whole curves
 # (n = 4-256, 3 and 10 atoms, FFTs of 2**16-2**21 entries) ran faster on the
 # lattice in every case up to 0.52 FFT entries per atom and replicate, and
-# faster on counts in every case from 2.1 on (2-core x86-64 VM, numpy 2.4;
+# faster on counts in every case from 3.5 on and in all but one from 2.1 on
+# (n = 256 with 10 atoms, 154 against 228 ms; 2-core x86-64 VM, numpy 2.4;
 # scripts/pool_crossover.py). So, from two copies on, an FFT longer than
 # this many entries per atom draws counts instead: units {0, 1, 2**19 - 1}
-# at n = 4 would build 2**21 entries to keep 15 sums. A config drawing
-# far more replicates per pool size could gain from a longer FFT.
+# at n = 4 would build 2**21 entries to keep 15 sums. The value also fixes
+# which laws draw counts, and so their streams. A config drawing far more
+# replicates per pool size could gain from a longer FFT.
 _POOL_ENTRIES_PER_ATOM = 200_000
 # FFT rounding leaves noise near 1e-16 on every entry of a lattice pool pmf,
 # impossible sums included; entries at or below this floor are dropped.
@@ -127,12 +129,12 @@ class RngSpec:
 @dataclass(frozen=True)
 class PoolSampler:
     """How a law draws the average of n i.i.d. copies: ``method`` names it,
-    as a curve point records it, and ``draw(rng, count)`` returns count draws
-    in nondecreasing order from the head of ``rng``'s stream, sorting only
-    what it did not draw sorted."""
+    as a curve point records it, and ``draw(rng, count)`` returns the
+    empirical law of count draws from the head of ``rng``'s stream, sorting
+    only what it did not draw sorted."""
 
     method: str
-    draw: Callable[[RngSpec, int], np.ndarray]
+    draw: Callable[[RngSpec, int], "DiscreteDistribution"]
 
 
 class Distribution:
@@ -359,17 +361,22 @@ class DiscreteDistribution(Distribution):
         idx = np.minimum(np.searchsorted(self._cum, u, side="left"), self._atoms.size - 1)
         return self._atoms[idx]
 
-    def _sorted_draw(self, u: np.ndarray) -> np.ndarray:
-        """``np.sort(self._draw(gen, u.size))`` from the sorted uniforms
-        ``u = np.sort(gen.random(u.size))``, bit for bit.
+    def _counted_law(self, u: np.ndarray) -> "DiscreteDistribution":
+        """Empirical law of ``self._draw(gen, u.size)`` from the sorted
+        uniforms ``u = np.sort(gen.random(u.size))``, held as counts.
 
         The sorted uniforms are counted against the cumulative masses: atom i
         takes those in (cum[i-1], cum[i]], and the last atom every uniform
-        above cum[-2], as the capped search of :meth:`_draw` gives it.
+        above cum[-2], as the capped search of :meth:`_draw` gives it. Atoms
+        drawn k times get mass k/R, and each run's end e the cumulative mass
+        e/R of the sorted sample, the last exactly 1.
         """
+        size = u.size
         ends = np.searchsorted(u, self._cum, side="right")
-        ends[-1] = u.size
-        return np.repeat(self._atoms, np.diff(ends, prepend=0))
+        ends[-1] = size
+        counts = np.diff(ends, prepend=0)
+        keep = np.flatnonzero(counts)
+        return DiscreteDistribution._sorted(self._atoms[keep], counts[keep] / size, ends[keep] / size)
 
     @cached_property
     def _lattice(self) -> tuple[float, float, np.ndarray] | None:
@@ -404,9 +411,8 @@ class DiscreteDistribution(Distribution):
         return float(atoms[0]), step, units
 
     def _pool_window(self, n: int) -> tuple[int, int] | None:
-        """Unit sums [lo, hi] of n copies kept by the pool law, or None off a
-        lattice or, from n = 2 on (one copy is its own pool law, built
-        without an FFT), when the FFT window would pass ``_POOL_WINDOW`` or
+        """Unit sums [lo, hi] of n >= 2 copies kept by the pool law, or None
+        off a lattice or when the FFT window would pass ``_POOL_WINDOW`` or
         ``_POOL_ENTRIES_PER_ATOM`` per atom.
 
         The unit sum S lies in [0, n * r]; Hoeffding bounds
@@ -417,8 +423,6 @@ class DiscreteDistribution(Distribution):
             return None
         _, _, units = self._lattice
         r = int(units[-1])
-        if n == 1:
-            return 0, r
         centre = n * float((self._masses * units).sum())
         reach = r * math.sqrt(n * math.log(2.0 / _POOL_TAIL_MASS) / 2.0)
         lo = max(0, math.floor(centre - reach))
@@ -429,33 +433,42 @@ class DiscreteDistribution(Distribution):
         return lo, hi
 
     def _pool_law(self, n: int) -> "DiscreteDistribution | None":
-        """Law of the average of n copies when the atoms lie on a lattice,
-        or None where :meth:`_pool_window` is None."""
+        """Law of the average of n copies: the law itself for one copy,
+        else the lattice pool law, or None where :meth:`_pool_window` is None."""
+        if n == 1:
+            return self
         window = self._pool_window(n)
-        if window is None:
-            return None
-        return self if n == 1 else self._lattice_pool_law(n, *window)
+        return None if window is None else self._lattice_pool_law(n, *window)
 
     def _lattice_pool_law(self, n: int, lo: int, hi: int) -> "DiscreteDistribution":
         # The pmf of S mod M, on the power of two M covering [lo, hi], is an
         # FFT power of the single-risk pmf; rolled back by lo, it lists the
-        # sums lo, ..., hi.
+        # sums lo, ..., hi. numpy raises complex numbers to integer powers
+        # through log and exp, so the power is taken by squaring, in place:
+        # the spectrum and its power are the only window-length arrays held.
         origin, step, units = self._lattice
         size = _fft_size(hi - lo)
         spectrum = np.fft.rfft(np.bincount(units % size, weights=self._masses, minlength=size))
-        spectrum **= n
-        pmf = np.fft.irfft(spectrum, size)
+        power = spectrum.copy()
+        for bit in bin(n)[3:]:
+            power *= power
+            if bit == "1":
+                power *= spectrum
         del spectrum
+        pmf = np.fft.irfft(power, size)
+        del power
         pmf = np.roll(pmf, -lo)[: hi - lo + 1]
         keep = np.flatnonzero(pmf > _FFT_FLOOR)
         masses = pmf[keep] / pmf[keep].sum()
         atoms = origin + step * (lo + keep) / n
         return DiscreteDistribution._sorted(atoms, masses, np.cumsum(masses))
 
+    # One copy off a lattice is drawn from the law itself, by inverse CDF.
     def _pool_sampler(self, n: int) -> PoolSampler:
         law = self._pool_law(n)
         if law is not None:
-            return PoolSampler("lattice", lambda rng, count: law._sorted_draw(rng.sorted_uniforms(count)))
+            method = "inverse cdf" if self._lattice is None else "lattice"
+            return PoolSampler(method, lambda rng, count: law._counted_law(rng.sorted_uniforms(count)))
         # numpy draws multinomial rows in sequence, so row blocks reproduce
         # the stream of one count x atoms call. Each row is summed on its
         # own: a BLAS product rounds a row by its place in the call and by
@@ -468,17 +481,18 @@ class DiscreteDistribution(Distribution):
 
 def _sorted_row_blocks(
     block: Callable[[np.random.Generator, int], np.ndarray], width: int, rng: RngSpec, count: int
-) -> np.ndarray:
-    """count values from the head of ``rng``'s stream, sorted: ``block(gen,
-    rows)`` gives the values of ``rows`` consecutive rows of ``width``
-    entries each, asked for in blocks of at most ``_POOL_CHUNK`` entries."""
+) -> "EmpiricalSample":
+    """Empirical law of count values from the head of ``rng``'s stream:
+    ``block(gen, rows)`` gives the values of ``rows`` consecutive rows of
+    ``width`` entries each, asked for in blocks of at most ``_POOL_CHUNK``
+    entries."""
     gen = rng.generator()
     values = np.empty(count)
     rows = max(1, _POOL_CHUNK // width)
     for start in range(0, count, rows):
         stop = min(start + rows, count)
         values[start:stop] = block(gen, stop - start)
-    return np.sort(values)
+    return _empirical(np.sort(values))
 
 
 def _fft_size(width: int) -> int:
@@ -495,6 +509,11 @@ def _equal_masses(k: int) -> tuple[np.ndarray, np.ndarray]:
     masses.setflags(write=False)
     cum.setflags(write=False)
     return masses, cum
+
+
+def _empirical(values: np.ndarray) -> "EmpiricalSample":
+    """Empirical law of values already in nondecreasing order, without a sort."""
+    return EmpiricalSample._sorted(values, *_equal_masses(values.size))
 
 
 class EmpiricalSample(DiscreteDistribution):
@@ -612,7 +631,11 @@ class Normal(Distribution):
         # is nondecreasing, so it keeps the sorted draw sorted: the result is
         # np.sort of the mapped unsorted draw, bit for bit.
         scale = self.scale / math.sqrt(n)
-        return PoolSampler("normal-law", lambda rng, count: self.loc + scale * rng.sorted_normals(count))
+
+        def normal(rng: RngSpec, count: int) -> EmpiricalSample:
+            return _empirical(self.loc + scale * rng.sorted_normals(count))
+
+        return PoolSampler("normal-law", normal)
 
 
 @dataclass(frozen=True)
@@ -689,8 +712,9 @@ class Exponential(Distribution):
 
     def _pool_sampler(self, n: int) -> PoolSampler:
         # The pool average is exactly shift + Gamma(shape n, rate n * rate).
-        def gamma(rng: RngSpec, count: int) -> np.ndarray:
-            return np.sort(self.shift + rng.generator().standard_gamma(n, count) / (n * self.rate))
+        def gamma(rng: RngSpec, count: int) -> EmpiricalSample:
+            draws = rng.generator().standard_gamma(n, count)
+            return _empirical(np.sort(self.shift + draws / (n * self.rate)))
 
         return PoolSampler("gamma", gamma)
 
@@ -706,12 +730,14 @@ def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     t = (np.arange(n_points) + 0.5) / n_points
-    return EmpiricalSample._sorted(dist._ppf(t), *_equal_masses(n_points))
+    return _empirical(dist._ppf(t))
 
 
-def pool_average_sample(sampler: PoolSampler, replications: int, rng: RngSpec) -> EmpiricalSample:
-    """Replications of the equally shared pool average of n i.i.d. copies,
-    drawn by ``sampler = dist.pool_sampler(n)``.
+def pool_average_sample(sampler: PoolSampler, replications: int, rng: RngSpec) -> DiscreteDistribution:
+    """Empirical law of replications of the equally shared pool average of
+    n i.i.d. copies, drawn by ``sampler = dist.pool_sampler(n)``: an
+    :class:`EmpiricalSample`, or, from a lattice or one copy of a finite
+    law, the drawn atoms with their counts as masses.
 
     Every sampler starts at the head of ``rng``'s stream, so the result
     depends only on (dist, n, replications) and the key of ``rng``: a spec
@@ -720,4 +746,4 @@ def pool_average_sample(sampler: PoolSampler, replications: int, rng: RngSpec) -
     """
     if replications < 2:
         raise ValueError("replications must be >= 2")
-    return EmpiricalSample._sorted(sampler.draw(rng, replications), *_equal_masses(replications))
+    return sampler.draw(rng, replications)

@@ -15,8 +15,9 @@ across utility choices (common random numbers, sharpening convergence and
 utility-robustness comparisons), and results are bit-identical regardless
 of how many workers execute the batch grid. Each curve makes one
 :class:`RngSpec` per batch and passes it to the batch's cell at every pool
-size. Normal and lattice pools take the same sorted base draw (standard
-normals or uniforms) at every n, which the spec keeps after its first use:
+size. Normal and lattice pools (and one copy of a finite law off a
+lattice) take the same sorted base draw (standard normals or uniforms) at
+every n, which the spec keeps after its first use:
 one float64 per replicate, freed with the specs when the curve's points
 are computed (0.8 MB at 100 000 replicates). The law's sampler for a pool
 size is asked for once, in the calling thread, before that n's batches

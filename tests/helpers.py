@@ -4,6 +4,7 @@ Everything here deliberately avoids the package's own computational paths:
 inverse normal values come from bisection on an erfc-based CDF (or scipy),
 tail integrals from adaptive quadrature on scipy's ppf, pooled laws from
 exhaustive enumeration, and dual values from brute-force vertex listing.
+:func:`sorted_draws` reads a drawn empirical law back as its sorted draws.
 """
 
 from __future__ import annotations
@@ -110,3 +111,12 @@ def brute_force_dual_min(outcomes, probabilities, lam: float) -> float:
                     continue
                 best = min(best, value + rest * outs[j])
     return best
+
+
+def sorted_draws(law, count: int) -> np.ndarray:
+    """The count sorted draws whose empirical law is ``law``: each atom
+    repeated mass * count times, whether the law holds one atom per draw or
+    the drawn atoms with their counts."""
+    ends = np.rint(law._cum * count).astype(np.int64)
+    assert ends[-1] == count and np.array_equal(ends / count, law._cum)
+    return np.repeat(law._atoms, np.diff(ends, prepend=0))

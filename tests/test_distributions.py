@@ -17,6 +17,7 @@ from riskpool.distributions import (
     _POOL_CHUNK,
     _POOL_ENTRIES_PER_ATOM,
     _POOL_WINDOW,
+    _fft_size,
     DiscreteDistribution,
     EmpiricalSample,
     Exponential,
@@ -28,7 +29,7 @@ from riskpool.distributions import (
     quantile_grid_sample,
 )
 
-from helpers import quad_lower_quantile_integral
+from helpers import quad_lower_quantile_integral, sorted_draws
 
 UNIFORM_1234 = DiscreteDistribution((1.0, 2.0, 3.0, 4.0), (0.25, 0.25, 0.25, 0.25))
 
@@ -362,19 +363,19 @@ class TestSampling:
                     min_size=1, max_size=12),
            st.integers(0, 2**64 - 1), st.integers(1, 3000))
     @example([(k, 1.0) for k in range(10)], 0, 3000)
-    def test_sorted_draw_counts_the_sorted_searched_draw(self, pairs, seed, count):
+    def test_counted_law_counts_the_sorted_searched_draw(self, pairs, seed, count):
         total = sum(w for _, w in pairs)
         law = DiscreteDistribution([x for x, _ in pairs], [w / total for _, w in pairs])
-        counted = law._sorted_draw(RngSpec(seed).sorted_uniforms(count))
+        counted = law._counted_law(RngSpec(seed).sorted_uniforms(count))
         searched = np.sort(law._draw(RngSpec(seed).generator(), count))
-        assert counted.tobytes() == searched.tobytes()
+        _assert_counts_of(counted, searched)
 
     # Uniforms on, just below and just above each cumulative mass. Seven
     # equal weights end at 0.9999999999999998, so a uniform lies above the
     # last cumulative mass, where a seeded stream almost never draws.
     @given(st.lists(st.one_of(st.floats(1e-3, 1.0), st.just(1e-18)), min_size=1, max_size=12))
     @example([1.0] * 7)
-    def test_sorted_draw_at_the_cumulative_masses(self, weights):
+    def test_counted_law_at_the_cumulative_masses(self, weights):
         law = DiscreteDistribution(np.arange(len(weights)), np.array(weights) / sum(weights))
         cum = law._cum
         u = np.concatenate((cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), [0.0, 1.0 - 2.0**-53]))
@@ -384,8 +385,23 @@ class TestSampling:
             def random(self, count):
                 return u.copy()
 
-        counted = law._sorted_draw(np.sort(u))
-        assert counted.tobytes() == np.sort(law._draw(Uniforms(), u.size)).tobytes()
+        counted = law._counted_law(np.sort(u))
+        _assert_counts_of(counted, np.sort(law._draw(Uniforms(), u.size)))
+
+
+def _assert_counts_of(counted: DiscreteDistribution, searched: np.ndarray) -> None:
+    """``counted`` holds the sorted draws ``searched`` as distinct atoms whose
+    masses are integer counts over the draw count, each the float k / R
+    itself (k / R * R may miss k in the last bit, as 114 / 376 * 376 does),
+    with the sorted sample's cumulative masses e / R at each run's end e,
+    and expands back to them byte for byte."""
+    count = searched.size
+    counts = np.rint(counted._masses * count)
+    assert np.array_equal(counted._masses, counts / count) and counts.min() >= 1.0
+    assert np.array_equal(counted._cum, np.cumsum(counts) / count)
+    assert np.count_nonzero(np.diff(counted._atoms) > 0) == counted._atoms.size - 1
+    expanded = np.repeat(counted._atoms, counts.astype(np.int64))
+    assert expanded.tobytes() == searched.tobytes()
 
 
 class TestPoolAverage:
@@ -397,7 +413,7 @@ class TestPoolAverage:
     def test_two_point_pair_enumeration(self):
         # S_2/2 for a fair coin lives on {0, 1/2, 1} with probs {1/4, 1/2, 1/4}.
         pooled = pool_average_sample(TwoPoint(0.0, 1.0, 0.5).pool_sampler(2), 100_000, RngSpec(99))
-        values = np.asarray(pooled.values)
+        values = sorted_draws(pooled, 100_000)
         for point, prob in ((0.0, 0.25), (0.5, 0.5), (1.0, 0.25)):
             freq = float(np.mean(values == point))
             sd = math.sqrt(prob * (1 - prob) / 100_000)
@@ -405,7 +421,7 @@ class TestPoolAverage:
 
     def test_pool_of_one_replicates_the_single_risk(self):
         pooled = pool_average_sample(UNIFORM_1234.pool_sampler(1), 50_000, RngSpec(5))
-        assert set(pooled.values) <= {1.0, 2.0, 3.0, 4.0}
+        assert set(sorted_draws(pooled, 50_000).tolist()) <= {1.0, 2.0, 3.0, 4.0}
         assert abs(pooled.mean() - 2.5) <= 5 * math.sqrt(1.25 / 50_000)
 
     @pytest.mark.parametrize("dist", [
@@ -457,7 +473,7 @@ class TestPoolAverage:
     def test_streams_pinned(self, dist, expected):
         n, values = expected
         pooled = pool_average_sample(dist.pool_sampler(n), 6, RngSpec(20260808, 3))
-        assert list(pooled.values) == values
+        assert sorted_draws(pooled, 6).tolist() == values
 
     @given(
         low=st.floats(-1e6, 1e6),
@@ -578,12 +594,32 @@ class TestLatticePoolLaw:
         assert law._pool_law(16) is None
         assert law.pool_sampler(16).method == "multinomial"
 
+    def test_one_copy_off_a_lattice_counts_the_law_itself(self, monkeypatch):
+        # One copy is its own pool law on or off a lattice: its sorted
+        # uniforms are counted against the law, an inverse-CDF draw, and no
+        # multinomial counts are drawn over its 8000 atoms.
+        masses = np.random.default_rng(4).dirichlet(np.ones(8000))
+        law = DiscreteDistribution(np.sqrt(np.arange(8000)), masses)
+        assert law._lattice is None and law._pool_law(1) is law
+        assert law.pool_sampler(1).method == "inverse cdf"
+
+        class NoCounts(np.random.Generator):
+            def multinomial(self, *args, **kwargs):
+                raise AssertionError("one copy drew multinomial counts")
+
+        generator = RngSpec.generator
+        monkeypatch.setattr(RngSpec, "generator", lambda self: NoCounts(generator(self).bit_generator))
+        pooled = pool_average_sample(law.pool_sampler(1), 5000, RngSpec(1))
+        _assert_counts_of(pooled, np.sort(law._draw(RngSpec(1).generator(), 5000)))
+
     @pytest.mark.parametrize("atoms, probs", [
         ([0.0, 1.5, 4.0], [0.2, 0.5, 0.3]),
         ([-1.0, 0.0, 0.5], [0.3, 0.3, 0.4]),
         ([0.1, 0.2, 0.7], [0.25, 0.5, 0.25]),
     ])
-    @pytest.mark.parametrize("n", range(1, 9))
+    # The spectrum's power takes products besides the squarings at odd n,
+    # and at 13 = 1101 in binary two of them.
+    @pytest.mark.parametrize("n", [*range(1, 9), 13])
     def test_matches_direct_convolution(self, atoms, probs, n):
         law = DiscreteDistribution(atoms, probs)
         origin, step, _ = law._lattice
@@ -593,6 +629,7 @@ class TestLatticePoolLaw:
         # Gappy lattices (units 0, 3, 8) leave sums no pool can reach.
         assert sums.tolist() == np.flatnonzero(exact).tolist()
         assert 0.5 * np.abs(exact[sums] - pool._masses).sum() <= 1e-12
+        assert np.abs(exact[sums] - pool._masses).max() <= 1e-15
 
     @pytest.mark.parametrize("p_high", [0.02, 0.3, 0.5])
     def test_two_atom_pool_is_binomial(self, p_high):
@@ -612,7 +649,7 @@ class TestLatticePoolLaw:
         law = DiscreteDistribution([0.0, 0.3, 0.4, 1.0], [0.4, 0.1, 0.2, 0.3])
         n, count = 12, 100_000
         pool = law._pool_law(n)
-        pooled = law.pool_sampler(n).draw(RngSpec(20260808, 1), count)
+        pooled = sorted_draws(law.pool_sampler(n).draw(RngSpec(20260808, 1), count), count)
         idx = np.searchsorted(pool._atoms, pooled)
         assert np.array_equal(pool._atoms[idx], pooled)
         observed = np.bincount(idx, minlength=pool._atoms.size)
@@ -637,28 +674,32 @@ class TestLatticePoolLaw:
         assert peak < 1 << 20
         assert law.pool_sampler(4).method == "multinomial"
         # Sums of four integer outcomes, averaged.
-        pooled = 4.0 * np.asarray(pool_average_sample(law.pool_sampler(4), 1000, RngSpec(1)).values)
+        pooled = 4.0 * sorted_draws(pool_average_sample(law.pool_sampler(4), 1000, RngSpec(1)), 1000)
         assert np.array_equal(pooled, np.rint(pooled))
 
     def test_largest_window_stays_under_the_chunk_memory(self):
         # Four copies of units up to 2^19 - 1 span 2^21 - 4 sums, a window of
         # exactly _POOL_WINDOW entries; building its law traces no more than
-        # the ~64 MB that _POOL_CHUNK 8-byte values take. Units 0..30 below
-        # the top make 32 atoms, enough that the window is no longer than
+        # the ~64 MB that _POOL_CHUNK 8-byte values take. Three copies of
+        # units up to (2^21 - 1) // 3 fill the same window, and their power
+        # takes a product besides the squaring. Units 0..30 below the top
+        # make 32 atoms, enough that the window is no longer than
         # _POOL_ENTRIES_PER_ATOM per atom.
-        units = [*range(31), _POOL_WINDOW // 4 - 1]
-        law = DiscreteDistribution(np.array(units, dtype=float), np.full(32, 1.0 / 32))
         assert _POOL_ENTRIES_PER_ATOM * 32 >= _POOL_WINDOW
-        tracemalloc.start()
-        try:
-            pool = law._pool_law(4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * _POOL_CHUNK
-        assert law.pool_sampler(4).method == "lattice"
-        # j tops and 4 - j units from 0..30 give 121 + 91 + 61 + 31 + 1 sums.
-        assert pool._atoms.size == 305
+        # j tops and n - j units from 0..30 give 121 + 91 + 61 + 31 + 1 sums
+        # at n = 4 and 91 + 61 + 31 + 1 at n = 3.
+        for n, top, sums in ((4, _POOL_WINDOW // 4 - 1, 305), (3, (_POOL_WINDOW - 1) // 3, 184)):
+            law = DiscreteDistribution(np.array([*range(31), top], dtype=float), np.full(32, 1.0 / 32))
+            assert _fft_size(n * top) == _POOL_WINDOW
+            tracemalloc.start()
+            try:
+                pool = law._pool_law(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * _POOL_CHUNK
+            assert law.pool_sampler(n).method == "lattice"
+            assert pool._atoms.size == sums
 
     def test_long_window_per_atom_takes_multinomial_counts(self):
         # Units {0, 1, 2^19 - 1}: four copies reach 15 sums, spread over a
@@ -685,7 +726,8 @@ class TestLatticePoolLaw:
         assert law._pool_law(1) is law
         assert law.pool_sampler(2).method == "multinomial"
         pooled = pool_average_sample(law.pool_sampler(1), 1000, RngSpec(4, 1))
-        assert pooled._atoms.tobytes() == np.sort(law._draw(RngSpec(4, 1).generator(), 1000)).tobytes()
+        searched = np.sort(law._draw(RngSpec(4, 1).generator(), 1000))
+        assert sorted_draws(pooled, 1000).tobytes() == searched.tobytes()
 
     def test_counts_start_past_entries_per_atom(self):
         # Three atoms allow 600 000 entries: four copies of units up to
@@ -703,7 +745,8 @@ class TestLatticePoolLaw:
     def test_single_atom_pool_is_the_atom(self):
         law = DiscreteDistribution([2.5], [1.0])
         assert law.pool_sampler(64).method == "lattice"
-        assert pool_average_sample(law.pool_sampler(64), 100, RngSpec(2)).values == (2.5,) * 100
+        pooled = pool_average_sample(law.pool_sampler(64), 100, RngSpec(2))
+        assert sorted_draws(pooled, 100).tolist() == [2.5] * 100
 
 
 GRID_LAWS = [

@@ -271,10 +271,10 @@ class TestRunCurve:
         curve = run_curve(config, threads=threads)
         assert curve.limit.hex() == "0x1.383d53d7d0268p-1"
         assert [(p.n, p.method, p.estimate.hex(), p.stderr.hex()) for p in curve.points] == [
-            (1, "lattice", "0x1.cd56bfaea4929p-2", "0x1.148c13c27eecep-9"),
-            (4, "lattice", "0x1.2282f0c2e307cp-1", "0x1.16e333af23f90p-8"),
-            (16, "lattice", "0x1.30bfeb649c4a5p-1", "0x1.93d06e291e5f0p-8"),
-            (64, "lattice", "0x1.358a2d0046aadp-1", "0x1.c065f3098620fp-8"),
+            (1, "lattice", "0x1.cd56bfaea4925p-2", "0x1.148c13c27f105p-9"),
+            (4, "lattice", "0x1.2282f0c2e307cp-1", "0x1.16e333af23fa9p-8"),
+            (16, "lattice", "0x1.30bfeb649c4a6p-1", "0x1.93d06e291e569p-8"),
+            (64, "lattice", "0x1.358a2d0046aadp-1", "0x1.c065f3098619ep-8"),
         ]
 
     def test_run_curve_imports_no_wire_format(self):
@@ -315,13 +315,14 @@ class TestRunCurve:
 # One law per pooled sampler, each with the methods of its curve on the
 # grid (1, 4, 16, 64). Units {0, 1, 2^16 - 1} (step 2^-12, so cara stays
 # finite) leave the lattice for multinomial counts at n = 16, so a kept
-# uniform draw must not reach the counts.
+# uniform draw must not reach the counts. One copy of the law off a lattice
+# counts kept uniforms against the law itself.
 SAMPLER_LAWS = [
     (Normal(0.5, 2.0), ["normal-law"] * 4),
     (DiscreteDistribution((0.0, 1.5, 4.0), (0.2, 0.5, 0.3)), ["lattice"] * 4),
     (DiscreteDistribution((0.0, 2.0**-12, 16.0 - 2.0**-12), (0.3, 0.4, 0.3)), ["lattice"] * 2 + ["multinomial"] * 2),
     (DiscreteDistribution(tuple(math.sqrt(k) for k in range(7)), (0.1, 0.2, 0.1, 0.15, 0.15, 0.2, 0.1)),
-     ["multinomial"] * 4),
+     ["inverse cdf"] + ["multinomial"] * 3),
     (Exponential(1.0, 1.0), ["gamma"] * 4),
     (Uniform(1.0, 3.0), ["summed draws"] * 4),
 ]
@@ -365,16 +366,16 @@ class TestBatchStreams:
             assert point.estimate.hex() == float(cells.mean()).hex()
             assert point.stderr.hex() == float(cells.std(ddof=1) / math.sqrt(config.batches)).hex()
 
-    # Normal and lattice curves draw each batch's base sample once per
-    # curve, not once per pool size; other samplers open the stream in
-    # every cell. Nothing is kept from one run_curve call to the next.
+    # Normal, lattice and inverse-CDF cells draw each batch's base sample
+    # once per curve, not once per pool size; other samplers open the
+    # stream in every cell. Nothing is kept from one run_curve call to the next.
     @pytest.mark.parametrize("distribution, methods", SAMPLER_LAWS)
     def test_generators_per_curve(self, distribution, methods, monkeypatch):
         calls = []
         generator = RngSpec.generator
         monkeypatch.setattr(RngSpec, "generator", lambda self: calls.append(self) or generator(self))
         config = sampler_config(distribution)
-        cells = sum(method not in ("normal-law", "lattice") for method in methods)
+        cells = sum(method not in ("normal-law", "lattice", "inverse cdf") for method in methods)
         # Cells that reuse a kept draw add the batch's first draw only.
         expected = config.batches * (cells + (cells < len(methods)))
         for _ in range(2):
@@ -384,8 +385,8 @@ class TestBatchStreams:
         assert sorted({spec.stream_id for spec in calls}) == list(range(config.batches))
 
     # The engine asks for each pool size's sampler once, so a lattice law
-    # finds each window once and builds each pool law of two or more copies
-    # once, at any thread count.
+    # finds the window of each pool of two or more copies once and builds
+    # its pool law once, at any thread count; one copy needs neither.
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_sampler_per_pool_size(self, threads, monkeypatch):
         calls = {"_pool_window": 0, "_lattice_pool_law": 0}
@@ -397,7 +398,7 @@ class TestBatchStreams:
             monkeypatch.setattr(DiscreteDistribution, name, counted)
         law = DiscreteDistribution((0, 1.5, 4), (0.2, 0.5, 0.3))
         run_curve(sampler_config(law), threads=threads)
-        assert calls == {"_pool_window": 4, "_lattice_pool_law": 3}
+        assert calls == {"_pool_window": 3, "_lattice_pool_law": 3}
 
     def test_equal_masses_built_once_per_curve(self):
         distributions._equal_masses.cache_clear()
@@ -409,7 +410,8 @@ class TestBatchStreams:
         assert not masses.flags.writeable and not cum.flags.writeable
 
     # One spec reused across the grid, keeping its sorted base draws, gives
-    # the bits of a fresh spec per pool size.
+    # the bits of a fresh spec per pool size: atoms and masses, which are
+    # the counts of a lattice cell.
     @pytest.mark.parametrize("distribution, methods", SAMPLER_LAWS)
     def test_reused_spec_equals_fresh_specs(self, distribution, methods):
         reused = RngSpec(20260808, 2)
@@ -417,6 +419,7 @@ class TestBatchStreams:
             kept = pool_average_sample(distribution.pool_sampler(n), 200, reused)
             fresh = pool_average_sample(distribution.pool_sampler(n), 200, RngSpec(20260808, 2))
             assert kept._atoms.tobytes() == fresh._atoms.tobytes()
+            assert kept._masses.tobytes() == fresh._masses.tobytes()
 
     # Uniforms and normals of one count are kept apart, each read-only and
     # equal to a fresh sorted draw from the head of the stream.
