@@ -45,15 +45,16 @@ _POOL_WINDOW = _POOL_CHUNK // 4
 # A lattice pool sum is drawn from a window around its mean that, by
 # Hoeffding's inequality, leaves out at most this much mass.
 _POOL_TAIL_MASS = 2.0**-60
-# Building a lattice pool law costs about 0.05-0.08 us per FFT entry, once
-# per pool size; drawing multinomial counts costs 0.05-0.25 us per atom and
-# replicate (more at larger n), a lattice draw about 0.02 us. At the 100 000
-# replicates per pool size of the default and shipped configs, whole curves
-# (n = 4-256, 3 and 10 atoms, FFTs of 2**16-2**21 entries) ran faster on the
-# lattice in every case up to 0.52 FFT entries per atom and replicate, and
-# faster on counts in every case from 3.5 on and in all but one from 2.1 on
-# (n = 256 with 10 atoms, 154 against 228 ms; 2-core x86-64 VM, numpy 2.4;
-# scripts/pool_crossover.py). So, from two copies on, an FFT longer than
+# Building a lattice pool law costs about 0.05-0.12 us per FFT entry, once
+# per pool size; drawing multinomial counts costs 0.06-0.28 us per atom and
+# replicate (more at larger n), the rest of a lattice curve about 0.03 us
+# per replicate. At the 100 000 replicates per pool size of the default and
+# shipped configs, whole curves (n = 4-256, 3 and 10 atoms, FFTs of
+# 2**16-2**21 entries) ran faster on the lattice in every case up to 0.52
+# FFT entries per atom and replicate, and faster on counts in every case
+# from 3.5 on and in all but one from 2.1 on (n = 256 with 10 atoms, 219
+# against 277 ms; 2-core x86-64 VM, numpy 2.4; scripts/pool_crossover.py
+# --repeats 3). So, from two copies on, an FFT longer than
 # this many entries per atom draws counts instead: units {0, 1, 2**19 - 1}
 # at n = 4 would build 2**21 entries to keep 15 sums. The value also fixes
 # which laws draw counts, and so their streams. A config drawing far more
@@ -265,11 +266,17 @@ class DiscreteDistribution(Distribution):
     def _sorted(cls, atoms: np.ndarray, masses: np.ndarray, cum: np.ndarray):
         """Law of the given type on atoms already in nondecreasing order.
 
-        Every atom is checked: the callers' maps (a shift, a utility) can
-        overflow or leave the domain anywhere along the array.
+        Every atom is checked: the callers' maps (a shift, a sampler's affine
+        map, a pool law's lattice) can overflow anywhere along the array.
         """
         if np.count_nonzero(np.isfinite(atoms)) < atoms.size:
             raise ValueError("outcomes must be finite")
+        return cls._finite_sorted(atoms, masses, cum)
+
+    @classmethod
+    def _finite_sorted(cls, atoms: np.ndarray, masses: np.ndarray, cum: np.ndarray):
+        """:meth:`_sorted` without the check, for atoms a caller has already
+        found finite (a utility image, which ``apply`` checks)."""
         law = object.__new__(cls)
         law._fill(atoms, masses, cum)
         return law
@@ -299,13 +306,19 @@ class DiscreteDistribution(Distribution):
         return tuple(self._masses.tolist())
 
     def __getattr__(self, name):
-        # Reached only when the instance lacks the attribute: the prefix sums
-        # of mass x outcome are made on first use and kept in __dict__
-        # (threads that race here store equal arrays).
-        if name != "_prefix":
+        # Reached only when the instance lacks the attribute; what it makes
+        # is kept in __dict__ (threads that race here store equal arrays).
+        # The prefix sums of mass x outcome serve one level at a time. The
+        # array tail integrals read them and the cumulative masses led by a
+        # 0.0, so that entry j sums the atoms before atom j.
+        if name == "_prefix":
+            value = np.add.accumulate(self._masses * self._atoms)
+        elif name == "_sums_before":
+            value = np.concatenate(([0.0], self._prefix)), np.concatenate(([0.0], self._cum))
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        prefix = self.__dict__["_prefix"] = np.add.accumulate(self._masses * self._atoms)
-        return prefix
+        self.__dict__[name] = value
+        return value
 
     def quantile(self, t: float) -> float:
         # At t = 0 the search lands on the first atom, the essential infimum.
@@ -327,11 +340,8 @@ class DiscreteDistribution(Distribution):
     # The array form searches all but the last cumulative mass instead.
     def _tail_integrals(self, lam: np.ndarray) -> np.ndarray:
         j = self._cum[:-1].searchsorted(lam - _LEVEL_TOL)
-        # At j = 0 the index j - 1 wraps around; np.where puts 0 there.
-        first = j == 0
-        below = np.where(first, 0.0, self._prefix[j - 1])
-        prev = np.where(first, 0.0, self._cum[j - 1])
-        return below + np.minimum(lam - prev, self._masses[j]) * self._atoms[j]
+        prefix, cum = self._sums_before
+        return prefix[j] + np.minimum(lam - cum[j], self._masses[j]) * self._atoms[j]
 
     # Sums, not BLAS dot products: a BLAS product splits long vectors across
     # its threads and rounds by the thread count.
@@ -365,18 +375,27 @@ class DiscreteDistribution(Distribution):
         """Empirical law of ``self._draw(gen, u.size)`` from the sorted
         uniforms ``u = np.sort(gen.random(u.size))``, held as counts.
 
-        The sorted uniforms are counted against the cumulative masses: atom i
-        takes those in (cum[i-1], cum[i]], and the last atom every uniform
-        above cum[-2], as the capped search of :meth:`_draw` gives it. Atoms
-        drawn k times get mass k/R, and each run's end e the cumulative mass
-        e/R of the sorted sample, the last exactly 1.
+        Atom i takes the uniforms in (cum[i-1], cum[i]], and the last atom
+        every uniform above cum[-2], as the capped search of :meth:`_draw`
+        gives it. Only the window from the atom that takes u[0] to the one
+        that takes u[-1] can be drawn, so the uniforms are counted against
+        that window's cumulative masses alone, its last end set to R; an
+        atom is drawn when its run ends past its neighbour's. Atoms drawn k
+        times get mass k/R, and each run's end e the cumulative mass e/R of
+        the sorted sample, the last exactly 1.
         """
-        size = u.size
-        ends = np.searchsorted(u, self._cum, side="right")
+        size, cum = u.size, self._cum
+        lo, hi = np.minimum(cum.searchsorted(u[[0, -1]]), cum.size - 1).tolist()
+        ends = np.searchsorted(u, cum[lo : hi + 1], side="right")
         ends[-1] = size
-        counts = np.diff(ends, prepend=0)
-        keep = np.flatnonzero(counts)
-        return DiscreteDistribution._sorted(self._atoms[keep], counts[keep] / size, ends[keep] / size)
+        drawn = np.empty(ends.size, dtype=bool)
+        drawn[0] = True
+        np.not_equal(ends[1:], ends[:-1], out=drawn[1:])
+        keep = np.flatnonzero(drawn)
+        ends = ends[keep]
+        counts = ends.copy()
+        counts[1:] -= ends[:-1]
+        return DiscreteDistribution._sorted(self._atoms[lo : hi + 1][keep], counts / size, ends / size)
 
     @cached_property
     def _lattice(self) -> tuple[float, float, np.ndarray] | None:

@@ -166,11 +166,11 @@ def theorem_limit(config: ExperimentConfig) -> float:
     return theorem1_limit(math.sqrt(variance), config.preference)
 
 
-def _exact_scaled_premium(config: ExperimentConfig, n: int) -> float:
+def _exact_scaled_premium(config: ExperimentConfig, n: int, limit: float) -> float:
     if isinstance(config.utility, LinearUtility):
         # Premium (sigma/sqrt(n)) * constant; the sqrt(n) scaling cancels,
         # so the Taylor error of the expansion argument vanishes identically.
-        return theorem_limit(config)
+        return limit
     # Both closed-form utilities are translation-equivariant, so the premium
     # is minus the CE of the centred pooled law; centring avoids the
     # cancellation in wealth + mean - CE when the mean dwarfs the spread.
@@ -178,44 +178,43 @@ def _exact_scaled_premium(config: ExperimentConfig, n: int) -> float:
     return -math.sqrt(n) * closed_form_certainty_equivalent(centred, config.preference, config.utility)
 
 
-def _batch_scaled_premium(config: ExperimentConfig, n: int, sampler: PoolSampler, rng: RngSpec) -> float:
+def _batch_scaled_premium(
+    config: ExperimentConfig, n: int, sampler: PoolSampler, mean: float, rng: RngSpec
+) -> float:
     pool = pool_average_sample(sampler, config.replications // config.batches, rng)
     try:
-        premium = risk_premium(
-            config.wealth,
-            pool,
-            config.preference,
-            config.utility,
-            single_risk_mean=config.distribution.mean(),
-        )
+        premium = risk_premium(config.wealth, pool, config.preference, config.utility, single_risk_mean=mean)
     except UtilityDomainError as exc:
         raise UtilityDomainError(f"pool size n={n}, batch {rng.stream_id}: {exc}") from exc
     return math.sqrt(n) * premium
 
 
 def _curve_points(
-    config: ExperimentConfig, n_grid: tuple[int, ...], exact: bool, threads: int = 1
+    config: ExperimentConfig, n_grid: tuple[int, ...], exact_limit: float | None, threads: int = 1
 ) -> list[CurvePoint]:
-    # Exact path: analytic values with stderr 0. Monte Carlo path: batch
-    # mean and batch-mean standard error per n. A utility domain violation
-    # in any replicate aborts the whole pool size (dropping offending
-    # replicates would bias the tail of the empirical law).
-    if exact:
+    # Exact path, taken when the caller passes the curve's limit: analytic
+    # values with stderr 0. Monte Carlo path: batch mean and batch-mean
+    # standard error per n. A utility domain violation in any replicate
+    # aborts the whole pool size (dropping offending replicates would bias
+    # the tail of the empirical law).
+    if exact_limit is not None:
         return [
-            CurvePoint(n, _exact_scaled_premium(config, n), 0.0, config.replications, "exact")
+            CurvePoint(n, _exact_scaled_premium(config, n, exact_limit), 0.0, config.replications, "exact")
             for n in n_grid
         ]
     # One spec per batch, shared by its cells at every n and dropped with
-    # the curve. Each n's sampler (a lattice law's pool law, say) is made
-    # once, here, and dropped after that n's batches. An executor starts no
-    # thread before its first task, so at one thread the cells run here.
+    # the curve. The single-risk mean is taken once, and each n's sampler
+    # (a lattice law's pool law, say) is made once, here, and dropped after
+    # that n's batches. An executor starts no thread before its first task,
+    # so at one thread the cells run here.
     specs = [RngSpec(config.master_seed, b) for b in range(config.batches)]
+    mean = config.distribution.mean()
     points = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         run = pool.map if threads > 1 else map
         for n in n_grid:
             sampler = config.distribution.pool_sampler(n)
-            values = np.array(list(run(partial(_batch_scaled_premium, config, n, sampler), specs)))
+            values = np.array(list(run(partial(_batch_scaled_premium, config, n, sampler, mean), specs)))
             stderr = float(values.std(ddof=1) / math.sqrt(config.batches))
             points.append(CurvePoint(n, float(values.mean()), stderr, config.replications, sampler.method))
     return points
@@ -226,7 +225,7 @@ def estimate_scaled_premium(config: ExperimentConfig, n: int) -> tuple[float, fl
     point :func:`run_curve` gives that n."""
     if n < 1:
         raise ValueError("pool size must be >= 1")
-    point = _curve_points(config, (n,), _use_exact(config))[0]
+    point = _curve_points(config, (n,), theorem_limit(config) if _use_exact(config) else None)[0]
     return point.estimate, point.stderr
 
 
@@ -244,7 +243,7 @@ def run_curve(config: ExperimentConfig, *, threads: int = 1) -> PremiumCurve:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
     exact = _use_exact(config)
     limit = theorem_limit(config)
-    points = _curve_points(config, config.n_grid, exact, threads)
+    points = _curve_points(config, config.n_grid, limit if exact else None, threads)
     unscaled = [(p.n, p.estimate / math.sqrt(p.n)) for p in points]
     rate = None
     if len(unscaled) >= 3 and all(v > 0.0 for _, v in unscaled):

@@ -52,11 +52,12 @@ class UtilityFunction:
 
     # A value beyond the largest float is an error, not inf. Both maps rise,
     # so the overflow is at the largest argument when it is to +inf and at
-    # the smallest when it is to -inf.
+    # the smallest when it is to -inf. Every non-finite value is rejected
+    # here, so an image of finite atoms needs no second scan.
     def _finite(self, formula, arr):
         with np.errstate(over="ignore"):
             out = formula(arr)
-        if np.count_nonzero(np.isinf(out)):
+        if np.count_nonzero(np.isfinite(out)) < out.size:
             raise self._overflow(float(arr.max() if np.max(out) == math.inf else arr.min()))
         return out if arr.ndim else float(out)
 
@@ -169,8 +170,9 @@ def _check_parametric_support(dist: Distribution, u: UtilityFunction) -> None:
 
 def _transformed_law(dist: DiscreteDistribution, u: UtilityFunction) -> DiscreteDistribution:
     # u is strictly increasing, so the image keeps the atoms' order (rounding
-    # may tie neighbours, which the nondecreasing-atom law admits).
-    return DiscreteDistribution._sorted(u.apply(dist._atoms), dist._masses, dist._cum)
+    # may tie neighbours, which the nondecreasing-atom law admits), and apply
+    # has rejected any non-finite value.
+    return DiscreteDistribution._finite_sorted(u.apply(dist._atoms), dist._masses, dist._cum)
 
 
 def _pullback_value(law, preference, u: UtilityFunction) -> float:
@@ -244,9 +246,12 @@ def risk_premium(
     ``preference`` is a MixtureMeasure or a KusuokaFamily. The single-risk
     mean defaults to the pool law's own mean, which is exact for analytic
     pool laws; Monte Carlo callers should pass the true mean so premium
-    estimates are not polluted by mean-estimation noise.
+    estimates are not polluted by mean-estimation noise. At zero wealth the
+    law is not translated: a shift by 0 would only turn -0.0 atoms into
+    +0.0, which changes no bit of the premium.
     """
     m1 = pool_dist.mean() if single_risk_mean is None else float(single_risk_mean)
-    ce = certainty_equivalent(pool_dist.translate(wealth), preference, u)
+    law = pool_dist.translate(wealth) if wealth != 0.0 else pool_dist
+    ce = certainty_equivalent(law, preference, u)
     return wealth + m1 - ce
 

@@ -358,11 +358,16 @@ class TestSampling:
             Normal(0.0, 1.0).sample(RngSpec(0), 0)
 
     # Weights of 1e-18 leave cumulative masses tied; ten equal weights put
-    # the last cumulative mass at 0.9999999999999999, below 1.
+    # the last cumulative mass at 0.9999999999999999, below 1. At both ends
+    # they hold the first and last atoms out of every uniform's reach, so
+    # the counted window starts and stops strictly inside the law, around
+    # one interior atom or several.
     @given(st.lists(st.tuples(st.integers(-20, 20), st.one_of(st.floats(1e-3, 1.0), st.just(1e-18))),
                     min_size=1, max_size=12),
            st.integers(0, 2**64 - 1), st.integers(1, 3000))
     @example([(k, 1.0) for k in range(10)], 0, 3000)
+    @example([(-3, 1e-18), (0, 1.0), (4, 1e-18)], 7, 3000)
+    @example([(-3, 1e-18), (-1, 1e-18), (0, 0.5), (1, 0.5), (4, 1e-18), (5, 1e-18)], 7, 3000)
     def test_counted_law_counts_the_sorted_searched_draw(self, pairs, seed, count):
         total = sum(w for _, w in pairs)
         law = DiscreteDistribution([x for x, _ in pairs], [w / total for _, w in pairs])
@@ -372,9 +377,14 @@ class TestSampling:
 
     # Uniforms on, just below and just above each cumulative mass. Seven
     # equal weights end at 0.9999999999999998, so a uniform lies above the
-    # last cumulative mass, where a seeded stream almost never draws.
+    # last cumulative mass, where a seeded stream almost never draws; so do
+    # the uniforms of the last atom after a 1e-18 one. Weights of 1e-18 at
+    # both ends leave a window that starts and stops inside the law.
     @given(st.lists(st.one_of(st.floats(1e-3, 1.0), st.just(1e-18)), min_size=1, max_size=12))
     @example([1.0] * 7)
+    @example([1e-18, 1.0, 1e-18])
+    @example([1e-18, 1e-18, 0.5, 0.5, 1e-18, 1e-18])
+    @example([1.0] * 7 + [1e-18])
     def test_counted_law_at_the_cumulative_masses(self, weights):
         law = DiscreteDistribution(np.arange(len(weights)), np.array(weights) / sum(weights))
         cum = law._cum
@@ -387,6 +397,25 @@ class TestSampling:
 
         counted = law._counted_law(np.sort(u))
         _assert_counts_of(counted, np.sort(law._draw(Uniforms(), u.size)))
+
+    # A pool law reaches far past what 5 000 uniforms can draw, so the count
+    # searches a window strictly inside it; it must give the bytes of a
+    # count over every atom.
+    def test_counted_law_of_a_lattice_pool_law_matches_a_full_count(self):
+        gen = np.random.default_rng(20260808)
+        weights = gen.random(10) + 0.1
+        law = DiscreteDistribution(0.05 * np.sort(gen.choice(40, 10, replace=False)), weights / weights.sum())
+        pool = law._pool_law(4096)
+        u = RngSpec(20260808, 3).sorted_uniforms(5000)
+        counted = pool._counted_law(u)
+        ends = np.searchsorted(u, pool._cum, "right")
+        ends[-1] = u.size
+        counts = np.diff(ends, prepend=0)
+        keep = np.flatnonzero(counts)
+        assert 0 < keep[0] and keep[-1] < pool._atoms.size - 1
+        assert counted._atoms.tobytes() == pool._atoms[keep].tobytes()
+        assert counted._masses.tobytes() == (counts[keep] / u.size).tobytes()
+        assert counted._cum.tobytes() == (ends[keep] / u.size).tobytes()
 
 
 def _assert_counts_of(counted: DiscreteDistribution, searched: np.ndarray) -> None:

@@ -292,6 +292,23 @@ class TestRiskPremium:
             baseline = risk_premium(0.0, pool, MIX, CaraUtility(1.0))
             assert premium == pytest.approx(baseline, abs=1e-9)
 
+    # Zero wealth leaves the law untranslated. A shift by 0.0 would only turn
+    # the -0.0 atom into +0.0, and the premium keeps the bits of the shifted
+    # law's, on a law of zero mean too, under each utility and preference.
+    @pytest.mark.parametrize("u", [LinearUtility(), CaraUtility(0.8), LogUtility(3.0), CrraUtility(2.0, shift=3.0)],
+                             ids=["linear", "cara", "log", "crra"])
+    @pytest.mark.parametrize("law", [
+        DiscreteDistribution((-1.0, -0.0, 1.0), (0.25, 0.5, 0.25)),
+        EmpiricalSample([-0.0, 0.5, 2.0]),
+        TwoPoint(-1.0, 1.0, 0.5),
+        Uniform(-1.0, 1.0),
+    ], ids=["zero-mean", "empirical", "two-point", "uniform"])
+    def test_zero_wealth_premium_is_that_of_the_shifted_law(self, law, u):
+        for pref in (MIX, KusuokaFamily((MIX, MixtureMeasure.point(0.4)))):
+            m1 = law.mean()
+            ce = certainty_equivalent(law.translate(0.0), pref, u)
+            assert risk_premium(0.0, law, pref, u).hex() == (0.0 + m1 - ce).hex()
+
     def test_single_risk_mean_override(self):
         pool = EmpiricalSample([0.0, 1.0, 2.0])
         with_true_mean = risk_premium(

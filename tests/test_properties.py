@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from riskpool import verify
 from riskpool.distributions import DiscreteDistribution, EmpiricalSample, Exponential, Normal, Uniform
-from riskpool.preferences import CaraUtility, LinearUtility, certainty_equivalent
+from riskpool.preferences import (
+    CaraUtility,
+    CrraUtility,
+    LinearUtility,
+    LogUtility,
+    UtilityDomainError,
+    certainty_equivalent,
+)
 from riskpool.risk_measures import (
     _ARRAY_LEVELS,
     KusuokaFamily,
@@ -277,6 +284,33 @@ def test_translate_matches_freshly_built_law(law, c):
     assert moved.lower_quantile_integral(0.5) == pytest.approx(
         fresh.lower_quantile_integral(0.5), rel=1e-12, abs=1e-12
     )
+
+
+# A utility image is built without a scan of its own, so apply must never
+# return a non-finite value: on any finite arguments, out to the largest
+# floats and, for log and crra, down to the domain edge and past it, it
+# either raises UtilityDomainError or returns finite values only.
+@st.composite
+def utility_arguments(draw):
+    u = draw(st.sampled_from([
+        LinearUtility(), LinearUtility(1e300, -1e300), CaraUtility(1.0), CaraUtility(50.0),
+        LogUtility(), LogUtility(1e308), LogUtility(-2.5),
+        CrraUtility(3.0), CrraUtility(-1.0), CrraUtility(0.5, shift=1e-300), CrraUtility(30.0, shift=2.0),
+    ]))
+    edge = u.domain_lower
+    near = [np.nextafter(edge, math.inf), edge + 1e-300, edge] if edge > -math.inf else []
+    values = st.one_of(st.floats(-1e308, 1e308), st.sampled_from(near or [0.0]))
+    return u, np.array(draw(st.lists(values, min_size=1, max_size=20)))
+
+
+@given(utility_arguments())
+def test_utility_apply_raises_or_returns_finite_values(case):
+    u, x = case
+    try:
+        out = u.apply(x)
+    except UtilityDomainError:
+        return
+    assert np.isfinite(out).all()
 
 
 @given(st.lists(finite_values, min_size=1, max_size=40), tail_levels)
