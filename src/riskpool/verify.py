@@ -3,12 +3,13 @@
 Every property draws a case (outcome arrays on a few common states, the
 states' probabilities, and parameters such as tail levels or a mixture),
 measures how far an identity that holds by theory is violated on it, and
-fails where the violation exceeds its bound, so any failure is an
-implementation bug. One runner counts failures, keeps the worst violation,
-and shrinks the first failing case by greedily dropping states while it
-still fails; the shrunk case is the reported counterexample. The
-functionals are looked up in this module on every call, so a test can
-monkeypatch ``avar`` or ``mixture_value`` here to inject a bug.
+fails unless the violation is within its bound (a NaN never is), so any
+failure is an implementation bug. One runner counts failures, keeps the
+worst violation (a NaN is worse than any number), and shrinks the first
+failing case by greedily dropping states while it still fails; the shrunk
+case is the reported counterexample. The functionals are looked up in
+this module on every call, so a test can monkeypatch ``avar`` or
+``mixture_value`` here to inject a bug.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class Case:
 
 @dataclass(frozen=True)
 class _Property:
-    """Draw the states, then the parameters; fail where violation > bound."""
+    """Draw the states, then the parameters; fail unless violation <= bound."""
 
     name: str
     states: Callable[[np.random.Generator], tuple[np.ndarray, dict]]
@@ -86,8 +87,9 @@ def _run(prop: _Property, trials: int, gen: np.random.Generator) -> PropertyResu
     for _ in range(trials):
         case = Case(*prop.states(gen), prop.params(gen))  # states first, then parameters
         error = prop.violation(case)
-        worst = max(worst, error)
-        if error > prop.bound(case):
+        if error > worst or math.isnan(error):  # a NaN stays the worst error
+            worst = error
+        if not error <= prop.bound(case):
             failures += 1
             if counterexample is None:
                 shrunk = _shrink(prop, case)
@@ -101,7 +103,7 @@ def _shrink(prop: _Property, case: Case) -> Case:
         progress = False
         for i in range(case.probs.size):
             candidate = case.drop(i)
-            if prop.violation(candidate) > prop.bound(candidate):
+            if not prop.violation(candidate) <= prop.bound(candidate):
                 case, progress = candidate, True
                 break
     return case

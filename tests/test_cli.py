@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import riskpool.verify
-from riskpool.cli import main, parse_family_text, parse_mixture_text
+from riskpool.cli import build_parser, main, parse_family_text, parse_mixture_text
 from riskpool.config import (
     ConfigError,
     experiment_config_from_dict,
@@ -305,12 +305,37 @@ class TestPremiumCurve:
             "nproc": os.cpu_count(),
         }
 
-    def test_machine_facts_are_not_read_at_import(self):
+    def test_machine_facts_and_parser_are_not_made_at_import(self):
         src = Path(riskpool.verify.__file__).parents[1]
-        code = "import riskpool.cli as c; print(c._machine.cache_info().currsize)"
+        code = ("import riskpool.cli as c; "
+                "print(c._machine.cache_info().currsize, c.build_parser.cache_info().currsize)")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                               timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
-        assert done.stdout.strip() == "0"
+        assert done.stdout.strip() == "0 0"
+
+    # One process, one parser: after a usage error, --help and a verify run,
+    # the shared parser still writes the bytes of a fresh console run.
+    def test_repeated_calls_share_one_parser(self, tmp_path, capsys):
+        names = ("exact_normal_linear.json", "twopoint_family.json")
+        src = Path(riskpool.verify.__file__).parents[1]
+        for name in names:
+            subprocess.run([sys.executable, "-m", "riskpool.cli", "premium-curve",
+                            "--config", str(CONFIG_DIR / name), "--out-dir", str(tmp_path / "fresh" / name)],
+                           capture_output=True, text=True, check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": str(src)})
+        build_parser.cache_clear()
+        for argv, code in ((["premium-curve"], 2), (["--help"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        assert main(["verify", "duality", "--trials", "5", "--seed", "7"]) == 0
+        for name in names:
+            out = tmp_path / "shared" / name
+            assert main(["premium-curve", "--config", str(CONFIG_DIR / name), "--out-dir", str(out)]) == 0
+            for file in ("curve.csv", "curve.json"):
+                assert (out / file).read_bytes() == (tmp_path / "fresh" / name / file).read_bytes()
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
 
     def test_limit_experiments_write_manifests(self, tmp_path):
         script = CONFIG_DIR.parent / "run_limit_experiments.py"
@@ -384,7 +409,6 @@ class TestPremiumCurve:
         ({"distribution": {"family": "discrete", "outcomes": [-1e200, 1e200], "probs": [0.5, 0.5]}},
          2, "variance is not finite"),
     ], ids=["exact-without-closed-form", "overflowing-variance"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_run_time_failure_leaves_no_out_dir(self, tmp_path, capsys, patch, code, message):
         config = self.write_config(tmp_path, {**EXACT_CONFIG, **patch})
         out = tmp_path / "results"
@@ -445,7 +469,6 @@ class TestPremiumCurve:
     # the value the certainty equivalent applies u to after centring the
     # batch's law on its mean: the first failing batch has mean 0 at seed
     # 20260808 with 10 batches, but 20 at seed 0 with 2.
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_cara_overflow_exits_4(self, tmp_path, capsys):
         for seed, batches in ((20260808, 10), (0, 2)):
             payload = {
@@ -462,7 +485,6 @@ class TestPremiumCurve:
             assert not out.exists()
 
     # u(x) = (x^2 - 1)/2 at gamma = -1 overflows from x ~ 1.3e154 on.
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_crra_overflow_exits_4(self, tmp_path, capsys):
         payload = {
             "distribution": {"family": "discrete", "outcomes": [1e155, 1.1e155], "probs": [0.5, 0.5]},
@@ -559,6 +581,29 @@ class TestVerifyCommand:
         # Shrunk: dropping any one state makes the case pass.
         for i in range(probs.size):
             assert violation(everything & (np.arange(probs.size) != i)) <= 1e-10
+
+    # A functional that returns NaN fails every property that reads it: a
+    # NaN violation is within no bound, it is the worst error, and the
+    # counterexample line stays strict JSON with the violation as its repr.
+    # The Jensen check reads neither functional, so it still passes.
+    def test_nan_violation_fails(self, capsys, monkeypatch):
+        nan = lambda *args: math.nan  # noqa: E731
+        monkeypatch.setattr(riskpool.verify, "avar", nan)
+        monkeypatch.setattr(riskpool.verify, "mixture_value", nan)
+        assert main(["verify", "properties", "--trials", "50", "--seed", "7"]) == 5
+        assert main(["verify", "duality", "--trials", "50", "--seed", "7"]) == 5
+        captured = capsys.readouterr()
+        failed = [line for line in captured.out.splitlines() if line.endswith("[FAIL]")]
+        assert [line.split(":", 1)[0] for line in failed] == [
+            "translation_invariance", "positive_homogeneity", "avar_monotone_in_level",
+            "superadditivity", "comonotone_additivity",
+            "primal_dual_greedy", "primal_dual_vertex_enumeration",
+        ]
+        assert all(line.endswith("50 failures, worst error nan [FAIL]") for line in failed)
+        prefix = "minimal failing instance: "
+        instances = [strict_json(line[len(prefix):]) for line in captured.err.splitlines()]
+        assert [c["property"] for c in instances] == [line.split(":", 1)[0] for line in failed]
+        assert all(c["violation"] == "nan" for c in instances)
 
     def test_seed_past_64_bits_exits_2(self, capsys, monkeypatch):
         assert main(["verify", "duality", "--trials", "5", "--seed", str(2**64)]) == 2
