@@ -276,7 +276,8 @@ class DiscreteDistribution(Distribution):
     @classmethod
     def _finite_sorted(cls, atoms: np.ndarray, masses: np.ndarray, cum: np.ndarray):
         """:meth:`_sorted` without the check, for atoms a caller has already
-        found finite (a utility image, which ``apply`` checks)."""
+        found finite (a utility image, which ``apply`` checks, or a shift
+        whose bound :meth:`translate` found finite)."""
         law = object.__new__(cls)
         law._fill(atoms, masses, cum)
         return law
@@ -356,13 +357,14 @@ class DiscreteDistribution(Distribution):
     def support_lower_bound(self) -> float:
         return float(self._atoms[0])
 
-    # A shift that overflows is reported by _sorted, as a non-finite atom.
-    # Silencing numpy's warning costs more than the shift, so it is done
-    # only when |c| plus the largest |atom| passes the largest float.
+    # |c| plus the largest |atom| bounds every shifted atom, so a finite
+    # bound proves them all finite without a scan. Otherwise (an overflow,
+    # or a NaN or infinite c) _sorted reports the non-finite atom; silencing
+    # numpy's warning costs more than the shift, so it is done only there.
     def translate(self, c: float) -> "DiscreteDistribution":
         atoms = self._atoms
         if abs(float(c)) + max(-atoms.item(0), atoms.item(-1)) < math.inf:
-            return self._sorted(atoms + c, self._masses, self._cum)
+            return self._finite_sorted(atoms + c, self._masses, self._cum)
         with np.errstate(over="ignore"):
             return self._sorted(atoms + c, self._masses, self._cum)
 

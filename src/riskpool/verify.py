@@ -1,15 +1,18 @@
 """Seeded randomized checks behind the ``verify`` subcommand.
 
-Every property draws a case (outcome arrays on a few common states, the
+Every property draws cases (outcome arrays on a few common states, the
 states' probabilities, and parameters such as tail levels or a mixture),
-measures how far an identity that holds by theory is violated on it, and
-fails unless the violation is within its bound (a NaN never is), so any
-failure is an implementation bug. One runner counts failures, keeps the
-worst violation (a NaN is worse than any number), and shrinks the first
-failing case by greedily dropping states while it still fails; the shrunk
-case is the reported counterexample. The functionals are looked up in
-this module on every call, so a test can monkeypatch ``avar`` or
-``mixture_value`` here to inject a bug.
+measures how far an identity that holds by theory is violated on each, and
+fails a case unless the violation is within its bound (a NaN never is), so
+any failure is an implementation bug. Cases are drawn in blocks of the
+fixed ``_BLOCK``, each block's states and then its parameters in a few
+vectorised generator calls, so results stay a pure function of
+``(seed, trials)``. One runner counts failures, keeps the worst violation
+(a NaN is worse than any number), and shrinks the first failing case by
+greedily dropping states while it still fails; the shrunk case is the
+reported counterexample. The functionals are looked up in this module on
+every call, so a test can monkeypatch ``avar`` or ``mixture_value`` here
+to inject a bug.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ PROPERTY_TOL = 1e-10
 # Stream ids of the verify suites within a master seed.
 _LAW_STREAM = 101
 _VERTEX_STREAM = 102
+
+# Cases drawn per block. Fixed, not an option: a block's largest array
+# (256 rows of 64 states) is 128 KB, so memory does not grow with trials.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -73,27 +80,36 @@ class Case:
 
 @dataclass(frozen=True)
 class _Property:
-    """Draw the states, then the parameters; fail unless violation <= bound."""
+    """Draw a block's states, then its parameters; fail unless violation <= bound.
+
+    ``states(gen, rows)`` returns ``rows`` pairs of state probabilities and
+    named outcome arrays, ``params(gen, rows)`` as many parameter dicts.
+    """
 
     name: str
-    states: Callable[[np.random.Generator], tuple[np.ndarray, dict]]
-    params: Callable[[np.random.Generator], dict]
+    states: Callable[[np.random.Generator, int], list[tuple[np.ndarray, dict]]]
+    params: Callable[[np.random.Generator, int], list[dict]]
     violation: Callable[[Case], float]
     bound: Callable[[Case], float]
 
 
 def _run(prop: _Property, trials: int, gen: np.random.Generator) -> PropertyResult:
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     failures, worst, counterexample = 0, 0.0, None
-    for _ in range(trials):
-        case = Case(*prop.states(gen), prop.params(gen))  # states first, then parameters
-        error = prop.violation(case)
-        if error > worst or math.isnan(error):  # a NaN stays the worst error
-            worst = error
-        if not error <= prop.bound(case):
-            failures += 1
-            if counterexample is None:
-                shrunk = _shrink(prop, case)
-                counterexample = {**shrunk.payload(), "violation": prop.violation(shrunk)}
+    for start in range(0, trials, _BLOCK):
+        rows = min(_BLOCK, trials - start)
+        states = prop.states(gen, rows)  # a block's states first, then its parameters
+        for state, params in zip(states, prop.params(gen, rows)):
+            case = Case(*state, params)
+            error = prop.violation(case)
+            if error > worst or math.isnan(error):  # a NaN stays the worst error
+                worst = error
+            if not error <= prop.bound(case):
+                failures += 1
+                if counterexample is None:
+                    shrunk = _shrink(prop, case)
+                    counterexample = {**shrunk.payload(), "violation": prop.violation(shrunk)}
     return PropertyResult(prop.name, trials, failures, worst, counterexample)
 
 
@@ -109,36 +125,36 @@ def _shrink(prop: _Property, case: Case) -> Case:
     return case
 
 
-def _one_law(gen: np.random.Generator, max_states: int = 16):
-    k = int(gen.integers(1, max_states + 1))
-    outcomes = gen.normal(0.0, 5.0, size=k).round(6)
-    weights = gen.random(k) + 1e-3
-    return weights / weights.sum(), {"outcomes": outcomes}
+def _weights(gen: np.random.Generator, rows: int, most: int) -> tuple[list[int], np.ndarray]:
+    """Row sizes in 1..most, and a (rows, most) block of weights that are
+    zero past each row's size and sum to 1 along each row."""
+    sizes = gen.integers(1, most + 1, size=rows)
+    weights = gen.random((rows, most)) + 1e-3
+    weights[np.arange(most) >= sizes[:, None]] = 0.0
+    return sizes.tolist(), weights / weights.sum(axis=1, keepdims=True)
 
 
-def _two_laws(gen: np.random.Generator):
-    # Outcomes for X and Y on a shared finite sample space.
-    k = int(gen.integers(1, 17))
-    weights = gen.random(k) + 1e-3
-    x = gen.normal(0.0, 5.0, size=k).round(6)
-    y = gen.normal(0.0, 5.0, size=k).round(6)
-    return weights / weights.sum(), {"x_outcomes": x, "y_outcomes": y}
+def _laws(gen: np.random.Generator, rows: int, max_states: int = 16, names: tuple[str, ...] = ("outcomes",)):
+    # One outcome array per name, all on the same finite sample space.
+    sizes, probs = _weights(gen, rows, max_states)
+    outcomes = gen.normal(0.0, 5.0, size=(len(names), rows, max_states)).round(6)
+    return [(probs[i, :k], {name: block[i, :k] for name, block in zip(names, outcomes)})
+            for i, k in enumerate(sizes)]
 
 
-def _sorted_x(gen: np.random.Generator):
-    probs, arrays = _two_laws(gen)  # X nondecreasing across states: comonotone with f(X)
-    return probs, {"outcomes": np.sort(arrays["x_outcomes"])}
+def _sorted_laws(gen: np.random.Generator, rows: int):
+    # X nondecreasing across states: comonotone with f(X).
+    return [(probs, {"outcomes": np.sort(x["outcomes"])}) for probs, x in _laws(gen, rows)]
 
 
-def _random_mixture(gen: np.random.Generator) -> MixtureMeasure:
-    k = int(gen.integers(1, 5))
-    levels = gen.random(k) * 0.999 + 0.001
-    weights = gen.random(k) + 1e-3
-    return MixtureMeasure(tuple(zip(levels.tolist(), (weights / weights.sum()).tolist())))
+def _mixtures(gen: np.random.Generator, rows: int) -> list[MixtureMeasure]:
+    sizes, weights = _weights(gen, rows, 4)
+    levels = (gen.random((rows, 4)) * 0.999 + 0.001).tolist()
+    return [MixtureMeasure(tuple(zip(lam[:k], w[:k]))) for lam, w, k in zip(levels, weights.tolist(), sizes)]
 
 
-def _level(gen: np.random.Generator) -> dict:
-    return {"lambda": float(gen.random() * 0.999 + 0.001)}
+def _levels(gen: np.random.Generator, rows: int) -> list[dict]:
+    return [{"lambda": lam} for lam in (gen.random(rows) * 0.999 + 0.001).tolist()]
 
 
 def _relative(tol: float):
@@ -195,9 +211,9 @@ def run_duality_suite(trials: int, seed: int) -> list[PropertyResult]:
     the enumeration cross-check runs the same number of laws with at most
     5 atoms, where listing every polytope vertex is cheap.
     """
-    greedy = _Property("primal_dual_greedy", partial(_one_law, max_states=64), _level,
+    greedy = _Property("primal_dual_greedy", partial(_laws, max_states=64), _levels,
                        _greedy_gap, _relative(DUALITY_TOL))
-    vertices = _Property("primal_dual_vertex_enumeration", partial(_one_law, max_states=5), _level,
+    vertices = _Property("primal_dual_vertex_enumeration", partial(_laws, max_states=5), _levels,
                          _vertex_gap, _relative(VERTEX_TOL))
     return [
         _run(greedy, trials, RngSpec(seed, _LAW_STREAM).generator()),
@@ -241,24 +257,31 @@ def _jensen(case: Case) -> float:
 
 
 def _mixture_and(**draws):
-    return lambda gen: {"mixture": _random_mixture(gen), **{k: draw(gen) for k, draw in draws.items()}}
+    # Each draw returns a vector of ``rows`` scalar parameters.
+    def params(gen: np.random.Generator, rows: int) -> list[dict]:
+        columns = {"mixture": _mixtures(gen, rows)}
+        columns.update((k, draw(gen, rows).tolist()) for k, draw in draws.items())
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+    return params
 
 
-def _level_pair(gen: np.random.Generator) -> dict:
-    lam_lo, lam_hi = sorted((gen.random(2) * 0.999 + 0.001).tolist())
-    return {"lambda_low": lam_lo, "lambda_high": lam_hi}
+def _level_pairs(gen: np.random.Generator, rows: int) -> list[dict]:
+    pairs = np.sort(gen.random((rows, 2)) * 0.999 + 0.001, axis=1).tolist()
+    return [{"lambda_low": lam_lo, "lambda_high": lam_hi} for lam_lo, lam_hi in pairs]
 
 
 _STRUCTURAL = (
-    _Property("translation_invariance", _one_law,
-              _mixture_and(shift=lambda gen: float(gen.normal(0.0, 5.0))), _translation, _absolute),
-    _Property("positive_homogeneity", _one_law,
-              _mixture_and(factor=lambda gen: float(gen.random() * 4.0)), _homogeneity, _absolute),
-    _Property("avar_monotone_in_level", _one_law, _level_pair, _level_monotonicity, _absolute),
-    _Property("superadditivity", _two_laws, _mixture_and(), _superadditivity, _absolute),
-    _Property("comonotone_additivity", _sorted_x, _mixture_and(), _comonotone_additivity, _absolute),
-    _Property("jensen_premium_nonnegative", _one_law,
-              _mixture_and(alpha=lambda gen: float(gen.random() * 2.0 + 0.1)), _jensen, _absolute),
+    _Property("translation_invariance", _laws,
+              _mixture_and(shift=lambda gen, rows: gen.normal(0.0, 5.0, rows)), _translation, _absolute),
+    _Property("positive_homogeneity", _laws,
+              _mixture_and(factor=lambda gen, rows: gen.random(rows) * 4.0), _homogeneity, _absolute),
+    _Property("avar_monotone_in_level", _laws, _level_pairs, _level_monotonicity, _absolute),
+    _Property("superadditivity", partial(_laws, names=("x_outcomes", "y_outcomes")), _mixture_and(),
+              _superadditivity, _absolute),
+    _Property("comonotone_additivity", _sorted_laws, _mixture_and(), _comonotone_additivity, _absolute),
+    _Property("jensen_premium_nonnegative", _laws,
+              _mixture_and(alpha=lambda gen, rows: gen.random(rows) * 2.0 + 0.1), _jensen, _absolute),
 )
 
 

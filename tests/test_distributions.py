@@ -209,8 +209,10 @@ class TestConstruction:
         _assert_rejects(message, DiscreteDistribution, (1.0, 2.0), probabilities)
 
     def test_laws_built_on_sorted_atoms_check_every_atom(self):
-        # A shift can overflow, and a mapped array may hold a NaN anywhere.
-        for atoms, shift in (((1.0, 1e308), 1e308), ((-1e308, 1.0), np.float64(-1e308))):
+        # A shift can overflow or be NaN or infinite, and a mapped array may
+        # hold a NaN anywhere.
+        for atoms, shift in (((1.0, 1e308), 1e308), ((-1e308, 1.0), np.float64(-1e308)),
+                             ((1.0, 2.0), math.nan), ((1.0, 2.0), math.inf), ((1.0, 2.0), -math.inf)):
             with pytest.raises(ValueError, match="outcomes must be finite"):
                 DiscreteDistribution(atoms, (0.5, 0.5)).translate(shift)
         masses, cum = np.full(3, 1.0 / 3.0), np.arange(1, 4) / 3.0

@@ -118,11 +118,11 @@ def test_family_value_is_the_first_smallest_member_value(law, members, data):
 SUITE_PINS = [
     ("translation_invariance", 0, "0x1.0000000000000p-48"),
     ("positive_homogeneity", 0, "0x1.0000000000000p-47"),
-    ("avar_monotone_in_level", 0, "0x1.0000000000000p-50"),
-    ("superadditivity", 0, "0x1.0000000000000p-50"),
-    ("comonotone_additivity", 0, "0x1.8000000000000p-49"),
+    ("avar_monotone_in_level", 0, "0x1.0000000000000p-53"),
+    ("superadditivity", 0, "0x1.0000000000000p-49"),
+    ("comonotone_additivity", 0, "0x1.0000000000000p-48"),
     ("jensen_premium_nonnegative", 0, "0x0.0p+0"),
-    ("primal_dual_greedy", 0, "0x1.7c00000000000p-48"),
+    ("primal_dual_greedy", 0, "0x1.8000000000000p-49"),
     ("primal_dual_vertex_enumeration", 0, "0x1.0000000000000p-49"),
 ]
 
@@ -131,37 +131,64 @@ SUITE_PINS = [
 # of both suites with 200 trials, per seed: a case that moves below the
 # worst error changes the digest, not SUITE_PINS.
 CASE_DIGESTS = {
-    20260808: "e2ed1f11f5550c9354bee6c0cd514a3bf39a1fb88b7379e8fd070a411ddc7c54",
-    7: "12ff4f15f7119409caa3017e1a74bfc8985c3c582e7ddfae100fb12859144511",
+    20260808: "9b17d19bc4f0490690924c8e229f525f95a1620f69c464a18bcb156f218aec6a",
+    7: "c1e48166b013bff92e9076e122787641853f4203a4ed1ada83a82685eb3ef5fb",
 }
 
 
-def _suites_with_violations(seed, monkeypatch):
-    """Both suites at 200 trials, and each case's violation in draw order."""
-    seen = []
+def _suites_with_violations(seed, monkeypatch, trials=200):
+    """Both suites, each case's violation in draw order, and the
+    (property name, case) pairs the violations were measured on."""
+    seen, cases = [], []
     run = verify._run
 
     def recording_run(prop, trials, gen):
         def violation(case):
             value = prop.violation(case)
             seen.append(value.hex())
+            cases.append((prop.name, case))
             return value
 
         return run(dataclasses.replace(prop, violation=violation), trials, gen)
 
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_run", recording_run)
-        results = run_property_suite(200, seed) + run_duality_suite(200, seed)
-    return results, seen
+        results = run_property_suite(trials, seed) + run_duality_suite(trials, seed)
+    return results, seen, cases
 
 
 def test_verify_suites_are_pinned(monkeypatch):
     for seed, digest in CASE_DIGESTS.items():
-        results, seen = _suites_with_violations(seed, monkeypatch)
+        results, seen, _ = _suites_with_violations(seed, monkeypatch)
         if seed == 20260808:
             assert [(r.name, r.failures, r.worst_error.hex()) for r in results] == SUITE_PINS
         assert len(seen) == len(results) * 200
         assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == digest
+
+
+# States per case: 1-16 for the single-law and joint properties.
+MAX_STATES = {"primal_dual_greedy": 64, "primal_dual_vertex_enumeration": 5}
+
+
+@pytest.mark.parametrize("trials", [1, verify._BLOCK, verify._BLOCK + 1])
+def test_verify_blocks_keep_every_case_shape(monkeypatch, trials):
+    results, _, cases = _suites_with_violations(7, monkeypatch, trials)
+    assert [(r.trials, r.passed) for r in results] == [(trials, True)] * 8
+    assert len(cases) == 8 * trials
+    for name, case in cases:
+        assert 1 <= case.probs.size <= MAX_STATES.get(name, 16)
+        assert all(a.shape == case.probs.shape for a in case.outcomes.values())
+        assert abs(float(case.probs.sum()) - 1.0) <= 1e-12
+        if "mixture" in case.params:
+            assert all(0.001 <= lam < 1.0 for lam, _ in case.params["mixture"].atoms)
+        if name == "comonotone_additivity":
+            assert np.all(np.diff(case.outcomes["outcomes"]) >= 0.0)
+
+
+@pytest.mark.parametrize("suite", [run_property_suite, run_duality_suite])
+def test_negative_trials_are_rejected(suite):
+    with pytest.raises(ValueError, match="trials must be nonnegative, got -3"):
+        suite(-3, 7)
 
 
 @given(discrete_laws(), tail_levels, tail_levels)
