@@ -3,7 +3,7 @@ the asymptotics of equally shared risk pools."""
 
 __version__ = "0.1.0"
 
-from .asymptotics import RateFit, fit_rate, theorem1_limit, theorem2_limit
+from .asymptotics import RateFit, fit_rate, theorem1_limit
 from .distributions import (
     DiscreteDistribution,
     Distribution,
@@ -22,7 +22,6 @@ from .mc_engine import (
     LimitComparison,
     PremiumCurve,
     compare_to_limit,
-    estimate_scaled_premium,
     run_curve,
 )
 from .normal import inv_normal_cdf

@@ -5,10 +5,10 @@ tends to the single-risk standard deviation sigma times minus the
 preference's value on a standard normal risk. Under a mixture that value
 is minus the weighted average of pdf(ppf(level))/level over its atoms
 (Theorem 1); under a family it is the smallest member value, so the limit
-takes the largest member constant (Theorem 2). Both limits are read from
-the normal law's tail integral through
+takes the largest member constant (Theorem 2). :func:`theorem1_limit`
+gives both, reading the normal law's tail integral through
 :func:`~riskpool.risk_measures.preference_value`, so the constant has no
-second closed form here.
+second closed form and the family limit no second name.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "RateFit",
     "fit_rate",
     "theorem1_limit",
-    "theorem2_limit",
 ]
 
 _STANDARD_NORMAL = Normal(0.0, 1.0)
@@ -34,10 +33,11 @@ _STANDARD_NORMAL = Normal(0.0, 1.0)
 def theorem1_limit(sigma: float, mu: MixtureMeasure | KusuokaFamily) -> float:
     """Limit of the scaled pooled premium: -sigma * value of N(0, 1) under mu.
 
-    mu is a mixture, or a family as in :func:`theorem2_limit`. The limit is
-    zero when sigma is zero (a degenerate risk pools to itself) and zero
-    exactly when mu is the point mass at level 1. sigma must be finite and
-    nonnegative, and so must the limit: a product that overflows is an error.
+    mu is a mixture (Theorem 1), or a family, whose limit takes the largest
+    member constant (Theorem 2). The limit is zero when sigma is zero (a
+    degenerate risk pools to itself) and zero exactly when mu is the point
+    mass at level 1. sigma must be finite and nonnegative, and so must the
+    limit: a product that overflows is an error.
     """
     sigma = float(sigma)
     if not 0.0 <= sigma < math.inf:
@@ -48,11 +48,6 @@ def theorem1_limit(sigma: float, mu: MixtureMeasure | KusuokaFamily) -> float:
     if not math.isfinite(limit):
         raise ValueError(f"the limit is not finite: sigma {sigma!r} times the N(0, 1) value {value!r}")
     return limit
-
-
-def theorem2_limit(sigma: float, family: KusuokaFamily) -> float:
-    """Limit under a family: sigma times the largest member constant."""
-    return theorem1_limit(sigma, family)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .risk_measures import (
     kusuoka_value,
     mixture_value,
 )
-from .asymptotics import theorem1_limit, theorem2_limit
+from .asymptotics import theorem1_limit
 from .verify import run_duality_suite, run_property_suite
 
 EXIT_OK = 0
@@ -194,12 +194,13 @@ def _cmd_measure(args) -> int:
 def _cmd_limit(args) -> int:
     if (args.mu is None) == (args.family is None):
         raise ConfigError("limit", "exactly one of --mu, --family is required")
+    # The operation names the paper's theorem: 1 for a mixture, 2 for a family.
     if args.mu is not None:
-        value = theorem1_limit(args.sigma, parse_mixture_text(args.mu))
-        payload = {"operation": "theorem1_limit", "sigma": args.sigma, "value": value}
+        preference, theorem = parse_mixture_text(args.mu), 1
     else:
-        value = theorem2_limit(args.sigma, parse_family_text(args.family))
-        payload = {"operation": "theorem2_limit", "sigma": args.sigma, "value": value}
+        preference, theorem = parse_family_text(args.family), 2
+    value = theorem1_limit(args.sigma, preference)
+    payload = {"operation": f"theorem{theorem}_limit", "sigma": args.sigma, "value": value}
     print(json.dumps(payload) if args.json else _fmt(value))
     return EXIT_OK
 

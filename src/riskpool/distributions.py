@@ -72,6 +72,14 @@ def _check_level(t: float, name: str = "t") -> float:
     return t
 
 
+def _square(x: float) -> float:
+    """x**2, or inf where it overflows (``**`` raises OverflowError there)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _check_tail(lam) -> float:
     """A tail level in (0, 1] as a float."""
     lam = float(lam)
@@ -636,7 +644,7 @@ class Normal(Distribution):
         return self.loc
 
     def variance(self) -> float:
-        return self.scale**2
+        return _square(self.scale)
 
     def support_lower_bound(self) -> float:
         return -math.inf
@@ -668,20 +676,23 @@ class Uniform(Distribution):
         if not (math.isfinite(self.low) and math.isfinite(self.high) and self.high > self.low):
             raise ValueError("uniform law requires finite bounds with high > low")
 
+    # At level 1, low + (high - low) * 1 can round past high, and the tail
+    # integral past the mean, so both are returned as they are.
     def quantile(self, t: float) -> float:
-        return float(self._ppf(_check_level(t)))
+        t = _check_level(t)
+        return self.high if t == 1.0 else float(self._ppf(t))
 
     def _ppf(self, t):
         return self.low + (self.high - self.low) * t
 
     def _tail_integral(self, lam: float) -> float:
-        return self.low * lam + 0.5 * (self.high - self.low) * lam**2
+        return self.mean() if lam == 1.0 else self.low * lam + 0.5 * (self.high - self.low) * lam**2
 
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
 
     def variance(self) -> float:
-        return (self.high - self.low) ** 2 / 12.0
+        return _square(self.high - self.low) / 12.0
 
     def support_lower_bound(self) -> float:
         return self.low
@@ -720,7 +731,8 @@ class Exponential(Distribution):
         return self.shift + 1.0 / self.rate
 
     def variance(self) -> float:
-        return 1.0 / self.rate**2
+        square = _square(self.rate)
+        return 1.0 / square if square else math.inf  # the square underflowed
 
     def support_lower_bound(self) -> float:
         return self.shift

@@ -1,7 +1,9 @@
 """Premium-curve experiments across pool sizes.
 
-For each pool size n the scaled premium sqrt(n) * (E[X1] - CE(pool average))
-is estimated from B independent batches of R/B pooled replicates: each batch
+:func:`run_curve` is the one entry: it estimates every pool size of the
+config's n grid, and a single pool size is a one-point grid. For each pool
+size n the scaled premium sqrt(n) * (E[X1] - CE(pool average)) is
+estimated from B independent batches of R/B pooled replicates: each batch
 forms the empirical law of its replicates, evaluates the certainty
 equivalent of that law, and contributes one premium value. The estimate is
 the batch mean and the standard error the batch-mean standard error --
@@ -143,21 +145,6 @@ _TOLERANCE_NOTE = (
 )
 
 
-def _use_exact(config: ExperimentConfig) -> bool:
-    dist = config.distribution
-    closed = isinstance(dist, Normal) and (
-        closed_form_certainty_equivalent(dist, config.preference, config.utility) is not None
-    )
-    if config.exact is None:
-        return closed
-    if config.exact and not closed:
-        raise ValueError(
-            "exact=True requires a closed-form configuration "
-            "(normal risks with linear utility, or cara utility with the point mass at 1)"
-        )
-    return bool(config.exact)
-
-
 def theorem_limit(config: ExperimentConfig) -> float:
     """Limit constant matching the config's mixture or family."""
     variance = config.distribution.variance()
@@ -166,16 +153,31 @@ def theorem_limit(config: ExperimentConfig) -> float:
     return theorem1_limit(math.sqrt(variance), config.preference)
 
 
-def _exact_scaled_premium(config: ExperimentConfig, n: int, limit: float) -> float:
-    if isinstance(config.utility, LinearUtility):
+def _limit_and_exact_premiums(config: ExperimentConfig) -> tuple[float, list[float] | None]:
+    """The curve's limit, and its closed-form scaled premiums on the n grid
+    or None where the curve is sampled: the one statement of the auto-exact
+    rule. exact=True without a closed form fails before the variance check."""
+    dist, mu, utility = config.distribution, config.preference, config.utility
+    closed = isinstance(dist, Normal) and closed_form_certainty_equivalent(dist, mu, utility) is not None
+    if config.exact and not closed:
+        raise ValueError(
+            "exact=True requires a closed-form configuration "
+            "(normal risks with linear utility, or cara utility with the point mass at 1)"
+        )
+    limit = theorem_limit(config)
+    if not closed or config.exact is False:
+        return limit, None
+    if isinstance(utility, LinearUtility):
         # Premium (sigma/sqrt(n)) * constant; the sqrt(n) scaling cancels,
         # so the Taylor error of the expansion argument vanishes identically.
-        return limit
+        return limit, [limit] * len(config.n_grid)
     # Both closed-form utilities are translation-equivariant, so the premium
     # is minus the CE of the centred pooled law; centring avoids the
     # cancellation in wealth + mean - CE when the mean dwarfs the spread.
-    centred = Normal(0.0, config.distribution.scale / math.sqrt(n))
-    return -math.sqrt(n) * closed_form_certainty_equivalent(centred, config.preference, config.utility)
+    return limit, [
+        -math.sqrt(n) * closed_form_certainty_equivalent(Normal(0.0, dist.scale / math.sqrt(n)), mu, utility)
+        for n in config.n_grid
+    ]
 
 
 def _batch_scaled_premium(
@@ -189,19 +191,10 @@ def _batch_scaled_premium(
     return math.sqrt(n) * premium
 
 
-def _curve_points(
-    config: ExperimentConfig, n_grid: tuple[int, ...], exact_limit: float | None, threads: int = 1
-) -> list[CurvePoint]:
-    # Exact path, taken when the caller passes the curve's limit: analytic
-    # values with stderr 0. Monte Carlo path: batch mean and batch-mean
-    # standard error per n. A utility domain violation in any replicate
-    # aborts the whole pool size (dropping offending replicates would bias
-    # the tail of the empirical law).
-    if exact_limit is not None:
-        return [
-            CurvePoint(n, _exact_scaled_premium(config, n, exact_limit), 0.0, config.replications, "exact")
-            for n in n_grid
-        ]
+def _curve_points(config: ExperimentConfig, threads: int) -> list[CurvePoint]:
+    # Batch mean and batch-mean standard error per n. A utility domain
+    # violation in any replicate aborts the whole pool size (dropping
+    # offending replicates would bias the tail of the empirical law).
     # One spec per batch, shared by its cells at every n and dropped with
     # the curve. The single-risk mean is taken once, and each n's sampler
     # (a lattice law's pool law, say) is made once, here, and dropped after
@@ -212,21 +205,12 @@ def _curve_points(
     points = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         run = pool.map if threads > 1 else map
-        for n in n_grid:
+        for n in config.n_grid:
             sampler = config.distribution.pool_sampler(n)
             values = np.array(list(run(partial(_batch_scaled_premium, config, n, sampler, mean), specs)))
             stderr = float(values.std(ddof=1) / math.sqrt(config.batches))
             points.append(CurvePoint(n, float(values.mean()), stderr, config.replications, sampler.method))
     return points
-
-
-def estimate_scaled_premium(config: ExperimentConfig, n: int) -> tuple[float, float]:
-    """(estimate, stderr) of the scaled premium at one pool size, as the
-    point :func:`run_curve` gives that n."""
-    if n < 1:
-        raise ValueError("pool size must be >= 1")
-    point = _curve_points(config, (n,), theorem_limit(config) if _use_exact(config) else None)[0]
-    return point.estimate, point.stderr
 
 
 def run_curve(config: ExperimentConfig, *, threads: int = 1) -> PremiumCurve:
@@ -241,9 +225,11 @@ def run_curve(config: ExperimentConfig, *, threads: int = 1) -> PremiumCurve:
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
-    exact = _use_exact(config)
-    limit = theorem_limit(config)
-    points = _curve_points(config, config.n_grid, limit if exact else None, threads)
+    limit, exact = _limit_and_exact_premiums(config)
+    if exact is None:
+        points = _curve_points(config, threads)
+    else:
+        points = [CurvePoint(n, v, 0.0, config.replications, "exact") for n, v in zip(config.n_grid, exact)]
     unscaled = [(p.n, p.estimate / math.sqrt(p.n)) for p in points]
     rate = None
     if len(unscaled) >= 3 and all(v > 0.0 for _, v in unscaled):

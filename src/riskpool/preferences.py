@@ -205,7 +205,7 @@ def closed_form_certainty_equivalent(
     if isinstance(u, LinearUtility):
         return preference_value(dist, mu)
     if isinstance(u, CaraUtility) and isinstance(dist, Normal) and mu == DELTA_ONE:
-        return dist.loc - u.alpha * dist.scale**2 / 2.0
+        return dist.loc - u.alpha * dist.variance() / 2.0
     return None
 
 

@@ -4,16 +4,20 @@ Everything here deliberately avoids the package's own computational paths:
 inverse normal values come from bisection on an erfc-based CDF (or scipy),
 tail integrals from adaptive quadrature on scipy's ppf, pooled laws from
 exhaustive enumeration, and dual values from brute-force vertex listing.
-:func:`sorted_draws` reads a drawn empirical law back as its sorted draws.
+:func:`sorted_draws` reads a drawn empirical law back as its sorted draws,
+and :func:`one_point` runs the package's curve engine at one pool size.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from itertools import combinations, product
 
 import numpy as np
 from scipy import integrate, stats
+
+from riskpool.mc_engine import run_curve
 
 
 def norm_cdf(x: float) -> float:
@@ -120,3 +124,10 @@ def sorted_draws(law, count: int) -> np.ndarray:
     ends = np.rint(law._cum * count).astype(np.int64)
     assert ends[-1] == count and np.array_equal(ends / count, law._cum)
     return np.repeat(law._atoms, np.diff(ends, prepend=0))
+
+
+def one_point(config, n: int) -> tuple[float, float]:
+    """(estimate, stderr) of the scaled premium at pool size n: the point of
+    :func:`run_curve` on the one-point grid (n,)."""
+    point = run_curve(dataclasses.replace(config, n_grid=(n,))).points[0]
+    return point.estimate, point.stderr

@@ -13,12 +13,12 @@ import pytest
 
 from riskpool.cli import main
 from riskpool.distributions import DiscreteDistribution, Normal, TwoPoint
-from riskpool.mc_engine import ExperimentConfig, estimate_scaled_premium, run_curve
+from riskpool.mc_engine import ExperimentConfig, run_curve
 from riskpool.preferences import CaraUtility, LinearUtility
 from riskpool.risk_measures import KusuokaFamily, MixtureMeasure, mixture_value
 from riskpool.verify import run_duality_suite, run_property_suite
 
-from helpers import enumerate_pool_law
+from helpers import enumerate_pool_law, one_point
 
 SEED = 20260808
 MIX_HALF_MEAN = MixtureMeasure(((0.5, 0.5), (1.0, 0.5)))
@@ -38,10 +38,9 @@ def test_criterion_1_exact_degenerate_taylor_case():
         n_grid=FULL_GRID,
         master_seed=SEED,
     )
-    for n in config.n_grid:
-        estimate, stderr = estimate_scaled_premium(config, n)
-        assert stderr == 0.0
-        assert estimate == pytest.approx(0.7978845608, abs=1e-9)
+    for point in run_curve(config).points:
+        assert point.stderr == 0.0
+        assert point.estimate == pytest.approx(0.7978845608, abs=1e-9)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     report(1, f"exact path constant 0.7978845608 at every n ({elapsed:.2f}s)")
@@ -209,7 +208,7 @@ def test_criterion_8_small_pool_enumeration():
             batches=20,
             master_seed=SEED,
         )
-        estimate, stderr = estimate_scaled_premium(config, n)
+        estimate, stderr = one_point(config, n)
         assert abs(estimate - exact) <= 4 * stderr
         messages.append(f"n={n}: |{estimate:.5f} - {exact:.5f}| <= {4 * stderr:.5f}")
     report(8, "; ".join(messages))

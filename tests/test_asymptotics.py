@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskpool.asymptotics import fit_rate, theorem1_limit, theorem2_limit
+from riskpool.asymptotics import fit_rate, theorem1_limit
 from riskpool.config import experiment_config_from_dict
 from riskpool.distributions import Normal, RngSpec
 from riskpool.mc_engine import theorem_limit
@@ -119,25 +119,25 @@ class TestTheorem1Limit:
         with pytest.raises(ValueError, match="finite"):
             theorem1_limit(sigma, mu)
         with pytest.raises(ValueError, match="finite"):
-            theorem2_limit(sigma, KusuokaFamily((mu,)))
+            theorem1_limit(sigma, KusuokaFamily((mu,)))
 
 
 class TestTheorem2Limit:
     def test_mean_family_is_zero(self):
-        assert theorem2_limit(1.0, KusuokaFamily((MixtureMeasure.point(1.0),))) == 0.0
+        assert theorem1_limit(1.0, KusuokaFamily((MixtureMeasure.point(1.0),))) == 0.0
 
     def test_two_point_family(self):
         family = KusuokaFamily((MixtureMeasure.point(0.3), MixtureMeasure.point(0.7)))
-        assert theorem2_limit(1.0, family) == pytest.approx(CONSTANT_03, abs=1e-12)
+        assert theorem1_limit(1.0, family) == pytest.approx(CONSTANT_03, abs=1e-12)
 
     def test_singleton_matches_theorem1(self):
         mu = MixtureMeasure(((0.5, 0.5), (1.0, 0.5)))
-        assert theorem2_limit(1.0, KusuokaFamily((mu,))) == theorem1_limit(1.0, mu)
+        assert theorem1_limit(1.0, KusuokaFamily((mu,))) == theorem1_limit(1.0, mu)
 
     def test_sup_monotone_in_family(self):
         small = KusuokaFamily((MixtureMeasure.point(0.5),))
         large = KusuokaFamily((MixtureMeasure.point(0.5), MixtureMeasure.point(0.2)))
-        assert theorem2_limit(1.5, large) >= theorem2_limit(1.5, small)
+        assert theorem1_limit(1.5, large) >= theorem1_limit(1.5, small)
 
     def test_consistency_with_family_functional(self):
         family = KusuokaFamily(
@@ -147,7 +147,7 @@ class TestTheorem2Limit:
             )
         )
         value, _ = kusuoka_value(Normal(0.0, 1.0), family)
-        assert theorem2_limit(1.0, family) == pytest.approx(-value, abs=1e-12)
+        assert theorem1_limit(1.0, family) == pytest.approx(-value, abs=1e-12)
 
 
 def scipy_limit(sigma, mu):
@@ -181,7 +181,7 @@ class TestIndependentForm:
                 for _ in range(int(gen.integers(1, 5)))
             )
             expected = max(scipy_limit(1.5, mu) for mu in members)
-            assert theorem2_limit(1.5, KusuokaFamily(members)) == pytest.approx(
+            assert theorem1_limit(1.5, KusuokaFamily(members)) == pytest.approx(
                 expected, rel=1e-12, abs=0.0
             )
 

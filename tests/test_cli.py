@@ -173,6 +173,18 @@ class TestLimit:
             2 * 1.1589753806669127, abs=1e-9
         )
 
+    # The README's two examples, byte for byte: the operation names the
+    # paper's theorem, 1 for a mixture and 2 for a family.
+    @pytest.mark.parametrize("argv, theorem, sigma, value", [
+        (["--sigma", "1", "--mu", "0.5@0.5 + 0.5@1"], 1, "1.0", "0.3989422804014327"),
+        (["--sigma", "2", "--family", "{delta0.3}"], 2, "2.0", "2.3179507613338255"),
+        (["--sigma", "2", "--family", "{delta0.3, 0.5@0.2 + 0.5@1}"], 2, "2.0", "2.3179507613338255"),
+    ])
+    def test_json_output_pinned(self, capsys, argv, theorem, sigma, value):
+        assert main(["limit", *argv, "--json"]) == 0
+        line = f'{{"operation": "theorem{theorem}_limit", "sigma": {sigma}, "value": {value}}}\n'
+        assert capsys.readouterr().out == line
+
     def test_atom_at_zero_exits_2_citing_support(self, capsys):
         assert main(["limit", "--sigma", "1", "--mu", "delta0"]) == 2
         assert "(0, 1]" in capsys.readouterr().err
@@ -408,7 +420,19 @@ class TestPremiumCurve:
          2, "exact=True requires"),
         ({"distribution": {"family": "discrete", "outcomes": [-1e200, 1e200], "probs": [0.5, 0.5]}},
          2, "variance is not finite"),
-    ], ids=["exact-without-closed-form", "overflowing-variance"])
+        # A parametric square past the float range is an infinite variance
+        # too: on the exact linear path, the cara closed form, and a sampler.
+        ({"distribution": {"family": "normal", "mean": 0.0, "sd": 1e200}},
+         2, "variance is not finite"),
+        ({"distribution": {"family": "normal", "mean": 0.0, "sd": 1e200},
+          "utility": {"family": "cara", "alpha": 1.0}, "mixture": {"atoms": [{"lambda": 1.0, "weight": 1.0}]}},
+         2, "variance is not finite"),
+        ({"distribution": {"family": "uniform", "low": -1e200, "high": 1e200}},
+         2, "variance is not finite"),
+        ({"distribution": {"family": "exponential", "rate": 1e-200, "shift": 0.0}},
+         2, "variance is not finite"),
+    ], ids=["exact-without-closed-form", "overflowing-variance", "normal-linear-variance",
+            "normal-cara-variance", "uniform-variance", "exponential-variance"])
     def test_run_time_failure_leaves_no_out_dir(self, tmp_path, capsys, patch, code, message):
         config = self.write_config(tmp_path, {**EXACT_CONFIG, **patch})
         out = tmp_path / "results"

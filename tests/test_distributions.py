@@ -61,6 +61,17 @@ class TestQuantile:
         assert Normal(0.0, 1.0).quantile(1.0) == math.inf
         assert Exponential(1.0).quantile(1.0) == math.inf
 
+    # low + (high - low) * 1 can round past high; level 1 is high itself,
+    # and every other level keeps the bits of that product.
+    def test_uniform_level_one_is_high(self):
+        assert Uniform(-0.3, 0.1).quantile(1.0) == 0.1
+        gen = np.random.default_rng(41)
+        for low, width in gen.normal(0.0, 1.0, (2000, 2)).tolist():
+            law = Uniform(low, low + abs(width) + 1e-3)
+            assert law.quantile(1.0) == law.high
+            for t in (0.0, 0.3, 0.5, 1.0 - 2.0**-53):
+                assert law.quantile(t).hex() == (law.low + (law.high - law.low) * t).hex()
+
     def test_nondecreasing_on_grid(self):
         for dist in (UNIFORM_1234, Uniform(-2.0, 5.0), Exponential(0.5, -1.0),
                      TwoPoint(0.0, 1.0, 0.3), EmpiricalSample([3.0, 1.0, 2.0])):
@@ -148,6 +159,30 @@ class TestMoments:
         assert Exponential(4.0).variance() == pytest.approx(1.0 / 16.0)
         assert TwoPoint(1.0, 3.0, 0.3).mean() == pytest.approx(1.6)
         assert TwoPoint(1.0, 3.0, 0.3).variance() == pytest.approx(4 * 0.3 * 0.7)
+
+    # A square past the float range is inf and one below it 0.0, as a finite
+    # law's variance gives them, not an OverflowError or ZeroDivisionError.
+    @pytest.mark.parametrize("law, variance", [
+        (Normal(0.0, 1e200), math.inf),
+        (Normal(0.0, 1e-200), 0.0),
+        (Uniform(-1e200, 1e200), math.inf),
+        (Uniform(0.0, 1e-200), 0.0),
+        (Exponential(1e-200), math.inf),
+        (Exponential(1e200), 0.0),
+    ])
+    def test_parametric_variance_overflow_and_underflow(self, law, variance):
+        assert law.variance() == variance
+
+    # Wherever the square is finite and nonzero, every bit is the closed
+    # form's: scales from 2^-530 (a subnormal square) to 2^511.
+    def test_parametric_variance_bits_where_finite(self):
+        gen = np.random.default_rng(23)
+        scales = np.ldexp(gen.uniform(1.0, 2.0, 4000), gen.integers(-530, 511, 4000))
+        for s in scales.tolist():
+            assert s**2 != 0.0
+            assert Normal(0.0, s).variance().hex() == (s**2).hex()
+            assert Uniform(0.0, s).variance().hex() == (s**2 / 12.0).hex()
+            assert Exponential(s).variance().hex() == (1.0 / s**2).hex()
 
 
 def _assert_rejects(message, build, *args):

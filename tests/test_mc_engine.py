@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -20,7 +21,6 @@ from riskpool.distributions import (
 from riskpool.mc_engine import (
     ExperimentConfig,
     compare_to_limit,
-    estimate_scaled_premium,
     run_curve,
     theorem_limit,
 )
@@ -28,7 +28,7 @@ from riskpool.config import config_hash, experiment_config_to_dict
 from riskpool.preferences import CaraUtility, LinearUtility, LogUtility, UtilityDomainError, risk_premium
 from riskpool.risk_measures import KusuokaFamily, MixtureMeasure, mixture_value
 
-from helpers import enumerate_pool_law
+from helpers import enumerate_pool_law, one_point
 
 CONSTANT_05 = 0.7978845608028654
 MIX = MixtureMeasure(((0.5, 0.5), (1.0, 0.5)))
@@ -91,14 +91,14 @@ class TestExactPath:
     def test_normal_linear_every_n(self):
         config = make_config(n_grid=(4, 16, 64, 256, 1024, 4096))
         for n in config.n_grid:
-            estimate, stderr = estimate_scaled_premium(config, n)
+            estimate, stderr = one_point(config, n)
             assert stderr == 0.0
             assert estimate == pytest.approx(CONSTANT_05, abs=1e-12)
 
     def test_cara_mean_case_auto_exact(self):
         config = make_config(utility=CaraUtility(1.0), mixture=MixtureMeasure.point(1.0))
         for n in config.n_grid:
-            estimate, stderr = estimate_scaled_premium(config, n)
+            estimate, stderr = one_point(config, n)
             assert stderr == 0.0
             assert estimate / math.sqrt(n) == pytest.approx(0.5 / n, abs=1e-15)
 
@@ -139,21 +139,19 @@ class TestExactPath:
     def test_family_exact_path(self):
         family = KusuokaFamily((MixtureMeasure.point(0.3), MixtureMeasure.point(0.7)))
         config = make_config(mixture=None, family=family)
-        estimate, stderr = estimate_scaled_premium(config, 4)
+        estimate, stderr = one_point(config, 4)
         assert stderr == 0.0
         assert estimate == pytest.approx(1.1589753806669127, abs=1e-12)
 
     def test_exact_true_requires_closed_form(self):
         with pytest.raises(ValueError, match="closed-form"):
-            estimate_scaled_premium(make_config(utility=CaraUtility(1.0), exact=True), 4)
+            one_point(make_config(utility=CaraUtility(1.0), exact=True), 4)
         with pytest.raises(ValueError, match="closed-form"):
-            estimate_scaled_premium(
-                make_config(distribution=TwoPoint(0.0, 1.0, 0.5), exact=True), 4
-            )
+            one_point(make_config(distribution=TwoPoint(0.0, 1.0, 0.5), exact=True), 4)
 
     def test_cara_mixture_stays_monte_carlo(self):
         config = make_config(utility=CaraUtility(1.0), mixture=MIX)
-        _, stderr = estimate_scaled_premium(config, 4)
+        _, stderr = one_point(config, 4)
         assert stderr > 0.0
 
 
@@ -164,7 +162,7 @@ class TestMonteCarloPath:
             utility=CaraUtility(1.0),
             mixture=MIX,
         )
-        estimate, stderr = estimate_scaled_premium(config, 4)
+        estimate, stderr = one_point(config, 4)
         assert estimate == pytest.approx(0.0, abs=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-12)
 
@@ -181,18 +179,18 @@ class TestMonteCarloPath:
         exact_pool = DiscreteDistribution(outcomes, probs)
         exact = math.sqrt(2) * (0.5 - mixture_value(exact_pool, mu))
         assert exact == pytest.approx(math.sqrt(2) * 0.25, abs=1e-12)
-        estimate, stderr = estimate_scaled_premium(config, 2)
+        estimate, stderr = one_point(config, 2)
         assert abs(estimate - exact) <= 4 * stderr
 
     def test_exact_and_mc_paths_agree(self):
         config = make_config(exact=False, replications=20_000, batches=20)
-        estimate, stderr = estimate_scaled_premium(config, 16)
+        estimate, stderr = one_point(config, 16)
         assert abs(estimate - CONSTANT_05) <= 4 * stderr
 
     def test_domain_violation_aborts_cell_with_context(self):
         config = make_config(utility=LogUtility(0.0), mixture=MIX, exact=False)
         with pytest.raises(UtilityDomainError, match="n=4"):
-            estimate_scaled_premium(config, 4)
+            one_point(config, 4)
 
     def test_jensen_positive_up_to_noise_for_concave_utilities(self):
         for utility in (LinearUtility(), CaraUtility(1.0)):
@@ -364,6 +362,17 @@ class TestBatchStreams:
             ])
             assert point.estimate.hex() == float(cells.mean()).hex()
             assert point.stderr.hex() == float(cells.std(ddof=1) / math.sqrt(config.batches)).hex()
+
+    # A single pool size is a one-point grid, whose point is the one the
+    # whole grid gives at that n: exact, or drawn by each law's sampler.
+    @pytest.mark.parametrize("config", [
+        make_config(),
+        make_config(utility=CaraUtility(1.0), mixture=MixtureMeasure.point(1.0)),
+        *(sampler_config(distribution) for distribution, _ in SAMPLER_LAWS),
+    ])
+    def test_one_point_grid_equals_the_curve_point(self, config):
+        for point in run_curve(config).points:
+            assert run_curve(dataclasses.replace(config, n_grid=(point.n,))).points == (point,)
 
     # Normal, lattice and inverse-CDF cells draw each batch's base sample
     # once per curve, not once per pool size; other samplers open the

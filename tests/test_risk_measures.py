@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from riskpool.distributions import DiscreteDistribution, Normal, RngSpec
+from riskpool.distributions import DiscreteDistribution, Normal, RngSpec, Uniform
 from riskpool.risk_measures import (
     KusuokaFamily,
     MixtureMeasure,
@@ -35,6 +35,17 @@ class TestAvar:
     def test_level_one_is_mean(self):
         for dist in (UNIFORM_1234, Normal(2.0, 3.0)):
             assert avar(dist, 1.0) == pytest.approx(dist.mean(), abs=1e-12)
+
+    # low + (high - low) / 2 can differ from (low + high) / 2 in the last bit.
+    def test_uniform_level_one_is_the_mean_exactly(self):
+        assert avar(Uniform(0.1, 0.7), 1.0) == Uniform(0.1, 0.7).mean()
+        gen = np.random.default_rng(43)
+        for low, width in gen.normal(0.0, 1.0, (2000, 2)).tolist():
+            law = Uniform(low, low + abs(width) + 1e-3)
+            assert avar(law, 1.0) == law.mean()
+            for lam in (0.3, 0.5, 1.0 - 2.0**-53):
+                expected = (law.low * lam + 0.5 * (law.high - law.low) * lam**2) / lam
+                assert avar(law, lam).hex() == expected.hex()
 
     def test_normal_frozen_value(self):
         assert avar(Normal(0.0, 1.0), 0.5) == pytest.approx(AVAR_N01_05, abs=1e-12)
