@@ -2,18 +2,20 @@
 
 Every parser reports failures through :class:`ConfigError` carrying the
 path of the offending field (``distribution.sd``, ``mixture.atoms[1].weight``,
-...). Serialization emits plain dicts whose floats round-trip exactly
-through ``json`` (shortest-representation encoding), so parse -> serialize
--> parse is a fixed point.
+...). A key that no parser reads is an error at every level, so a
+misspelt optional field cannot quietly take its default. Serialization
+emits plain dicts whose floats round-trip exactly through ``json``
+(shortest-representation encoding), so parse -> serialize -> parse is a
+fixed point.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import inspect
 import json
 import math
-from dataclasses import replace
 
 from .distributions import (
     DiscreteDistribution,
@@ -50,6 +52,12 @@ def _as_mapping(obj, path):
     if not isinstance(obj, dict):
         raise ConfigError(path, f"expected an object, got {type(obj).__name__}")
     return obj
+
+
+def _check_fields(obj, keys, path):
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}", "unknown field")
 
 
 def _get(obj, key, path, default=_MISSING):
@@ -110,6 +118,7 @@ _UTILITIES = _wire_table({
 
 def _from_wire(table, family, obj, path):
     cls, fields = table[family]
+    _check_fields(obj, ("family", *(key for key, _, _ in fields)), path)
     kwargs = {}
     for key, arg, required in fields:
         if key in obj:
@@ -136,10 +145,12 @@ def dist_from_dict(obj, path: str = "distribution") -> Distribution:
         return _from_wire(_LAWS, family, obj, path)
     try:
         if family == "discrete":
+            _check_fields(obj, ("family", "outcomes", "probs"), path)
             outcomes = [_as_float(v, f"{path}.outcomes[{i}]") for i, v in enumerate(_as_list(_get(obj, "outcomes", path), f"{path}.outcomes"))]
             probs = [_as_float(v, f"{path}.probs[{i}]") for i, v in enumerate(_as_list(_get(obj, "probs", path), f"{path}.probs"))]
             return DiscreteDistribution(tuple(outcomes), tuple(probs))
         if family == "bernoulli":
+            _check_fields(obj, ("family", "p", "loc", "scale"), path)
             # Input alias: loc + scale * B with B a p-coin is a two-point law.
             p = _as_float(_get(obj, "p", path), f"{path}.p")
             loc = _as_float(_get(obj, "loc", path, 0.0), f"{path}.loc")
@@ -148,6 +159,7 @@ def dist_from_dict(obj, path: str = "distribution") -> Distribution:
                 raise ValueError("bernoulli law requires 0 < p < 1 and scale > 0")
             return TwoPoint(loc, loc + scale, p)
         if family == "empirical":
+            _check_fields(obj, ("family", "values"), path)
             values = [_as_float(v, f"{path}.values[{i}]") for i, v in enumerate(_as_list(_get(obj, "values", path), f"{path}.values"))]
             return EmpiricalSample(values)
     except ValueError as exc:
@@ -167,9 +179,11 @@ def dist_to_dict(dist: Distribution) -> dict:
 
 def mixture_from_dict(obj, path: str = "mixture") -> MixtureMeasure:
     obj = _as_mapping(obj, path)
+    _check_fields(obj, ("atoms",), path)
     atoms = []
     for i, atom in enumerate(_as_list(_get(obj, "atoms", path), f"{path}.atoms")):
         atom = _as_mapping(atom, f"{path}.atoms[{i}]")
+        _check_fields(atom, ("lambda", "weight"), f"{path}.atoms[{i}]")
         lam = _as_float(_get(atom, "lambda", f"{path}.atoms[{i}]"), f"{path}.atoms[{i}].lambda")
         weight = _as_float(_get(atom, "weight", f"{path}.atoms[{i}]"), f"{path}.atoms[{i}].weight")
         atoms.append((lam, weight))
@@ -185,6 +199,7 @@ def mixture_to_dict(mu: MixtureMeasure) -> dict:
 
 def family_from_dict(obj, path: str = "family") -> KusuokaFamily:
     obj = _as_mapping(obj, path)
+    _check_fields(obj, ("members",), path)
     members = [
         mixture_from_dict(m, f"{path}.members[{i}]")
         for i, m in enumerate(_as_list(_get(obj, "members", path), f"{path}.members"))
@@ -213,6 +228,8 @@ def utility_to_dict(u: UtilityFunction) -> dict:
 
 def experiment_config_from_dict(obj, path: str = "config") -> ExperimentConfig:
     obj = _as_mapping(obj, path)
+    # The wire keys are the dataclass's field names.
+    _check_fields(obj, [f.name for f in dataclasses.fields(ExperimentConfig)], path)
     if ("mixture" in obj) == ("family" in obj):
         raise ConfigError(path, "exactly one of 'mixture' and 'family' must be given")
     mixture = mixture_from_dict(obj["mixture"], f"{path}.mixture") if "mixture" in obj else None
@@ -274,4 +291,4 @@ def config_hash(config_dict: dict) -> str:
 
 
 def with_master_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return replace(config, master_seed=seed)
+    return dataclasses.replace(config, master_seed=seed)

@@ -140,10 +140,13 @@ class PoolSampler:
     """How a law draws the average of n i.i.d. copies: ``method`` names it,
     as a curve point records it, and ``draw(rng, count)`` returns the
     empirical law of count draws from the head of ``rng``'s stream, sorting
-    only what it did not draw sorted."""
+    only what it did not draw sorted. ``law`` is the exact law of the pool
+    average that ``draw`` samples from, or None where the sampler draws
+    without one (gamma, summed draws, multinomial counts)."""
 
     method: str
     draw: Callable[[RngSpec, int], "DiscreteDistribution"]
+    law: "Distribution | None" = None
 
 
 class Distribution:
@@ -461,14 +464,6 @@ class DiscreteDistribution(Distribution):
             return None
         return lo, hi
 
-    def _pool_law(self, n: int) -> "DiscreteDistribution | None":
-        """Law of the average of n copies: the law itself for one copy,
-        else the lattice pool law, or None where :meth:`_pool_window` is None."""
-        if n == 1:
-            return self
-        window = self._pool_window(n)
-        return None if window is None else self._lattice_pool_law(n, *window)
-
     def _lattice_pool_law(self, n: int, lo: int, hi: int) -> "DiscreteDistribution":
         # The pmf of S mod M, on the power of two M covering [lo, hi], is an
         # FFT power of the single-risk pmf; rolled back by lo, it lists the
@@ -492,12 +487,14 @@ class DiscreteDistribution(Distribution):
         atoms = origin + step * (lo + keep) / n
         return DiscreteDistribution._sorted(atoms, masses, np.cumsum(masses))
 
-    # One copy off a lattice is drawn from the law itself, by inverse CDF.
+    # One copy is drawn from the law itself, by inverse CDF, and more copies
+    # on a lattice from the lattice pool law; both count sorted uniforms.
     def _pool_sampler(self, n: int) -> PoolSampler:
-        law = self._pool_law(n)
-        if law is not None:
+        window = None if n == 1 else self._pool_window(n)
+        if n == 1 or window is not None:
+            law = self if window is None else self._lattice_pool_law(n, *window)
             method = "inverse cdf" if self._lattice is None else "lattice"
-            return PoolSampler(method, lambda rng, count: law._counted_law(rng.sorted_uniforms(count)))
+            return PoolSampler(method, lambda rng, count: law._counted_law(rng.sorted_uniforms(count)), law)
         # numpy draws multinomial rows in sequence, so row blocks reproduce
         # the stream of one count x atoms call. Each row is summed on its
         # own: a BLAS product rounds a row by its place in the call and by
@@ -659,12 +656,12 @@ class Normal(Distribution):
         # The pool average is exactly Normal(loc, scale / sqrt(n)). The map
         # is nondecreasing, so it keeps the sorted draw sorted: the result is
         # np.sort of the mapped unsorted draw, bit for bit.
-        scale = self.scale / math.sqrt(n)
+        law = Normal(self.loc, self.scale / math.sqrt(n))
 
         def normal(rng: RngSpec, count: int) -> EmpiricalSample:
-            return _empirical(self.loc + scale * rng.sorted_normals(count))
+            return _empirical(law.loc + law.scale * rng.sorted_normals(count))
 
-        return PoolSampler("normal-law", normal)
+        return PoolSampler("normal-law", normal, law)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ are computed (0.8 MB at 100 000 replicates). The law's sampler for a pool
 size is asked for once, in the calling thread, before that n's batches
 run; its ``method`` is the one the point records.
 
-Configurations with a closed-form premium (normal risks with linear
-utility at any mixture or family, or with cara utility under the point
-mass at level 1) take an exact path with zero standard error; the flag
-auto-enables there and can be forced off to exercise the sampler.
+Normal risks with linear utility (any mixture or family) or cara utility
+(point mass at level 1) take an exact path with zero standard error: the
+limit itself, or :func:`risk_premium` on the sampler's centred pool law.
+The flag auto-enables there and can be forced off to exercise the sampler.
 
 A :class:`PremiumCurve` holds only what the run computed: its points, the
 limit and the rate fit. The config's seed, wire form and hash live with
@@ -171,11 +171,10 @@ def _limit_and_exact_premiums(config: ExperimentConfig) -> tuple[float, list[flo
         # Premium (sigma/sqrt(n)) * constant; the sqrt(n) scaling cancels,
         # so the Taylor error of the expansion argument vanishes identically.
         return limit, [limit] * len(config.n_grid)
-    # Both closed-form utilities are translation-equivariant, so the premium
-    # is minus the CE of the centred pooled law; centring avoids the
-    # cancellation in wealth + mean - CE when the mean dwarfs the spread.
+    # Cara is translation-equivariant, so the centred pool law at zero
+    # wealth avoids the cancellation in wealth + mean - CE.
     return limit, [
-        -math.sqrt(n) * closed_form_certainty_equivalent(Normal(0.0, dist.scale / math.sqrt(n)), mu, utility)
+        math.sqrt(n) * risk_premium(0.0, dist.pool_sampler(n).law.translate(-dist.loc), mu, utility)
         for n in config.n_grid
     ]
 

@@ -693,6 +693,81 @@ class TestWireTable:
             assert exc.value.path == f"config.{kind}.{key}"
 
 
+FAMILY_CONFIG = {
+    **{k: v for k, v in MC_CONFIG.items() if k != "mixture"},
+    "family": {"members": [{"atoms": [{"lambda": 0.3, "weight": 1.0}]},
+                           {"atoms": [{"lambda": 0.5, "weight": 0.5}, {"lambda": 1.0, "weight": 0.5}]}]},
+}
+FINITE_LAWS = [
+    {"family": "discrete", "outcomes": [0.0, 1.0], "probs": [0.5, 0.5]},
+    {"family": "bernoulli", "p": 0.3, "loc": 1.0, "scale": 2.0},
+    {"family": "empirical", "values": [3.0, 1.0]},
+]
+
+
+def _with_key(entry: dict, key: str) -> dict:
+    return {**entry, key: 1.0}
+
+
+# (case, config, path of its one unknown key) at every level of the wire format.
+UNKNOWN_FIELDS = [
+    ("config", dict(MC_CONFIG, replication=1000), "config.replication"),
+    ("config-camel", dict(MC_CONFIG, nGrid=[4]), "config.nGrid"),
+    *[(entry["family"], dict(MC_CONFIG, **{kind: _with_key(entry, "bogus")}), f"config.{kind}.bogus")
+      for kind, entry, _ in WIRE_ENTRIES],
+    *[(law["family"], dict(MC_CONFIG, distribution=_with_key(law, "bogus")), "config.distribution.bogus")
+      for law in FINITE_LAWS],
+    ("exponential-shfit", dict(MC_CONFIG, distribution={"family": "exponential", "rate": 1, "shfit": 2}),
+     "config.distribution.shfit"),
+    ("mixture", dict(MC_CONFIG, mixture=_with_key(MC_CONFIG["mixture"], "weights")), "config.mixture.weights"),
+    ("atom", dict(MC_CONFIG, mixture={"atoms": [{"lambda": 0.5, "weight": 0.5}, {"lambda": 1.0, "wieght": 0.5}]}),
+     "config.mixture.atoms[1].wieght"),
+    ("family", dict(FAMILY_CONFIG, family=_with_key(FAMILY_CONFIG["family"], "member")), "config.family.member"),
+    ("member", dict(FAMILY_CONFIG, family={"members": [{"atoms": [], "weight": 1.0}]}),
+     "config.family.members[0].weight"),
+    ("member-atom", dict(FAMILY_CONFIG, family={"members": [{"atoms": [{"lambda": 0.3, "weight": 1.0, "level": 2}]}]}),
+     "config.family.members[0].atoms[0].level"),
+]
+
+
+class TestUnknownFields:
+    @pytest.mark.parametrize("case, payload, path", UNKNOWN_FIELDS, ids=[case for case, _, _ in UNKNOWN_FIELDS])
+    def test_unknown_key_names_its_path(self, case, payload, path):
+        with pytest.raises(ConfigError, match="unknown field") as exc:
+            experiment_config_from_dict(payload)
+        assert exc.value.path == path
+
+    # A misspelt key is reported ahead of the field it was meant to be.
+    def test_unknown_key_comes_before_a_missing_one(self):
+        payload = dict(MC_CONFIG, distribution={"family": "normal", "mean": 0.0, "sdd": 1.0})
+        with pytest.raises(ConfigError, match="unknown field") as exc:
+            experiment_config_from_dict(payload)
+        assert exc.value.path == "config.distribution.sdd"
+
+    def test_premium_curve_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(EXACT_CONFIG, replication=1000)))
+        out = tmp_path / "results"
+        assert main(["premium-curve", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert "config.replication: unknown field" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, path", [
+        (["measure", "--dist", '{"family": "exponential", "rate": 1, "shfit": 2}', "--lambda", "0.5"],
+         "dist.shfit"),
+        (["measure", "--dist", "normal01", "--mu", '{"atoms": [{"lambda": 0.5, "weight": 1}], "x": 0}'],
+         "mu.x"),
+        (["limit", "--sigma", "1", "--mu", '{"atoms": [{"lambda": 0.5, "weigth": 1}]}'], "mu.atoms[0].weigth"),
+        (["limit", "--sigma", "1", "--family", '{"members": [{"atoms": [{"lambda": 0.5, "weight": 1}]}], "x": 0}'],
+         "family.x"),
+    ])
+    def test_measure_and_limit_exit_2(self, capsys, argv, path):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: unknown field" in captured.err
+
+
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("payload", [EXACT_CONFIG, MC_CONFIG])
     def test_parse_serialize_parse_fixed_point(self, payload):

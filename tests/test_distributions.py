@@ -17,6 +17,7 @@ from riskpool.distributions import (
     _POOL_CHUNK,
     _POOL_ENTRIES_PER_ATOM,
     _POOL_WINDOW,
+    _empirical,
     _fft_size,
     DiscreteDistribution,
     EmpiricalSample,
@@ -440,7 +441,7 @@ class TestSampling:
         gen = np.random.default_rng(20260808)
         weights = gen.random(10) + 0.1
         law = DiscreteDistribution(0.05 * np.sort(gen.choice(40, 10, replace=False)), weights / weights.sum())
-        pool = law._pool_law(4096)
+        pool = law.pool_sampler(4096).law
         u = RngSpec(20260808, 3).sorted_uniforms(5000)
         counted = pool._counted_law(u)
         ends = np.searchsorted(u, pool._cum, "right")
@@ -609,6 +610,46 @@ class TestPoolAverage:
         assert one == two
 
 
+OFF_LATTICE = DiscreteDistribution([0.0, 1.0, math.sqrt(2.0)], [0.2, 0.5, 0.3])
+ON_LATTICE = DiscreteDistribution([0.0, 0.3, 0.4, 1.0], [0.4, 0.1, 0.2, 0.3])
+
+
+def _same_bits(a: DiscreteDistribution, b: DiscreteDistribution) -> bool:
+    return type(a) is type(b) and all(
+        getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in ("_atoms", "_masses", "_cum")
+    )
+
+
+class TestPoolSamplerLaw:
+    # One law and pool size per sampler kind: its draw comes from the law it
+    # carries, bit for bit, and a sampler that draws without one carries None.
+    @pytest.mark.parametrize("dist, n, method", [
+        (Normal(1.5, 2.0), 16, "normal-law"),
+        (Normal(-3.0, 0.7), 1, "normal-law"),
+        (ON_LATTICE, 12, "lattice"),
+        (ON_LATTICE, 1, "lattice"),
+        (OFF_LATTICE, 1, "inverse cdf"),
+        (Exponential(2.0, 0.5), 4, "gamma"),
+        (Uniform(0.0, 1.0), 4, "summed draws"),
+        (EmpiricalSample([0.5, 1.0, 3.0]), 4, "summed draws"),
+        (OFF_LATTICE, 4, "multinomial"),
+    ])
+    def test_draw_comes_from_the_carried_law(self, dist, n, method):
+        sampler = dist.pool_sampler(n)
+        assert sampler.method == method
+        law, count = sampler.law, 1000
+        drawn = sampler.draw(RngSpec(20260808, 2), count)
+        fresh = RngSpec(20260808, 2)
+        if method == "normal-law":
+            assert law == Normal(dist.loc, dist.scale / math.sqrt(n))
+            assert _same_bits(drawn, _empirical(law.loc + law.scale * fresh.sorted_normals(count)))
+        elif method in ("lattice", "inverse cdf"):
+            assert (law is dist) == (n == 1)
+            assert _same_bits(drawn, law._counted_law(fresh.sorted_uniforms(count)))
+        else:
+            assert law is None
+
+
 def _stdout_at_blas_threads_1_and_2(script: str) -> tuple[str, str]:
     """Standard output of the script in two fresh interpreters, run with one
     and with two OpenBLAS threads."""
@@ -655,7 +696,7 @@ class TestLatticePoolLaw:
     def test_off_lattice_falls_back_to_multinomial(self, atoms):
         law = DiscreteDistribution(atoms, [0.2, 0.5, 0.3])
         assert law._lattice is None
-        assert law._pool_law(16) is None
+        assert law.pool_sampler(16).law is None
         assert law.pool_sampler(16).method == "multinomial"
 
     def test_one_copy_off_a_lattice_counts_the_law_itself(self, monkeypatch):
@@ -664,7 +705,7 @@ class TestLatticePoolLaw:
         # multinomial counts are drawn over its 8000 atoms.
         masses = np.random.default_rng(4).dirichlet(np.ones(8000))
         law = DiscreteDistribution(np.sqrt(np.arange(8000)), masses)
-        assert law._lattice is None and law._pool_law(1) is law
+        assert law._lattice is None and law.pool_sampler(1).law is law
         assert law.pool_sampler(1).method == "inverse cdf"
 
         class NoCounts(np.random.Generator):
@@ -688,7 +729,7 @@ class TestLatticePoolLaw:
         law = DiscreteDistribution(atoms, probs)
         origin, step, _ = law._lattice
         exact = _unit_pmf_power(law, n)
-        pool = law._pool_law(n)
+        pool = law.pool_sampler(n).law
         sums = np.rint((pool._atoms - origin) * n / step).astype(int)
         # Gappy lattices (units 0, 3, 8) leave sums no pool can reach.
         assert sums.tolist() == np.flatnonzero(exact).tolist()
@@ -699,7 +740,7 @@ class TestLatticePoolLaw:
     def test_two_atom_pool_is_binomial(self, p_high):
         n = 4096
         law = DiscreteDistribution([-1.0, 3.0], [1.0 - p_high, p_high])
-        pool = law._pool_law(n)
+        pool = law.pool_sampler(n).law
         counts = np.rint((pool._atoms + 1.0) * n / 4.0).astype(int)
         assert np.array_equal(pool._atoms, -1.0 + 4.0 * counts / n)
         drawn = np.zeros(n + 1)
@@ -712,8 +753,9 @@ class TestLatticePoolLaw:
     def test_pooled_draws_follow_the_pool_law(self):
         law = DiscreteDistribution([0.0, 0.3, 0.4, 1.0], [0.4, 0.1, 0.2, 0.3])
         n, count = 12, 100_000
-        pool = law._pool_law(n)
-        pooled = sorted_draws(law.pool_sampler(n).draw(RngSpec(20260808, 1), count), count)
+        sampler = law.pool_sampler(n)
+        pool = sampler.law
+        pooled = sorted_draws(sampler.draw(RngSpec(20260808, 1), count), count)
         idx = np.searchsorted(pool._atoms, pooled)
         assert np.array_equal(pool._atoms[idx], pooled)
         observed = np.bincount(idx, minlength=pool._atoms.size)
@@ -731,7 +773,7 @@ class TestLatticePoolLaw:
         assert law.pool_sampler(1).method == "lattice"
         tracemalloc.start()
         try:
-            assert law._pool_law(4) is None
+            assert law.pool_sampler(4).law is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -757,7 +799,7 @@ class TestLatticePoolLaw:
             assert _fft_size(n * top) == _POOL_WINDOW
             tracemalloc.start()
             try:
-                pool = law._pool_law(n)
+                pool = law.pool_sampler(n).law
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -774,7 +816,7 @@ class TestLatticePoolLaw:
         assert law.pool_sampler(1).method == "lattice"
         tracemalloc.start()
         try:
-            assert law._pool_law(4) is None
+            assert law.pool_sampler(4).law is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -787,7 +829,7 @@ class TestLatticePoolLaw:
         # and draws its own sorted inverse-transform sample.
         law = DiscreteDistribution([0.0, 1.0, float(1 << 22)], [0.3, 0.4, 0.3])
         assert law.pool_sampler(1).method == "lattice"
-        assert law._pool_law(1) is law
+        assert law.pool_sampler(1).law is law
         assert law.pool_sampler(2).method == "multinomial"
         pooled = pool_average_sample(law.pool_sampler(1), 1000, RngSpec(4, 1))
         searched = np.sort(law._draw(RngSpec(4, 1).generator(), 1000))

@@ -24,6 +24,7 @@ from riskpool.mc_engine import (
     run_curve,
     theorem_limit,
 )
+from riskpool.asymptotics import theorem1_limit
 from riskpool.config import config_hash, experiment_config_to_dict
 from riskpool.preferences import CaraUtility, LinearUtility, LogUtility, UtilityDomainError, risk_premium
 from riskpool.risk_measures import KusuokaFamily, MixtureMeasure, mixture_value
@@ -299,6 +300,17 @@ class TestRunCurve:
         curve = run_curve(config)
         assert [p.n for p in curve.points] == [4, 16, 64]
         assert all(p.replications == 2000 for p in curve.points)
+
+    # sigma is taken as sqrt(variance()), and the square of 1e-200
+    # underflows to 0, so the limit and the linear exact points read 0.0.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the limit squares sigma, which underflows at 1e-200")
+    def test_underflowing_variance_keeps_its_limit(self):
+        limit = theorem1_limit(1e-200, MixtureMeasure.point(0.5))
+        assert limit == pytest.approx(CONSTANT_05 * 1e-200, rel=1e-15)
+        curve = run_curve(make_config(distribution=Normal(0.0, 1e-200), n_grid=(4, 16)))
+        assert curve.limit == limit
+        assert [p.estimate for p in curve.points] == [limit, limit]
 
     # The overflow is reported once, by the error, not by a numpy warning.
     def test_overflowing_variance_fails_before_sampling(self, monkeypatch):
