@@ -45,16 +45,18 @@ _POOL_WINDOW = _POOL_CHUNK // 4
 # A lattice pool sum is drawn from a window around its mean that, by
 # Hoeffding's inequality, leaves out at most this much mass.
 _POOL_TAIL_MASS = 2.0**-60
-# Building a lattice pool law costs about 0.05-0.12 us per FFT entry, once
-# per pool size; drawing multinomial counts costs 0.06-0.28 us per atom and
-# replicate (more at larger n), the rest of a lattice curve about 0.03 us
-# per replicate. At the 100 000 replicates per pool size of the default and
-# shipped configs, whole curves (n = 4-256, 3 and 10 atoms, FFTs of
-# 2**16-2**21 entries) ran faster on the lattice in every case up to 0.52
-# FFT entries per atom and replicate, and faster on counts in every case
-# from 3.5 on and in all but one from 2.1 on (n = 256 with 10 atoms, 219
-# against 277 ms; 2-core x86-64 VM, numpy 2.4; scripts/pool_crossover.py
-# --repeats 3). So, from two copies on, an FFT longer than
+# Building a lattice pool law costs about 0.05-0.07 us per FFT entry (at
+# 2**20-2**21 entries), once per pool size; drawing multinomial counts
+# costs 0.04-0.23 us per atom and replicate (more at larger n), the rest
+# of a lattice curve about 0.04 us per replicate. At the 100 000
+# replicates per pool size of the default and shipped configs, whole
+# curves (n = 4-256, 3 and 10 atoms, FFTs of 2**16-2**21 entries) ran
+# faster on the lattice in every case up to 0.52 FFT entries per atom and
+# replicate and faster on counts in every case at 7.0; at 3.5 and at 2.1
+# the lattice won one case each (n = 64 with 3 atoms, 48 against 52 ms in
+# one of two runs; n = 256 with 10 atoms, 133-138 against 228-234 ms).
+# 2-core x86-64 VM, numpy 2.4, SFC64 streams; scripts/pool_crossover.py
+# --repeats 3, run twice. So, from two copies on, an FFT longer than
 # this many entries per atom draws counts instead: units {0, 1, 2**19 - 1}
 # at n = 4 would build 2**21 entries to keep 15 sums. The value also fixes
 # which laws draw counts, and so their streams. A config drawing far more
@@ -90,12 +92,15 @@ def _check_tail(lam) -> float:
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Counter-based random stream identified by (master_seed, stream_id).
+    """Random stream identified by (master_seed, stream_id).
 
-    Streams are realized as Philox generators keyed by the pair, so
-    identical specs yield identical draws regardless of execution order,
-    thread count, or how many other streams were consumed in between.
-    Both fields are Philox key words in [0, 2**64).
+    Streams are realized as SFC64 generators seeded by a SeedSequence of
+    the pair, so identical specs yield identical draws regardless of
+    execution order, thread count, or how many other streams were consumed
+    in between. Both fields lie in [0, 2**64) and enter the SeedSequence as
+    two little-endian 32-bit words each, so distinct pairs give distinct
+    keys: a key split to fit each int would make (2**32, 5) and
+    (0, 1 + 5 * 2**32) the same three words.
 
     The sorted standard normals and sorted uniforms at the head of the
     stream are drawn once, on first use, and kept read-only for as long as
@@ -115,8 +120,8 @@ class RngSpec:
 
     def generator(self) -> np.random.Generator:
         """A fresh generator at the head of the stream."""
-        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        key = np.array([self.master_seed, self.stream_id], dtype="<u8").view("<u4")
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
     def sorted_uniforms(self, count: int) -> np.ndarray:
         """``np.sort(self.generator().random(count))``, drawn once."""

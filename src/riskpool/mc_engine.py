@@ -11,7 +11,7 @@ batch means sidestep delta-method derivations for the nonlinear
 tail-average-of-empirical-law estimator (whose plug-in bias is O(B/R) per
 batch, below Monte Carlo noise at the default sizes).
 
-Randomness is drawn from counter-based streams keyed by (master_seed,
+Randomness is drawn from independent streams keyed by (master_seed,
 batch), so the same seed reuses the same raw draws across pool sizes and
 across utility choices (common random numbers, sharpening convergence and
 utility-robustness comparisons), and results are bit-identical regardless
@@ -95,7 +95,7 @@ class ExperimentConfig:
             raise ValueError("replications must be divisible by batches")
         if self.replications // self.batches < 2:
             raise ValueError("need at least 2 replications per batch")
-        RngSpec(self.master_seed)  # a Philox key word in [0, 2**64)
+        RngSpec(self.master_seed)  # a stream key in [0, 2**64)
 
     @property
     def preference(self):

@@ -200,11 +200,13 @@ def closed_form_certainty_equivalent(
 
     The table has two entries: linear u on any law, finite or parametric
     (the functional of the law itself, u being affine), and cara u on a
-    normal law with the point mass at level 1 (loc - alpha * scale^2 / 2).
+    normal law with the point mass at level 1, or a family of it alone
+    (loc - alpha * scale^2 / 2).
     """
     if isinstance(u, LinearUtility):
         return preference_value(dist, mu)
-    if isinstance(u, CaraUtility) and isinstance(dist, Normal) and mu == DELTA_ONE:
+    members = mu.members if isinstance(mu, KusuokaFamily) else (mu,)
+    if isinstance(u, CaraUtility) and isinstance(dist, Normal) and set(members) == {DELTA_ONE}:
         return dist.loc - u.alpha * dist.variance() / 2.0
     return None
 

@@ -318,13 +318,21 @@ class TestConstruction:
             RngSpec(0, -2)
 
     def test_rng_spec_rejects_keys_past_64_bits(self):
-        # A Philox key word holds 64 bits; 2**64 would alias seed 0.
+        # Each field enters the stream key as two 32-bit words; 2**64
+        # would need a third.
         with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
             RngSpec(2**64)
         with pytest.raises(ValueError):
             RngSpec(0, 2**64)
         top = RngSpec(2**64 - 1, 2**64 - 1).generator().random(3)
         assert not np.array_equal(top, RngSpec(0, 2**64 - 1).generator().random(3))
+
+    # Splitting each field into only the 32-bit words it needs would make
+    # the first pair one key ([0, 1, 5] both times); the second pair checks
+    # that the two fields keep their places.
+    @pytest.mark.parametrize("a, b", [((2**32, 5), (0, 1 + 5 * 2**32)), ((1, 0), (0, 1))])
+    def test_rng_spec_keys_are_injective_across_words(self, a, b):
+        assert not np.array_equal(RngSpec(*a).generator().random(3), RngSpec(*b).generator().random(3))
 
     # Kept draws are a cache: equality, hashing and repr see the key only.
     def test_rng_spec_with_kept_draws_is_its_key(self):
@@ -524,16 +532,16 @@ class TestPoolAverage:
     # leaves inversion and gives other values.
     @pytest.mark.parametrize("dist, expected", [
         (Normal(0.5, 2.0), (5, [
-            -0.21327465764400377, -0.17086884027358484, 0.23405974854485617,
-            0.3912616086589834, 0.47900129761374316, 1.3379388259434626,
+            -0.5304488967814831, 0.14447500713029082, 0.3249542747249724,
+            1.26860165421953, 1.3047760819814707, 1.4698046153355302,
         ])),
-        (TwoPoint(-1.0, 3.0, 0.3), (128, [0.15625, 0.15625, 0.1875, 0.25, 0.25, 0.34375])),
-        (DiscreteDistribution([0.0, 1.5, 4.0], [0.2, 0.5, 0.3]), (5, [1.7, 1.7, 1.9, 2.2, 2.2, 2.5])),
+        (TwoPoint(-1.0, 3.0, 0.3), (128, [0.15625, 0.21875, 0.28125, 0.28125, 0.40625, 0.4375])),
+        (DiscreteDistribution([0.0, 1.5, 4.0], [0.2, 0.5, 0.3]), (5, [1.7, 2.0, 2.2, 2.2, 3.0, 3.0])),
         (Uniform(-1.0, 2.0), (5, [
-            0.22644212409639913, 0.34842150158300844, 0.6488674647350962,
-            0.7255314678481244, 1.0463201015213834, 1.1726945947009504,
+            0.02416499690084999, 0.25773748168976435, 0.47032032501001114,
+            0.9176851068597498, 1.0887978091626103, 1.103486192889093,
         ])),
-        (EmpiricalSample([0.25, -2.0, 1.0, 7.5]), (5, [0.1, 0.8, 1.85, 2.0, 3.45, 4.9])),
+        (EmpiricalSample([0.25, -2.0, 1.0, 7.5]), (5, [-0.2, -0.05, 2.4, 3.45, 3.45, 3.45])),
     ])
     def test_streams_pinned(self, dist, expected):
         n, values = expected

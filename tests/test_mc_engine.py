@@ -144,6 +144,21 @@ class TestExactPath:
         assert stderr == 0.0
         assert estimate == pytest.approx(1.1589753806669127, abs=1e-12)
 
+    # A family whose members are all the point mass at 1 is that mixture:
+    # the same closed form, so the same exact curve, with or without exact=True.
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("exact", [None, True])
+    def test_family_of_the_point_mass_at_one_is_exact(self, members, exact):
+        point = MixtureMeasure.point(1.0)
+        config = make_config(utility=CaraUtility(1.0), mixture=point, n_grid=(4, 16), exact=exact)
+        family = dataclasses.replace(config, mixture=None, family=KusuokaFamily((point,) * members))
+        curve, expected = run_curve(family), run_curve(config)
+        assert [p.method for p in curve.points] == ["exact", "exact"]
+        assert curve.limit.hex() == expected.limit.hex()
+        assert [(p.estimate.hex(), p.stderr) for p in curve.points] == [
+            (p.estimate.hex(), p.stderr) for p in expected.points
+        ]
+
     def test_exact_true_requires_closed_form(self):
         with pytest.raises(ValueError, match="closed-form"):
             one_point(make_config(utility=CaraUtility(1.0), exact=True), 4)
@@ -151,9 +166,11 @@ class TestExactPath:
             one_point(make_config(distribution=TwoPoint(0.0, 1.0, 0.5), exact=True), 4)
 
     def test_cara_mixture_stays_monte_carlo(self):
-        config = make_config(utility=CaraUtility(1.0), mixture=MIX)
-        _, stderr = one_point(config, 4)
-        assert stderr > 0.0
+        mixture = make_config(utility=CaraUtility(1.0), mixture=MIX)
+        family = KusuokaFamily((MixtureMeasure.point(1.0), MixtureMeasure.point(0.5)))
+        for config in (mixture, dataclasses.replace(mixture, mixture=None, family=family)):
+            _, stderr = one_point(config, 4)
+            assert stderr > 0.0
 
 
 class TestMonteCarloPath:
@@ -270,10 +287,10 @@ class TestRunCurve:
         curve = run_curve(config, threads=threads)
         assert curve.limit.hex() == "0x1.383d53d7d0268p-1"
         assert [(p.n, p.method, p.estimate.hex(), p.stderr.hex()) for p in curve.points] == [
-            (1, "lattice", "0x1.cd56bfaea4925p-2", "0x1.148c13c27f105p-9"),
-            (4, "lattice", "0x1.2282f0c2e307cp-1", "0x1.16e333af23fa9p-8"),
-            (16, "lattice", "0x1.30bfeb649c4a6p-1", "0x1.93d06e291e569p-8"),
-            (64, "lattice", "0x1.358a2d0046aadp-1", "0x1.c065f3098619ep-8"),
+            (1, "lattice", "0x1.cea3c072284c9p-2", "0x1.6cd6202f4783cp-10"),
+            (4, "lattice", "0x1.24fd233e53f7bp-1", "0x1.4850cfc59a2e3p-11"),
+            (16, "lattice", "0x1.35051894d1ba5p-1", "0x1.f99f19abe197fp-12"),
+            (64, "lattice", "0x1.3a1231dd9ad64p-1", "0x1.6d757f7ef8992p-11"),
         ]
 
     def test_run_curve_imports_no_wire_format(self):

@@ -116,13 +116,13 @@ def test_family_value_is_the_first_smallest_member_value(law, members, data):
 # (name, failures, worst_error.hex()) of both verify suites at seed 20260808
 # with 200 trials: a speed-up must not move the suites' draws or values.
 SUITE_PINS = [
-    ("translation_invariance", 0, "0x1.0000000000000p-48"),
+    ("translation_invariance", 0, "0x1.8000000000000p-48"),
     ("positive_homogeneity", 0, "0x1.0000000000000p-47"),
-    ("avar_monotone_in_level", 0, "0x1.0000000000000p-53"),
+    ("avar_monotone_in_level", 0, "0x1.0000000000000p-50"),
     ("superadditivity", 0, "0x1.0000000000000p-49"),
-    ("comonotone_additivity", 0, "0x1.0000000000000p-48"),
+    ("comonotone_additivity", 0, "0x1.8000000000000p-49"),
     ("jensen_premium_nonnegative", 0, "0x0.0p+0"),
-    ("primal_dual_greedy", 0, "0x1.8000000000000p-49"),
+    ("primal_dual_greedy", 0, "0x1.1800000000000p-48"),
     ("primal_dual_vertex_enumeration", 0, "0x1.0000000000000p-49"),
 ]
 
@@ -131,8 +131,8 @@ SUITE_PINS = [
 # of both suites with 200 trials, per seed: a case that moves below the
 # worst error changes the digest, not SUITE_PINS.
 CASE_DIGESTS = {
-    20260808: "9b17d19bc4f0490690924c8e229f525f95a1620f69c464a18bcb156f218aec6a",
-    7: "c1e48166b013bff92e9076e122787641853f4203a4ed1ada83a82685eb3ef5fb",
+    20260808: "3a3653539bc37aa56d3090d34f0fe32eca87803bc3d525d6f7f68714424bb7f2",
+    7: "0bdf1fa5e88bb1e816c562b1107854d051ecd020b14cf5dc75dad3735d18802c",
 }
 
 
