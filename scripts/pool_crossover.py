@@ -6,9 +6,10 @@ an FFT once per pool size (``lattice``), or from multinomial counts per
 replicate (``multinomial``). For laws {0, 1, ..., k - 2, r}, with r chosen
 so that n copies take an FFT of 2**e entries, this runs the one-point
 curve both ways (100 000 replicates in 20 batches, linear utility) and
-prints the best of a few runs, the faster side, and the side that
-``_POOL_ENTRIES_PER_ATOM`` picks. The ratio column is FFT entries per atom
-and replicate.
+prints the fastest and slowest of a few runs of each side, the faster side
+where the two ranges do not overlap (``-`` where they do), and the side
+that ``_POOL_ENTRIES_PER_ATOM`` picks. The ratio column is FFT entries per
+atom and replicate.
 
 Usage: python scripts/pool_crossover.py [--repeats R]
 """
@@ -62,8 +63,9 @@ def top_for(k: int, n: int, e: int) -> int | None:
     return lo if fits(k, lo, n, 1 << e) and not fits(k, lo, n, 1 << (e - 1)) else None
 
 
-def best_time(k: int, top: int, n: int, value: int, repeats: int) -> float:
-    """Best wall time of the one-point curve, the law built afresh each run."""
+def time_range(k: int, top: int, n: int, value: int, repeats: int) -> tuple[float, float]:
+    """Fastest and slowest wall time of the one-point curve, the law built
+    afresh each run."""
     times = []
     with entries_per_atom(value):
         for _ in range(repeats):
@@ -79,7 +81,12 @@ def best_time(k: int, top: int, n: int, value: int, repeats: int) -> float:
             start = time.perf_counter()
             run_curve(config)
             times.append(time.perf_counter() - start)
-    return min(times)
+    return min(times), max(times)
+
+
+def span(times: tuple[float, float]) -> str:
+    """A time range in milliseconds, as min-max."""
+    return f"{times[0] * 1e3:.1f}-{times[1] * 1e3:.1f}"
 
 
 def main() -> int:
@@ -88,7 +95,7 @@ def main() -> int:
     args = parser.parse_args()
     # Untimed: the first curve of a process pays one-off start-up costs.
     for value in (UNLIMITED, 0):
-        best_time(3, top_for(3, 4, 16), 4, value, 1)
+        time_range(3, top_for(3, 4, 16), 4, value, 1)
     print("n\tk\tFFT\tratio\tlattice_ms\tcounts_ms\tfaster\tpicked")
     for n in (4, 16, 64, 256):
         for k in (3, 10):
@@ -96,15 +103,16 @@ def main() -> int:
                 top = top_for(k, n, e)
                 if top is None:
                     continue
-                lattice = best_time(k, top, n, UNLIMITED, args.repeats)
+                lattice = time_range(k, top, n, UNLIMITED, args.repeats)
                 # No entries per atom: every pool of two or more copies counts.
-                counts = best_time(k, top, n, 0, args.repeats)
-                faster = "lattice" if lattice < counts else "multinomial"
+                counts = time_range(k, top, n, 0, args.repeats)
+                # A side is faster only when its slowest run beats the other's fastest.
+                faster = "lattice" if lattice[1] < counts[0] else "multinomial" if counts[1] < lattice[0] else "-"
                 # The window decides the side without building the pool law.
                 picked = "multinomial" if law(k, top)._pool_window(n) is None else "lattice"
                 print(
-                    f"{n}\t{k}\t2^{e}\t{(1 << e) / (REPLICATIONS * k):.2f}\t{lattice * 1e3:.1f}\t"
-                    f"{counts * 1e3:.1f}\t{faster}\t{picked}",
+                    f"{n}\t{k}\t2^{e}\t{(1 << e) / (REPLICATIONS * k):.2f}\t{span(lattice)}\t"
+                    f"{span(counts)}\t{faster}\t{picked}",
                     flush=True,
                 )
     return 0

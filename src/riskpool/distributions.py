@@ -190,6 +190,11 @@ class Distribution:
     def variance(self) -> float:
         raise NotImplementedError
 
+    def sd(self) -> float:
+        """Standard deviation; a law that states its own keeps it where the
+        variance under- or overflows."""
+        return math.sqrt(self.variance())
+
     def support_lower_bound(self) -> float:
         raise NotImplementedError
 
@@ -212,17 +217,6 @@ class Distribution:
             return self._draw(gen, rows * n).reshape(rows, n).sum(axis=1) / n
 
         return PoolSampler("summed draws", partial(_sorted_row_blocks, summed, n))
-
-    def sample(self, rng: RngSpec, count: int) -> "EmpiricalSample":
-        """count i.i.d. draws as an :class:`EmpiricalSample`.
-
-        Discrete and empirical laws use inverse-transform sampling; the
-        continuous parametric families use their native samplers. The same
-        RngSpec always reproduces the same draws.
-        """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        return EmpiricalSample(self._draw(rng.generator(), count))
 
 
 class DiscreteDistribution(Distribution):
@@ -631,9 +625,7 @@ class Normal(Distribution):
         return self.loc + self.scale * inv_normal_cdf(t)
 
     def _tail_integral(self, lam: float) -> float:
-        if lam == 1.0:
-            return self.loc
-        return lam * self.loc - self.scale * float(normal_pdf(inv_normal_cdf(lam)))
+        return self.loc if lam == 1.0 else self._tail_integrals(np.array([lam])).item()
 
     def _tail_integrals(self, lam: np.ndarray) -> np.ndarray:
         values = np.full(lam.shape, float(self.loc))
@@ -648,14 +640,14 @@ class Normal(Distribution):
     def variance(self) -> float:
         return _square(self.scale)
 
+    def sd(self) -> float:
+        return self.scale
+
     def support_lower_bound(self) -> float:
         return -math.inf
 
     def translate(self, c: float) -> "Normal":
         return Normal(self.loc + c, self.scale)
-
-    def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        return self.loc + self.scale * gen.standard_normal(count)
 
     def _pool_sampler(self, n: int) -> PoolSampler:
         # The pool average is exactly Normal(loc, scale / sqrt(n)). The map
@@ -696,6 +688,9 @@ class Uniform(Distribution):
     def variance(self) -> float:
         return _square(self.high - self.low) / 12.0
 
+    def sd(self) -> float:
+        return (self.high - self.low) / math.sqrt(12.0)
+
     def support_lower_bound(self) -> float:
         return self.low
 
@@ -726,7 +721,7 @@ class Exponential(Distribution):
 
     def _tail_integral(self, lam: float) -> float:
         if lam == 1.0:
-            return self.shift + 1.0 / self.rate
+            return self.mean()
         return self.shift * lam + ((1.0 - lam) * math.log1p(-lam) + lam) / self.rate
 
     def mean(self) -> float:
@@ -736,14 +731,14 @@ class Exponential(Distribution):
         square = _square(self.rate)
         return 1.0 / square if square else math.inf  # the square underflowed
 
+    def sd(self) -> float:
+        return 1.0 / self.rate
+
     def support_lower_bound(self) -> float:
         return self.shift
 
     def translate(self, c: float) -> "Exponential":
         return Exponential(self.rate, self.shift + c)
-
-    def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        return self.shift + gen.standard_exponential(count) / self.rate
 
     def _pool_sampler(self, n: int) -> PoolSampler:
         # The pool average is exactly shift + Gamma(shape n, rate n * rate).

@@ -26,9 +26,11 @@ size is asked for once, in the calling thread, before that n's batches
 run; its ``method`` is the one the point records.
 
 Normal risks with linear utility (any mixture or family) or cara utility
-(point mass at level 1) take an exact path with zero standard error: the
-limit itself, or :func:`risk_premium` on the sampler's centred pool law.
-The flag auto-enables there and can be forced off to exercise the sampler.
+(the point mass at level 1, or a family of it alone) take an exact path
+with zero standard error: the limit itself, or :func:`risk_premium` on the
+sampler's centred pool law. The rule reads kinds, never a certainty
+equivalent. The flag auto-enables there and can be forced off to exercise
+the sampler.
 
 A :class:`PremiumCurve` holds only what the run computed: its points, the
 limit and the rate fit. The config's seed, wire form and hash live with
@@ -47,14 +49,8 @@ import numpy as np
 
 from .asymptotics import RateFit, fit_rate, theorem1_limit
 from .distributions import Distribution, Normal, PoolSampler, RngSpec, pool_average_sample
-from .preferences import (
-    LinearUtility,
-    UtilityDomainError,
-    UtilityFunction,
-    closed_form_certainty_equivalent,
-    risk_premium,
-)
-from .risk_measures import KusuokaFamily, MixtureMeasure
+from .preferences import CaraUtility, LinearUtility, UtilityDomainError, UtilityFunction, risk_premium
+from .risk_measures import KusuokaFamily, MixtureMeasure, is_delta_one
 
 DEFAULT_N_GRID = (4, 16, 64, 256, 1024, 4096)
 
@@ -146,19 +142,22 @@ _TOLERANCE_NOTE = (
 
 
 def theorem_limit(config: ExperimentConfig) -> float:
-    """Limit constant matching the config's mixture or family."""
+    """Limit constant of the config's mixture or family, at the law's sd()."""
     variance = config.distribution.variance()
     if not math.isfinite(variance):
         raise ValueError(f"the law's variance is not finite, got {variance!r}")
-    return theorem1_limit(math.sqrt(variance), config.preference)
+    return theorem1_limit(config.distribution.sd(), config.preference)
 
 
 def _limit_and_exact_premiums(config: ExperimentConfig) -> tuple[float, list[float] | None]:
     """The curve's limit, and its closed-form scaled premiums on the n grid
     or None where the curve is sampled: the one statement of the auto-exact
-    rule. exact=True without a closed form fails before the variance check."""
+    rule, on the kinds of law, utility and preference. exact=True without
+    a closed form fails before the variance check."""
     dist, mu, utility = config.distribution, config.preference, config.utility
-    closed = isinstance(dist, Normal) and closed_form_certainty_equivalent(dist, mu, utility) is not None
+    closed = isinstance(dist, Normal) and (
+        isinstance(utility, LinearUtility) or (isinstance(utility, CaraUtility) and is_delta_one(mu))
+    )
     if config.exact and not closed:
         raise ValueError(
             "exact=True requires a closed-form configuration "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, Distribution, Normal, quantile_grid_sample
-from .risk_measures import DELTA_ONE, KusuokaFamily, MixtureMeasure, preference_value
+from .risk_measures import KusuokaFamily, MixtureMeasure, is_delta_one, preference_value
 
 DEFAULT_CE_GRID_POINTS = 2**14
 
@@ -178,12 +178,20 @@ def _transformed_law(dist: DiscreteDistribution, u: UtilityFunction) -> Discrete
 def _pullback_value(law, preference, u: UtilityFunction) -> float:
     # For cara utility the whole pullback commutes exactly with translation
     # (shifting X by c turns u(X) into an affine image of u(X - c), and the
-    # functional is affine-equivariant), so the law is mean-centered first:
-    # the exp/log round trip then never runs into its saturation regime.
-    # Cara's u overflows only at its smallest argument, which an overflow
-    # names as the law's own value, uncentred.
+    # functional is affine-equivariant), so the law is centred first: on its
+    # mean, where the exp/log round trip never saturates, but at most
+    # reach = max(0, 700 + min(0, log alpha)) / alpha above its lowest atom,
+    # so that every |u| <= e^(alpha * reach) / alpha stays below e^700.
+    # Where the lowest atom's ulp exceeds the reach, lowest + reach can
+    # round up past it, so the centre steps back one ulp. Cara's u
+    # overflows only at its smallest argument, which an overflow names as
+    # the law's own value, uncentred.
     if isinstance(u, CaraUtility):
-        center = law.mean()
+        lowest = law.support_lower_bound()
+        reach = max(0.0, 700.0 + min(0.0, math.log(u.alpha))) / u.alpha
+        center = min(law.mean(), lowest + reach)
+        if center - lowest > reach:
+            center = math.nextafter(center, -math.inf)
         shifted = law.translate(-center)
         try:
             image = _transformed_law(shifted, u)
@@ -191,24 +199,6 @@ def _pullback_value(law, preference, u: UtilityFunction) -> float:
             raise u._overflow(center + shifted.support_lower_bound()) from exc
         return center + float(u.invert(preference_value(image, preference)))
     return float(u.invert(preference_value(_transformed_law(law, u), preference)))
-
-
-def closed_form_certainty_equivalent(
-    dist: Distribution, mu: MixtureMeasure | KusuokaFamily, u: UtilityFunction
-) -> float | None:
-    """Closed-form certainty equivalent of a law, or None.
-
-    The table has two entries: linear u on any law, finite or parametric
-    (the functional of the law itself, u being affine), and cara u on a
-    normal law with the point mass at level 1, or a family of it alone
-    (loc - alpha * scale^2 / 2).
-    """
-    if isinstance(u, LinearUtility):
-        return preference_value(dist, mu)
-    members = mu.members if isinstance(mu, KusuokaFamily) else (mu,)
-    if isinstance(u, CaraUtility) and isinstance(dist, Normal) and set(members) == {DELTA_ONE}:
-        return dist.loc - u.alpha * dist.variance() / 2.0
-    return None
 
 
 def certainty_equivalent(
@@ -221,14 +211,18 @@ def certainty_equivalent(
     """Sure amount with the same distorted expected utility as the risk.
 
     ``mu`` is a mixture, or a family whose minimum replaces the mixture.
-    :func:`closed_form_certainty_equivalent` answers first where it has an
-    entry. Otherwise finite laws (discrete, empirical, two-point) are
-    evaluated exactly by transforming their outcomes, and parametric laws
-    through the equal-probability quantile grid of ``grid_points`` midpoints.
+    The closed-form table answers first. It has two entries: linear u on
+    any law, finite or parametric (the functional of the law itself, u
+    being affine), and cara u on a normal law under the point mass at
+    level 1, or a family of it alone (loc - alpha * scale^2 / 2).
+    Otherwise finite laws (discrete, empirical, two-point) are evaluated
+    exactly by transforming their outcomes, and parametric laws through
+    the equal-probability quantile grid of ``grid_points`` midpoints.
     """
-    ce = closed_form_certainty_equivalent(dist, mu, u)
-    if ce is not None:
-        return ce
+    if isinstance(u, LinearUtility):
+        return preference_value(dist, mu)
+    if isinstance(u, CaraUtility) and isinstance(dist, Normal) and is_delta_one(mu):
+        return dist.loc - u.alpha * dist.variance() / 2.0
     if isinstance(dist, DiscreteDistribution):
         return _pullback_value(dist, mu, u)
     _check_parametric_support(dist, u)

@@ -111,6 +111,13 @@ class MixtureMeasure:
 DELTA_ONE = MixtureMeasure.point(1.0)
 
 
+def is_delta_one(preference: "MixtureMeasure | KusuokaFamily") -> bool:
+    """Whether a mixture is the point mass at level 1, or a family's members
+    all are: the preferences that value a law at its mean."""
+    members = preference.members if isinstance(preference, KusuokaFamily) else (preference,)
+    return all(m == DELTA_ONE for m in members)
+
+
 @dataclass(frozen=True)
 class KusuokaFamily:
     """Nonempty finite set of mixture measures, evaluated by their minimum."""

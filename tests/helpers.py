@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own computational paths:
 inverse normal values come from bisection on an erfc-based CDF (or scipy),
-tail integrals from adaptive quadrature on scipy's ppf, pooled laws from
-exhaustive enumeration, and dual values from brute-force vertex listing.
+tail integrals from adaptive quadrature on scipy's ppf, cara certainty
+equivalents of finite laws from mpmath, pooled laws from exhaustive
+enumeration, and dual values from brute-force vertex listing.
 :func:`sorted_draws` reads a drawn empirical law back as its sorted draws,
 and :func:`one_point` runs the package's curve engine at one pool size.
 """
@@ -41,6 +42,27 @@ def bisect_inv_normal_cdf(p: float, tol: float = 1e-12) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def mp_cara_certainty_equivalent(law, mu, alpha: float, digits: int = 60) -> float:
+    """Cara certainty equivalent of a finite law under a mixture, in mpmath
+    at ``digits`` significant digits: -log(sum of w * avar(e^(-alpha X), level))
+    / alpha, each tail average summed atom by atom from the lowest."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        a = mpmath.mpf(alpha)
+        total = mpmath.mpf(0)
+        for lam, w in mu.atoms:
+            left, tail = mpmath.mpf(lam), mpmath.mpf(0)
+            for x, p in zip(law.outcomes, law.probabilities):
+                take = min(mpmath.mpf(p), left)
+                tail += take * mpmath.exp(-a * x)
+                left -= take
+                if left <= 0:
+                    break
+            total += w * tail / lam
+        return float(-mpmath.log(total) / a)
 
 
 def quad_lower_quantile_integral(ppf, lam: float) -> float:

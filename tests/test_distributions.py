@@ -185,6 +185,21 @@ class TestMoments:
             assert Uniform(0.0, s).variance().hex() == (s**2 / 12.0).hex()
             assert Exponential(s).variance().hex() == (1.0 / s**2).hex()
 
+    # The parametric laws state their sd, so it stays nonzero and finite
+    # where the square under- or overflows; finite laws read the variance.
+    @pytest.mark.parametrize("law, sd", [
+        (Normal(0.0, 1e-200), 1e-200),
+        (Normal(0.0, 1e200), 1e200),
+        (Uniform(0.0, 1e-200), 1e-200 / math.sqrt(12.0)),
+        (Uniform(-1e200, 1e200), 2e200 / math.sqrt(12.0)),
+        (Exponential(1e200), 1.0 / 1e200),
+        (Exponential(1e-200), 1.0 / 1e-200),
+        (TwoPoint(0.0, 1.0, 0.5), 0.5),
+        (DiscreteDistribution((-1e200, 1e200), (0.5, 0.5)), math.inf),
+    ])
+    def test_sd(self, law, sd):
+        assert law.sd() == sd
+
 
 def _assert_rejects(message, build, *args):
     """``build(*args)`` raises a plain ValueError with exactly ``message``."""
@@ -378,29 +393,6 @@ class TestEmpirical:
 
 
 class TestSampling:
-    def test_same_spec_same_draws(self):
-        rng = RngSpec(123, 5)
-        for dist in (UNIFORM_1234, Normal(0.0, 1.0), Uniform(0.0, 1.0),
-                     Exponential(1.0), TwoPoint(0.0, 1.0, 0.5)):
-            assert dist.sample(rng, 50) == dist.sample(rng, 50)
-
-    def test_different_streams_differ(self):
-        a = Normal(0.0, 1.0).sample(RngSpec(123, 0), 50)
-        b = Normal(0.0, 1.0).sample(RngSpec(123, 1), 50)
-        assert a != b
-
-    def test_two_point_mean_clt_bound(self):
-        sample = TwoPoint(0.0, 1.0, 0.5).sample(RngSpec(2024), 10**6)
-        assert abs(sample.mean() - 0.5) <= 3 * 0.5 / 10**3
-
-    def test_degenerate_law(self):
-        sample = DiscreteDistribution((2.5,), (1.0,)).sample(RngSpec(0), 100)
-        assert set(sample.values) == {2.5}
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            Normal(0.0, 1.0).sample(RngSpec(0), 0)
-
     # Weights of 1e-18 leave cumulative masses tied; ten equal weights put
     # the last cumulative mass at 0.9999999999999999, below 1. At both ends
     # they hold the first and last atoms out of every uniform's reach, so

@@ -20,6 +20,7 @@ from riskpool.distributions import (
 )
 from riskpool.mc_engine import (
     ExperimentConfig,
+    _limit_and_exact_premiums,
     compare_to_limit,
     run_curve,
     theorem_limit,
@@ -158,6 +159,38 @@ class TestExactPath:
         assert [(p.estimate.hex(), p.stderr) for p in curve.points] == [
             (p.estimate.hex(), p.stderr) for p in expected.points
         ]
+
+    # The rule reads the kinds of law, utility and preference; no certainty
+    # equivalent is evaluated to decide, so a table that answers more
+    # (a Gaussian cara value under any mixture, say) moves no curve.
+    @pytest.mark.parametrize("distribution, utility, preference, exact", [
+        (Normal(1.0, 2.0), LinearUtility(), MIX, True),
+        (Normal(1.0, 2.0), LinearUtility(2.0, 1.0), KusuokaFamily((MIX, MixtureMeasure.point(0.3))), True),
+        (Normal(1.0, 2.0), CaraUtility(0.5), MixtureMeasure.point(1.0), True),
+        (Normal(1.0, 2.0), CaraUtility(0.5), KusuokaFamily((MixtureMeasure.point(1.0),) * 2), True),
+        (Normal(1.0, 2.0), CaraUtility(0.5), MIX, False),
+        (TwoPoint(0.0, 1.0, 0.5), LinearUtility(), MixtureMeasure.point(0.5), False),
+        (Exponential(1.0), LinearUtility(), MixtureMeasure.point(0.5), False),
+    ])
+    def test_auto_exact_rule_reads_kinds(self, distribution, utility, preference, exact, monkeypatch):
+        is_family = isinstance(preference, KusuokaFamily)
+        config = make_config(
+            distribution=distribution, utility=utility, n_grid=(4, 16),
+            mixture=None if is_family else preference, family=preference if is_family else None,
+        )
+        with monkeypatch.context() as patched:
+            patched.setattr("riskpool.preferences.preference_value", pytest.fail)
+            limit, points = _limit_and_exact_premiums(config)
+        assert limit == theorem_limit(config)
+        assert (points is not None) == exact
+        curve = run_curve(config)
+        assert [p.method == "exact" for p in curve.points] == [exact, exact]
+        forced = dataclasses.replace(config, exact=True)
+        if exact:
+            assert run_curve(forced) == curve
+        else:
+            with pytest.raises(ValueError, match="closed-form"):
+                run_curve(forced)
 
     def test_exact_true_requires_closed_form(self):
         with pytest.raises(ValueError, match="closed-form"):
@@ -318,16 +351,21 @@ class TestRunCurve:
         assert [p.n for p in curve.points] == [4, 16, 64]
         assert all(p.replications == 2000 for p in curve.points)
 
-    # sigma is taken as sqrt(variance()), and the square of 1e-200
-    # underflows to 0, so the limit and the linear exact points read 0.0.
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the limit squares sigma, which underflows at 1e-200")
-    def test_underflowing_variance_keeps_its_limit(self):
-        limit = theorem1_limit(1e-200, MixtureMeasure.point(0.5))
-        assert limit == pytest.approx(CONSTANT_05 * 1e-200, rel=1e-15)
-        curve = run_curve(make_config(distribution=Normal(0.0, 1e-200), n_grid=(4, 16)))
+    # The square of each sigma underflows to 0, so a sigma read from the
+    # variance would put the limit, and the normal's exact points, at 0.0.
+    @pytest.mark.parametrize("law, sigma", [
+        (Normal(0.0, 1e-200), 1e-200),
+        (Uniform(0.0, 1e-200), 1e-200 / math.sqrt(12.0)),
+        (Exponential(1e200), 1.0 / 1e200),
+    ])
+    def test_underflowing_variance_keeps_its_limit(self, law, sigma):
+        assert law.variance() == 0.0
+        limit = theorem1_limit(sigma, MixtureMeasure.point(0.5))
+        assert limit == pytest.approx(CONSTANT_05 * sigma, rel=1e-15)
+        curve = run_curve(make_config(distribution=law, n_grid=(4, 16)))
         assert curve.limit == limit
-        assert [p.estimate for p in curve.points] == [limit, limit]
+        if isinstance(law, Normal):
+            assert [p.estimate for p in curve.points] == [limit, limit]
 
     # The overflow is reported once, by the error, not by a numpy warning.
     def test_overflowing_variance_fails_before_sampling(self, monkeypatch):

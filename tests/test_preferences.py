@@ -23,7 +23,7 @@ from riskpool.preferences import (
 )
 from riskpool.risk_measures import KusuokaFamily, MixtureMeasure, mixture_value
 
-from helpers import cara_normal_mixture_ce, quad_certainty_equivalent_normal
+from helpers import cara_normal_mixture_ce, mp_cara_certainty_equivalent, quad_certainty_equivalent_normal
 
 UNIFORM_1234 = DiscreteDistribution((1.0, 2.0, 3.0, 4.0), (0.25,) * 4)
 MIX = MixtureMeasure(((0.5, 0.5), (1.0, 0.5)))
@@ -234,16 +234,57 @@ class TestCertaintyEquivalent:
                 DiscreteDistribution((-2.0, 1.0), (0.5, 0.5)), MIX, LogUtility(1.0)
             )
 
-    # Known numerical limit: u(-1000) = 1 - e^1000 overflows although the
-    # certainty equivalent is finite. The distorted expected utility is
-    # 1 - (3/4)e^1000 - (1/4)e^-1000, so the value is -1000 + log(4/3).
-    # Evaluating cara in the log domain must turn this into a pass.
-    @pytest.mark.xfail(strict=True, raises=UtilityDomainError,
-                       reason="cara overflows at a spread of 1000 before the log-domain fix")
+    # u(-1000) = 1 - e^1000 overflows although the certainty equivalent is
+    # finite. The distorted expected utility is 1 - (3/4)e^1000 -
+    # (1/4)e^-1000, so the value is -1000 + log(4/3). The mean lies more
+    # than 700 above the lowest atom, so the law is centred at -300.
     def test_cara_at_a_wide_spread_stays_finite(self):
         law = DiscreteDistribution((-1000.0, 1000.0), (0.5, 0.5))
         ce = certainty_equivalent(law, MIX, CaraUtility(1.0))
         assert ce == pytest.approx(-1000.0 + math.log(4.0 / 3.0), rel=1e-12)
+
+    # Spreads from 1 to 1e4 and alpha from 0.01 to 10 put some means past
+    # the reach of the lowest atom, where the centre is clamped, and the
+    # rest on the mean-centred path.
+    def test_cara_matches_an_mpmath_reference(self):
+        rng = np.random.default_rng(26)
+        clamped = 0
+        for _ in range(300):
+            k = int(rng.integers(2, 12))
+            spread = 10.0 ** rng.uniform(0.0, 4.0)
+            alpha = float(10.0 ** rng.uniform(-2.0, 1.0))
+            law = DiscreteDistribution(rng.uniform(-spread, spread, k), rng.dirichlet(np.ones(k)))
+            levels = np.sort(rng.uniform(0.01, 1.0, 3))
+            mu = MixtureMeasure(tuple(zip(levels.tolist(), rng.dirichlet(np.ones(3)).tolist())))
+            reach = (700.0 + min(0.0, math.log(alpha))) / alpha
+            clamped += law.mean() > law.support_lower_bound() + reach
+            ce = certainty_equivalent(law, mu, CaraUtility(alpha))
+            scale = max(abs(x) for x in law.outcomes)
+            assert abs(ce - mp_cara_certainty_equivalent(law, mu, alpha)) <= 64 * np.finfo(float).eps * scale
+        assert clamped >= 10
+
+    # Where the lowest atom's ulp exceeds the reach, lowest + reach can round
+    # past it: 2^53 + 700/560 rounds to 2^53 + 2, where u is -expm1(1120)/560.
+    # Atoms of magnitude 2^-20 to 2^80 and alpha from 1e-3 to 1e4 hit such
+    # roundings in about one law in forty.
+    def test_cara_centre_never_rounds_past_its_reach(self):
+        law = DiscreteDistribution((2.0**53, 2.0**53 + 2000.0), (0.5, 0.5))
+        assert certainty_equivalent(law, MixtureMeasure.point(0.5), CaraUtility(560.0)) == 2.0**53
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            low = float(np.ldexp(rng.uniform(-2.0, 2.0), int(rng.integers(-20, 80))))
+            alpha = float(10.0 ** rng.uniform(-3.0, 4.0))
+            law = DiscreteDistribution((low, low + abs(low) * rng.uniform(0.01, 3.0) + 1e4 / alpha), (0.5, 0.5))
+            assert math.isfinite(certainty_equivalent(law, MixtureMeasure.point(0.5), CaraUtility(alpha)))
+
+    # Below alpha = e^-700 the reach is 0 and the law is centred on its
+    # lowest atom; 1e-310 is subnormal, so 1 / alpha is inf.
+    @pytest.mark.parametrize("spread", [1e3, 1e9, 1e300])
+    @pytest.mark.parametrize("alpha", [1e-310, 1e-305, 1e-300, 1e-6, 6e-5, 1e-3, 1.0, 50.0])
+    def test_cara_is_finite_at_any_alpha_and_spread(self, alpha, spread):
+        law = DiscreteDistribution((-spread, spread), (0.5, 0.5))
+        ce = certainty_equivalent(law, MIX, CaraUtility(alpha))
+        assert -spread <= ce <= law.mean()
 
 
 class TestFamilyCertaintyEquivalent:
