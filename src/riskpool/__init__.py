@@ -13,6 +13,7 @@ from .distributions import (
     RngSpec,
     TwoPoint,
     Uniform,
+    inv_normal_cdf,
     pool_average_sample,
     quantile_grid_sample,
 )
@@ -24,7 +25,6 @@ from .mc_engine import (
     compare_to_limit,
     run_curve,
 )
-from .normal import inv_normal_cdf
 from .preferences import (
     CaraUtility,
     CrraUtility,

@@ -24,10 +24,9 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from statistics import NormalDist
 
 import numpy as np
-
-from .normal import inv_normal_cdf, normal_pdf
 
 _PROB_SUM_TOL = 1e-12
 # Slack used when locating a probability level among cumulative atom
@@ -602,6 +601,33 @@ class TwoPoint(DiscreteDistribution):
 
     def translate(self, c: float) -> "TwoPoint":
         return TwoPoint(self.low + c, self.high + c, self.p_high)
+
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STANDARD_NORMAL = NormalDist()
+
+
+def normal_pdf(x):
+    """Density of the standard normal law, elementwise on arrays."""
+    return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
+
+
+def _inv_cdf(t: float) -> float:
+    if not 0.0 < t < 1.0:
+        raise ValueError("probability level must lie strictly inside (0, 1)")
+    return _STANDARD_NORMAL.inv_cdf(t)
+
+
+def inv_normal_cdf(p):
+    """Inverse CDF of the standard normal law on the open interval (0, 1).
+
+    The standard library's ``NormalDist().inv_cdf`` (Wichura's AS 241):
+    a float for a scalar level, and for an array the same function on each
+    element, in the array's shape.
+    """
+    levels = np.asarray(p, dtype=float)
+    values = list(map(_inv_cdf, levels.ravel().tolist()))
+    return values[0] if levels.ndim == 0 else np.array(values).reshape(levels.shape)
 
 
 @dataclass(frozen=True)

@@ -205,8 +205,6 @@ def certainty_equivalent(
     dist: Distribution,
     mu: MixtureMeasure | KusuokaFamily,
     u: UtilityFunction,
-    *,
-    grid_points: int = DEFAULT_CE_GRID_POINTS,
 ) -> float:
     """Sure amount with the same distorted expected utility as the risk.
 
@@ -217,7 +215,8 @@ def certainty_equivalent(
     level 1, or a family of it alone (loc - alpha * scale^2 / 2).
     Otherwise finite laws (discrete, empirical, two-point) are evaluated
     exactly by transforming their outcomes, and parametric laws through
-    the equal-probability quantile grid of ``grid_points`` midpoints.
+    the equal-probability quantile grid of ``DEFAULT_CE_GRID_POINTS``
+    midpoints.
     """
     if isinstance(u, LinearUtility):
         return preference_value(dist, mu)
@@ -226,7 +225,7 @@ def certainty_equivalent(
     if isinstance(dist, DiscreteDistribution):
         return _pullback_value(dist, mu, u)
     _check_parametric_support(dist, u)
-    return _pullback_value(quantile_grid_sample(dist, grid_points), mu, u)
+    return _pullback_value(quantile_grid_sample(dist, DEFAULT_CE_GRID_POINTS), mu, u)
 
 
 def risk_premium(

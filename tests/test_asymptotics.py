@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -5,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from riskpool import inv_normal_cdf
 from riskpool.asymptotics import fit_rate, theorem1_limit
 from riskpool.config import experiment_config_from_dict
-from riskpool.distributions import Normal, RngSpec
+from riskpool.distributions import Normal, RngSpec, quantile_grid_sample
 from riskpool.mc_engine import theorem_limit
-from riskpool.normal import inv_normal_cdf
+from riskpool.preferences import DEFAULT_CE_GRID_POINTS
 from riskpool.risk_measures import KusuokaFamily, MixtureMeasure, kusuoka_value
 
 from helpers import bisect_inv_normal_cdf, quad_avar_normal
@@ -20,6 +22,15 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 PPF_0975 = 1.959963984540054
 CONSTANT_05 = 0.7978845608028654
 CONSTANT_03 = 1.1589753806669127
+
+# 10^-k for k in [1, 307] and 1 - 10^-k for k in [1, 15.9], in half- and
+# tenth-decade steps: the far tails of both halves of the unit interval.
+DECADE_LEVELS = np.concatenate(
+    [10.0 ** -np.linspace(1.0, 307.0, 613), 1.0 - 10.0 ** -np.linspace(1.0, 15.9, 150)]
+)
+# sha256 of the default certainty-equivalent grid's atoms on Normal(0, 1):
+# a source of Φ⁻¹ that moves any grid point's bits moves parametric CEs.
+DEFAULT_GRID_SHA256 = "ee52d705e551d64b7de97afdf461779361c9b7b4d9225a3a9eab4aac356171d6"
 
 
 class TestInvNormalCdf:
@@ -59,17 +70,33 @@ class TestInvNormalCdf:
             assert inv_normal_cdf(float(p)) == pytest.approx(
                 float(stats.norm.ppf(p)), abs=1e-9
             )
+        rel = np.abs(inv_normal_cdf(DECADE_LEVELS) / stats.norm.ppf(DECADE_LEVELS) - 1.0)
+        assert rel.max() <= 2e-15
 
     def test_domain_validation(self):
-        for bad in (0.0, 1.0, -0.2, 1.5, math.nan):
+        for bad in (0.0, 1.0, -0.2, 1.5, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 inv_normal_cdf(bad)
+            with pytest.raises(ValueError):
+                inv_normal_cdf(np.array([0.3, bad]))
 
     def test_array_input(self):
         out = inv_normal_cdf(np.array([0.25, 0.5, 0.75]))
         assert out.shape == (3,)
         assert out[1] == 0.0
         assert out[0] == -out[2]
+        scalars = [inv_normal_cdf(float(p)) for p in DECADE_LEVELS]
+        assert all(type(x) is float for x in scalars)
+        assert np.array_equal(inv_normal_cdf(DECADE_LEVELS), scalars)
+        for shape in ((0,), (0, 3), (2, 3)):
+            levels = np.full(shape, 0.3)
+            out = inv_normal_cdf(levels)
+            assert out.shape == shape and out.dtype == np.float64
+            assert np.all(out == inv_normal_cdf(0.3))
+
+    def test_default_grid_pinned(self):
+        atoms = quantile_grid_sample(Normal(0.0, 1.0), DEFAULT_CE_GRID_POINTS)._atoms
+        assert hashlib.sha256(atoms.tobytes()).hexdigest() == DEFAULT_GRID_SHA256
 
 
 class TestTheorem1Limit:
