@@ -1,12 +1,15 @@
 """JSON wire formats for laws, measures, utilities, and experiment configs.
 
-Every parser reports failures through :class:`ConfigError` carrying the
-path of the offending field (``distribution.sd``, ``mixture.atoms[1].weight``,
-...). A key that no parser reads is an error at every level, so a
-misspelt optional field cannot quietly take its default. Serialization
-emits plain dicts whose floats round-trip exactly through ``json``
+Every law and utility family is one row of a wire table, which both
+parses and writes it; a new law kind is one more row. Every parser
+reports failures through :class:`ConfigError` carrying the path of the
+offending field (``distribution.sd``, ``mixture.atoms[1].weight``, ...).
+A key that no parser reads is an error at every level, so a misspelt
+optional field cannot quietly take its default. Serialization emits plain
+dicts whose floats round-trip exactly through ``json``
 (shortest-representation encoding), so parse -> serialize -> parse is a
-fixed point.
+fixed point; the input-only ``bernoulli`` row is written back as the
+``two_point`` law it builds.
 """
 
 from __future__ import annotations
@@ -45,9 +48,6 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-_MISSING = object()
-
-
 def _as_mapping(obj, path):
     if not isinstance(obj, dict):
         raise ConfigError(path, f"expected an object, got {type(obj).__name__}")
@@ -60,11 +60,9 @@ def _check_fields(obj, keys, path):
             raise ConfigError(f"{path}.{key}", "unknown field")
 
 
-def _get(obj, key, path, default=_MISSING):
+def _get(obj, key, path):
     if key not in obj:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
+        raise ConfigError(f"{path}.{key}", "missing required field")
     return obj[key]
 
 
@@ -86,27 +84,48 @@ def _as_list(value, path):
     return value
 
 
+def _floats(value, path):
+    return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path)))
+
+
+def _bernoulli(p: float, loc: float = 0.0, scale: float = 1.0) -> TwoPoint:
+    """Input alias: loc + scale * B, with B a p-coin, is a two-point law."""
+    if not (0.0 < p < 1.0 and math.isfinite(loc) and loc < loc + scale < math.inf):
+        raise ValueError("bernoulli law requires 0 < p < 1 and scale > 0")
+    return TwoPoint(loc, loc + scale, p)
+
+
 def _wire_table(entries) -> dict:
-    """Wire name -> (class, ((wire key, argument, required), ...)); whether
-    an argument is required is read once, from the class's signature."""
+    """Wire name -> (constructor, ((wire key, argument, parser, required), ...)).
+
+    A field is a single number unless its entry names a parser; whether an
+    argument is required is read once, from the constructor's signature.
+    """
     table = {}
-    for name, (cls, pairs) in entries.items():
-        params = inspect.signature(cls).parameters
-        table[name] = (
-            cls,
-            tuple((key, arg, params[arg].default is inspect.Parameter.empty) for key, arg in pairs),
+    for name, (make, pairs) in entries.items():
+        params = inspect.signature(make).parameters
+        table[name] = make, tuple(
+            (key, arg, parser[0] if parser else _as_float, params[arg].default is inspect.Parameter.empty)
+            for key, arg, *parser in pairs
         )
     return table
 
 
-# Each family's class and its (wire key, constructor argument) pairs, in
-# serialization order. A key may be omitted exactly when the class gives
-# its argument a default, so every default is held once, by the class.
+# Each family's constructor and its (wire key, constructor argument[,
+# parser]) fields, in serialization order. A key may be omitted exactly when
+# the constructor gives its argument a default, so every default is held
+# once, by the constructor. A row is written back only for a value whose
+# type is its constructor, so ``bernoulli`` is read but written as
+# ``two_point``.
 _LAWS = _wire_table({
     "normal": (Normal, (("mean", "loc"), ("sd", "scale"))),
     "uniform": (Uniform, (("low", "low"), ("high", "high"))),
     "exponential": (Exponential, (("rate", "rate"), ("shift", "shift"))),
     "two_point": (TwoPoint, (("low", "low"), ("high", "high"), ("p_high", "p_high"))),
+    "discrete": (DiscreteDistribution, (("outcomes", "outcomes", _floats),
+                                        ("probs", "probabilities", _floats))),
+    "empirical": (EmpiricalSample, (("values", "values", _floats),)),
+    "bernoulli": (_bernoulli, (("p", "p"), ("loc", "loc"), ("scale", "scale"))),
 })
 _UTILITIES = _wire_table({
     "linear": (LinearUtility, (("slope", "slope"), ("intercept", "intercept"))),
@@ -116,64 +135,39 @@ _UTILITIES = _wire_table({
 })
 
 
-def _from_wire(table, family, obj, path):
-    cls, fields = table[family]
-    _check_fields(obj, ("family", *(key for key, _, _ in fields)), path)
+def _from_wire(table, obj, path):
+    obj = _as_mapping(obj, path)
+    family = _get(obj, "family", path)
+    if not (isinstance(family, str) and family in table):
+        raise ConfigError(f"{path}.family", f"unknown family {family!r}")
+    make, fields = table[family]
+    _check_fields(obj, ("family", *(key for key, *_ in fields)), path)
     kwargs = {}
-    for key, arg, required in fields:
-        if key in obj:
-            kwargs[arg] = _as_float(obj[key], f"{path}.{key}")
-        elif required:
-            raise ConfigError(f"{path}.{key}", "missing required field")
+    for key, arg, parse, required in fields:
+        if key in obj or required:
+            kwargs[arg] = parse(_get(obj, key, path), f"{path}.{key}")
     try:
-        return cls(**kwargs)
+        return make(**kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
+def _listed(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
 def _to_wire(table, value, kind: str) -> dict:
-    for family, (cls, fields) in table.items():
-        if type(value) is cls:
-            return {"family": family, **{key: getattr(value, arg) for key, arg, _ in fields}}
+    for family, (make, fields) in table.items():
+        if type(value) is make:
+            return {"family": family, **{key: _listed(getattr(value, arg)) for key, arg, *_ in fields}}
     raise TypeError(f"unsupported {kind} type {type(value).__name__}")
 
 
 def dist_from_dict(obj, path: str = "distribution") -> Distribution:
-    obj = _as_mapping(obj, path)
-    family = _get(obj, "family", path)
-    if isinstance(family, str) and family in _LAWS:
-        return _from_wire(_LAWS, family, obj, path)
-    try:
-        if family == "discrete":
-            _check_fields(obj, ("family", "outcomes", "probs"), path)
-            outcomes = [_as_float(v, f"{path}.outcomes[{i}]") for i, v in enumerate(_as_list(_get(obj, "outcomes", path), f"{path}.outcomes"))]
-            probs = [_as_float(v, f"{path}.probs[{i}]") for i, v in enumerate(_as_list(_get(obj, "probs", path), f"{path}.probs"))]
-            return DiscreteDistribution(tuple(outcomes), tuple(probs))
-        if family == "bernoulli":
-            _check_fields(obj, ("family", "p", "loc", "scale"), path)
-            # Input alias: loc + scale * B with B a p-coin is a two-point law.
-            p = _as_float(_get(obj, "p", path), f"{path}.p")
-            loc = _as_float(_get(obj, "loc", path, 0.0), f"{path}.loc")
-            scale = _as_float(_get(obj, "scale", path, 1.0), f"{path}.scale")
-            if not (0.0 < p < 1.0 and math.isfinite(loc) and loc < loc + scale < math.inf):
-                raise ValueError("bernoulli law requires 0 < p < 1 and scale > 0")
-            return TwoPoint(loc, loc + scale, p)
-        if family == "empirical":
-            _check_fields(obj, ("family", "values"), path)
-            values = [_as_float(v, f"{path}.values[{i}]") for i, v in enumerate(_as_list(_get(obj, "values", path), f"{path}.values"))]
-            return EmpiricalSample(values)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.family", f"unknown family {family!r}")
+    return _from_wire(_LAWS, obj, path)
 
 
 def dist_to_dict(dist: Distribution) -> dict:
-    if isinstance(dist, EmpiricalSample):
-        return {"family": "empirical", "values": list(dist.values)}
-    if type(dist) is DiscreteDistribution:
-        return {"family": "discrete", "outcomes": list(dist.outcomes), "probs": list(dist.probabilities)}
     return _to_wire(_LAWS, dist, "distribution")
 
 
@@ -215,11 +209,7 @@ def family_to_dict(family: KusuokaFamily) -> dict:
 
 
 def utility_from_dict(obj, path: str = "utility") -> UtilityFunction:
-    obj = _as_mapping(obj, path)
-    family = _get(obj, "family", path)
-    if isinstance(family, str) and family in _UTILITIES:
-        return _from_wire(_UTILITIES, family, obj, path)
-    raise ConfigError(f"{path}.family", f"unknown family {family!r}")
+    return _from_wire(_UTILITIES, obj, path)
 
 
 def utility_to_dict(u: UtilityFunction) -> dict:

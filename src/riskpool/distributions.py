@@ -9,9 +9,12 @@ families (normal, uniform, exponential) use closed forms. Quantile
 functions follow the left-continuous convention
 q(t) = inf{m : P[X <= m] >= t}; integration of the quantile over a lower
 tail is exact (up to rounding) for finite laws and closed-form for every
-parametric family. All types are immutable and all operations are pure
-given their inputs and an :class:`RngSpec`; a pool size's sampler holds
-what it needs (a lattice pool law, say) and nothing else keeps it.
+parametric family. Only finite laws take an array of tail levels in one
+call; a parametric law evaluates its closed form level by level, with the
+same bits at any number of levels. All types are immutable and all
+operations are pure given their inputs and an :class:`RngSpec`; a pool
+size's sampler holds what it needs (a lattice pool law, say) and nothing
+else keeps it.
 
 Unbounded laws (normal, exponential) are admitted even though the limit
 theory is phrased for bounded risks; the only operational consequence is
@@ -315,20 +318,17 @@ class DiscreteDistribution(Distribution):
     def probabilities(self) -> tuple[float, ...]:
         return tuple(self._masses.tolist())
 
-    def __getattr__(self, name):
-        # Reached only when the instance lacks the attribute; what it makes
-        # is kept in __dict__ (threads that race here store equal arrays).
-        # The prefix sums of mass x outcome serve one level at a time. The
-        # array tail integrals read them and the cumulative masses led by a
-        # 0.0, so that entry j sums the atoms before atom j.
-        if name == "_prefix":
-            value = np.add.accumulate(self._masses * self._atoms)
-        elif name == "_sums_before":
-            value = np.concatenate(([0.0], self._prefix)), np.concatenate(([0.0], self._cum))
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__[name] = value
-        return value
+    # The prefix sums of mass x outcome serve one level at a time. The array
+    # tail integrals read them and the cumulative masses led by a 0.0, so
+    # that entry j sums the atoms before atom j. Threads that race on either
+    # store equal arrays.
+    @cached_property
+    def _prefix(self) -> np.ndarray:
+        return np.add.accumulate(self._masses * self._atoms)
+
+    @cached_property
+    def _sums_before(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.concatenate(([0.0], self._prefix)), np.concatenate(([0.0], self._cum))
 
     def quantile(self, t: float) -> float:
         # At t = 0 the search lands on the first atom, the essential infimum.
@@ -651,14 +651,9 @@ class Normal(Distribution):
         return self.loc + self.scale * inv_normal_cdf(t)
 
     def _tail_integral(self, lam: float) -> float:
-        return self.loc if lam == 1.0 else self._tail_integrals(np.array([lam])).item()
-
-    def _tail_integrals(self, lam: np.ndarray) -> np.ndarray:
-        values = np.full(lam.shape, float(self.loc))
-        inner = lam < 1.0
-        t = lam[inner]
-        values[inner] = t * self.loc - self.scale * normal_pdf(inv_normal_cdf(t))
-        return values
+        if lam == 1.0:
+            return self.loc
+        return float(lam * self.loc - self.scale * normal_pdf(_inv_cdf(lam)))
 
     def mean(self) -> float:
         return self.loc

@@ -67,7 +67,8 @@ class UtilityFunction:
     @property
     def domain_lower(self) -> float:
         """Open lower endpoint of the domain: -shift, or -inf without a shift."""
-        return -getattr(self, "shift", math.inf)
+        # 0.0 - shift rather than -shift, so a zero shift comes out +0.0.
+        return 0.0 - getattr(self, "shift", math.inf)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,12 @@ from riskpool.config import (
     ConfigError,
     experiment_config_from_dict,
     experiment_config_to_dict,
+    utility_to_dict,
 )
 from riskpool.distributions import DiscreteDistribution, EmpiricalSample, TwoPoint
 from riskpool.mc_engine import ExperimentConfig
-from riskpool.risk_measures import MixtureMeasure
+from riskpool.preferences import UtilityFunction
+from riskpool.risk_measures import KusuokaFamily, MixtureMeasure
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -634,6 +636,98 @@ class TestVerifyCommand:
         assert main(["verify", "properties", "--trials", "5"]) == 2
 
 
+class TestInputErrors:
+    """Every malformed input is a config error (exit 2) that names its
+    path, and prints nothing to stdout."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["measure", "--dist", "normal01", "--mu", '{"atoms": ['],
+         "mu: invalid JSON: Expecting value: line 1 column 12 (char 11)"),
+        (["measure", "--dist", '{"family": ', "--lambda", "0.5"],
+         "dist: invalid JSON: Expecting value: line 1 column 11 (char 10)"),
+        (["measure", "--dist", "normal01", "--mu", "grid:x"], "mu: bad grid size in 'grid:x'"),
+        (["measure", "--dist", "normal01", "--mu", "grid:0"], "mu: grid needs at least one point"),
+        (["measure", "--dist", "normal01", "--mu", "a@0.5"], "mu[0]: non-numeric term 'a@0.5'"),
+        (["measure", "--dist", "normal01", "--mu", "0.5@0.3 + 0.4@1"], "mu: atom weights sum to 0.9, not 1"),
+        (["measure", "--dist", "normal01", "--family", "{ , }"], "family: family shorthand is empty"),
+        (["measure", "--dist", "[1, 2]", "--lambda", "0.5"], "dist: expected an object, got list"),
+        (["measure", "--dist", '{"family": "chi2", "k": 1}', "--lambda", "0.5"],
+         "dist.family: unknown family 'chi2'"),
+        (["measure", "--dist", '{"family": 3}', "--lambda", "0.5"], "dist.family: unknown family 3"),
+        (["limit", "--sigma", "1", "--mu", "delta1", "--family", "delta1"],
+         "limit: exactly one of --mu, --family is required"),
+        (["limit", "--sigma", "1"], "limit: exactly one of --mu, --family is required"),
+        (["verify", "duality", "--trials", "-1"], "trials: must be nonnegative"),
+    ], ids=["mu-json", "dist-json", "grid-x", "grid-0", "non-numeric-term", "weights-sum", "empty-family",
+            "dist-list", "unknown-dist-family", "non-string-family", "limit-both", "limit-neither",
+            "negative-trials"])
+    def test_exits_2_naming_the_input(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    def test_invalid_config_json_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"distribution": \n')
+        out = tmp_path / "results"
+        assert main(["premium-curve", "--config", str(config), "--out-dir", str(out)]) == 2
+        message = "config: invalid JSON: Expecting value: line 2 column 1 (char 18)"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_non_integer_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("RISKPOOL_SEED", "abc")
+        assert main(["verify", "duality", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: RISKPOOL_SEED: not an integer: 'abc'\n"
+
+    # A single shorthand is a family of one member, valued as that mixture.
+    def test_one_member_family_shorthand(self, capsys):
+        assert main(["measure", "--dist", "normal01", "--family", "delta0.3", "--json"]) == 0
+        assert strict_json(capsys.readouterr().out)["value"] == -1.1589753806669127
+        assert parse_family_text("delta0.3") == KusuokaFamily((MixtureMeasure.point(0.3),))
+
+    @pytest.mark.parametrize("patch, path, message", [
+        ({"distribution": [1.0]}, "config.distribution", "expected an object, got list"),
+        ({"n_grid": 4}, "config.n_grid", "expected a list, got int"),
+        ({"wealth": "1"}, "config.wealth", "expected a number, got '1'"),
+        ({"replications": 1.5}, "config.replications", "expected an integer, got 1.5"),
+        ({"utility": {"family": "power", "a": 1}}, "config.utility.family", "unknown family 'power'"),
+        ({"distribution": {"family": "normal", "mean": 0.0, "sd": -1}}, "config.distribution",
+         "normal law requires finite loc and scale > 0"),
+        ({"mixture": None, "family": {"members": []}}, "config.family.members",
+         "family must contain at least one member"),
+        ({"family": {"members": [{"atoms": [{"lambda": 0.3, "weight": 1.0}]}]}}, "config",
+         "exactly one of 'mixture' and 'family' must be given"),
+        ({"mixture": None}, "config", "exactly one of 'mixture' and 'family' must be given"),
+        ({"exact": "yes"}, "config.exact", "expected true, false, or null"),
+        ({"mixture": {"atoms": []}}, "config.mixture.atoms", "at least one atom is required"),
+        ({"distribution": {"family": "discrete", "outcomes": 1.0, "probs": [1.0]}},
+         "config.distribution.outcomes", "expected a list, got float"),
+        ({"distribution": {"family": "discrete", "outcomes": [1.0, "a"], "probs": [0.5, 0.5]}},
+         "config.distribution.outcomes[1]", "expected a number, got 'a'"),
+        ({"distribution": {"family": "empirical", "values": []}}, "config.distribution",
+         "at least one value is required"),
+    ], ids=["not-an-object", "not-a-list", "not-a-number", "not-an-integer", "unknown-utility-family",
+            "negative-sd", "no-members", "mixture-and-family", "neither", "exact-not-bool", "no-atoms",
+            "outcomes-not-a-list", "outcome-not-a-number", "no-values"])
+    def test_config_error_names_its_path(self, patch, path, message):
+        payload = {key: value for key, value in {**MC_CONFIG, **patch}.items() if value is not None}
+        with pytest.raises(ConfigError) as exc:
+            experiment_config_from_dict(payload)
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_unsupported_type_is_not_written(self):
+        class Unlisted(UtilityFunction):
+            pass
+
+        with pytest.raises(TypeError, match="unsupported utility type Unlisted"):
+            utility_to_dict(Unlisted())
+
+
 class TestRemovedFlags:
     # Each subcommand parses only the flags it reads.
     @pytest.mark.parametrize("argv", [
@@ -662,6 +756,8 @@ WIRE_ENTRIES = [
     ("distribution", {"family": "uniform", "low": -1.0, "high": 2.0}, {}),
     ("distribution", {"family": "exponential", "rate": 2.0, "shift": -0.5}, {"shift": 0.0}),
     ("distribution", {"family": "two_point", "low": 0.0, "high": 1.0, "p_high": 0.25}, {}),
+    ("distribution", {"family": "discrete", "outcomes": [0.5, 1.0, 2.0], "probs": [0.25, 0.5, 0.25]}, {}),
+    ("distribution", {"family": "empirical", "values": [0.25, 1.0, 1.0, 3.0]}, {}),
     ("utility", {"family": "linear", "slope": 2.0, "intercept": -1.0},
      {"slope": 1.0, "intercept": 0.0}),
     ("utility", {"family": "cara", "alpha": 0.5}, {}),
@@ -669,6 +765,11 @@ WIRE_ENTRIES = [
     ("utility", {"family": "crra", "gamma": 2.0, "shift": 3.0}, {"shift": 0.0}),
 ]
 WIRE_IDS = [entry["family"] for _, entry, _ in WIRE_ENTRIES]
+# Rows that are read but written back under another family.
+INPUT_ONLY_ENTRIES = [
+    ("distribution", {"family": "bernoulli", "p": 0.3, "loc": 1.0, "scale": 2.0}, {"loc": 0.0, "scale": 1.0}),
+]
+INPUT_ONLY_IDS = [entry["family"] for _, entry, _ in INPUT_ONLY_ENTRIES]
 
 
 class TestWireTable:
@@ -682,7 +783,8 @@ class TestWireTable:
         assert list(emitted[kind].items()) == list(expected.items())
         assert experiment_config_from_dict(emitted) == config
 
-    @pytest.mark.parametrize("kind, entry, defaults", WIRE_ENTRIES, ids=WIRE_IDS)
+    @pytest.mark.parametrize("kind, entry, defaults", WIRE_ENTRIES + INPUT_ONLY_ENTRIES,
+                             ids=WIRE_IDS + INPUT_ONLY_IDS)
     def test_missing_required_key_names_its_path(self, kind, entry, defaults):
         for key in entry.keys() - defaults.keys():
             given = {k: v for k, v in entry.items() if k != key}
@@ -696,11 +798,6 @@ FAMILY_CONFIG = {
     "family": {"members": [{"atoms": [{"lambda": 0.3, "weight": 1.0}]},
                            {"atoms": [{"lambda": 0.5, "weight": 0.5}, {"lambda": 1.0, "weight": 0.5}]}]},
 }
-FINITE_LAWS = [
-    {"family": "discrete", "outcomes": [0.0, 1.0], "probs": [0.5, 0.5]},
-    {"family": "bernoulli", "p": 0.3, "loc": 1.0, "scale": 2.0},
-    {"family": "empirical", "values": [3.0, 1.0]},
-]
 
 
 def _with_key(entry: dict, key: str) -> dict:
@@ -712,9 +809,7 @@ UNKNOWN_FIELDS = [
     ("config", dict(MC_CONFIG, replication=1000), "config.replication"),
     ("config-camel", dict(MC_CONFIG, nGrid=[4]), "config.nGrid"),
     *[(entry["family"], dict(MC_CONFIG, **{kind: _with_key(entry, "bogus")}), f"config.{kind}.bogus")
-      for kind, entry, _ in WIRE_ENTRIES],
-    *[(law["family"], dict(MC_CONFIG, distribution=_with_key(law, "bogus")), "config.distribution.bogus")
-      for law in FINITE_LAWS],
+      for kind, entry, _ in WIRE_ENTRIES + INPUT_ONLY_ENTRIES],
     ("exponential-shfit", dict(MC_CONFIG, distribution={"family": "exponential", "rate": 1, "shfit": 2}),
      "config.distribution.shfit"),
     ("mixture", dict(MC_CONFIG, mixture=_with_key(MC_CONFIG["mixture"], "weights")), "config.mixture.weights"),
