@@ -56,7 +56,7 @@ class RateFit:
 
     A slope near -1/2 indicates the distorted (first-order) regime, a slope
     near -1 the plain expected-utility (second-order) regime. The grid and
-    the default transient drop are engineering choices; the points actually
+    the transient drop are engineering choices; the points actually
     fitted are recorded in ``points``.
     """
 
@@ -66,14 +66,13 @@ class RateFit:
     points: tuple[tuple[int, float], ...]
 
 
-def fit_rate(points, *, drop_smallest: int = 1) -> RateFit:
+def fit_rate(points) -> RateFit:
     """Fit a power law premium ~ exp(intercept) * n^slope by OLS in logs.
 
     Needs at least three points with distinct pool sizes and strictly
     positive premiums (a nonpositive premium signals the degenerate
     zero-variance or undistorted-linear case; skip fitting there). The
-    ``drop_smallest`` smallest pool sizes are excluded as Taylor-transient,
-    keeping at least two points.
+    smallest pool size is excluded as Taylor-transient.
     """
     pts = sorted((int(n), float(p)) for n, p in points)
     if len(pts) < 3:
@@ -85,8 +84,7 @@ def fit_rate(points, *, drop_smallest: int = 1) -> RateFit:
             "premiums must be strictly positive to fit a rate "
             "(nonpositive values indicate a degenerate configuration)"
         )
-    drop = max(0, min(int(drop_smallest), len(pts) - 2))
-    used = pts[drop:]
+    used = pts[1:]
     x = np.log([n for n, _ in used])
     y = np.log([p for _, p in used])
     slope, intercept = np.polyfit(x, y, 1)

@@ -29,6 +29,7 @@ from .config import (
     experiment_config_to_dict,
     family_from_dict,
     mixture_from_dict,
+    reported_at,
     with_master_seed,
 )
 from .distributions import Normal, RngSpec
@@ -63,34 +64,26 @@ def _repr_float(value: float) -> str:
     return repr(float(value))
 
 
+def _read_json(text: str, path: str):
+    """The JSON value of ``text``; invalid JSON is a ConfigError at ``path``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(path, f"invalid JSON: {exc}") from exc
+
+
 def parse_mixture_text(text: str, path: str = "mu") -> MixtureMeasure:
     """Mixture from JSON, 'deltaL', 'grid:K', or 'w@L + w@L' shorthand."""
     s = text.strip()
     if s.startswith("{"):
-        try:
-            obj = json.loads(s)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(path, f"invalid JSON: {exc}") from exc
-        return mixture_from_dict(obj, path)
+        return mixture_from_dict(_read_json(s, path), path)
     for prefix in ("delta", "δ"):
         if s.startswith(prefix):
-            try:
-                level = float(s[len(prefix) :])
-            except ValueError as exc:
-                raise ConfigError(path, f"bad point-mass level in {s!r}") from exc
-            try:
-                return MixtureMeasure.point(level)
-            except ValueError as exc:
-                raise ConfigError(path, str(exc)) from exc
+            level = reported_at(path, float, s[len(prefix) :], message=f"bad point-mass level in {s!r}")
+            return reported_at(path, MixtureMeasure.point, level)
     if s.startswith("grid:"):
-        try:
-            points = int(s[len("grid:") :])
-        except ValueError as exc:
-            raise ConfigError(path, f"bad grid size in {s!r}") from exc
-        try:
-            return MixtureMeasure.equal_weight_grid(points)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
+        points = reported_at(path, int, s[len("grid:") :], message=f"bad grid size in {s!r}")
+        return reported_at(path, MixtureMeasure.equal_weight_grid, points)
     atoms = []
     for i, term in enumerate(s.split("+")):
         parts = term.strip().split("@")
@@ -98,14 +91,12 @@ def parse_mixture_text(text: str, path: str = "mu") -> MixtureMeasure:
             raise ConfigError(
                 f"{path}[{i}]", f"expected 'weight@level', got {term.strip()!r}"
             )
-        try:
-            atoms.append((float(parts[1]), float(parts[0])))
-        except ValueError as exc:
-            raise ConfigError(f"{path}[{i}]", f"non-numeric term {term.strip()!r}") from exc
-    try:
-        return MixtureMeasure(tuple(atoms))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        weight, level = (
+            reported_at(f"{path}[{i}]", float, part, message=f"non-numeric term {term.strip()!r}")
+            for part in parts
+        )
+        atoms.append((level, weight))
+    return reported_at(path, MixtureMeasure, tuple(atoms))
 
 
 def parse_family_text(text: str, path: str = "family") -> KusuokaFamily:
@@ -135,11 +126,7 @@ def parse_dist_text(text: str, path: str = "dist"):
     s = text.strip()
     if s == "normal01":
         return Normal(0.0, 1.0)
-    try:
-        obj = json.loads(s)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(path, f"invalid JSON: {exc}") from exc
-    return dist_from_dict(obj, path)
+    return dist_from_dict(_read_json(s, path), path)
 
 
 def _resolve_seed(flag_value) -> int:
@@ -147,10 +134,7 @@ def _resolve_seed(flag_value) -> int:
         return flag_value
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(SEED_ENV_VAR, f"not an integer: {env!r}") from exc
+        return reported_at(SEED_ENV_VAR, int, env, message=f"not an integer: {env!r}")
     return 0
 
 
@@ -160,10 +144,7 @@ def _cmd_measure(args) -> int:
     if sum(chosen) != 1:
         raise ConfigError("measure", "exactly one of --lambda, --mu, --family is required")
     if args.tail_level is not None:
-        try:
-            value = avar(dist, args.tail_level)
-        except ValueError as exc:
-            raise ConfigError("lambda", str(exc)) from exc
+        value = reported_at("lambda", avar, dist, args.tail_level)
         payload = {"operation": "avar", "lambda": args.tail_level, "value": value}
         text = _fmt(value)
     elif args.mu is not None:
@@ -263,11 +244,10 @@ def _machine() -> dict:
 def _cmd_premium_curve(args) -> int:
     config_path = Path(args.config)
     try:
-        raw = json.loads(config_path.read_text())
+        text = config_path.read_text()
     except FileNotFoundError as exc:
         raise ConfigError("config", f"no such file: {config_path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}") from exc
+    raw = _read_json(text, "config")
     config = experiment_config_from_dict(raw)
     if args.seed is not None:
         config = with_master_seed(config, args.seed)

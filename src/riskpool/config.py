@@ -3,7 +3,9 @@
 Every law and utility family is one row of a wire table, which both
 parses and writes it; a new law kind is one more row. Every parser
 reports failures through :class:`ConfigError` carrying the path of the
-offending field (``distribution.sd``, ``mixture.atoms[1].weight``, ...).
+offending field (``distribution.sd``, ``mixture.atoms[1].weight``, ...);
+a constructor's or parser's ``ValueError`` reaches it through
+:func:`reported_at`, the one place that rule is written.
 A key that no parser reads is an error at every level, so a misspelt
 optional field cannot quietly take its default. Serialization emits plain
 dicts whose floats round-trip exactly through ``json``
@@ -46,6 +48,15 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+def reported_at(path: str, make, /, *args, message: str | None = None, **kwargs):
+    """``make(*args, **kwargs)``, whose ValueError becomes a ConfigError
+    at ``path``: the error's own text, or ``message`` when one is given."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, message or str(exc)) from exc
 
 
 def _as_mapping(obj, path):
@@ -146,10 +157,7 @@ def _from_wire(table, obj, path):
     for key, arg, parse, required in fields:
         if key in obj or required:
             kwargs[arg] = parse(_get(obj, key, path), f"{path}.{key}")
-    try:
-        return make(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return reported_at(path, make, **kwargs)
 
 
 def _listed(value):
@@ -181,10 +189,7 @@ def mixture_from_dict(obj, path: str = "mixture") -> MixtureMeasure:
         lam = _as_float(_get(atom, "lambda", f"{path}.atoms[{i}]"), f"{path}.atoms[{i}].lambda")
         weight = _as_float(_get(atom, "weight", f"{path}.atoms[{i}]"), f"{path}.atoms[{i}].weight")
         atoms.append((lam, weight))
-    try:
-        return MixtureMeasure(tuple(atoms))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.atoms", str(exc)) from exc
+    return reported_at(f"{path}.atoms", MixtureMeasure, tuple(atoms))
 
 
 def mixture_to_dict(mu: MixtureMeasure) -> dict:
@@ -198,10 +203,7 @@ def family_from_dict(obj, path: str = "family") -> KusuokaFamily:
         mixture_from_dict(m, f"{path}.members[{i}]")
         for i, m in enumerate(_as_list(_get(obj, "members", path), f"{path}.members"))
     ]
-    try:
-        return KusuokaFamily(tuple(members))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.members", str(exc)) from exc
+    return reported_at(f"{path}.members", KusuokaFamily, tuple(members))
 
 
 def family_to_dict(family: KusuokaFamily) -> dict:
@@ -246,12 +248,10 @@ def experiment_config_from_dict(obj, path: str = "config") -> ExperimentConfig:
     ):
         if key in obj:
             optional[key] = parse(obj[key], f"{path}.{key}")
-    try:
-        return ExperimentConfig(
-            distribution=distribution, utility=utility, mixture=mixture, family=family, **optional
-        )
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return reported_at(
+        path, ExperimentConfig,
+        distribution=distribution, utility=utility, mixture=mixture, family=family, **optional,
+    )
 
 
 def experiment_config_to_dict(config: ExperimentConfig) -> dict:

@@ -24,6 +24,7 @@ that the quantile at level 0 is an error for laws unbounded below.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -69,11 +70,20 @@ _POOL_ENTRIES_PER_ATOM = 200_000
 _FFT_FLOOR = 1e-13
 
 
-def _check_level(t: float, name: str = "t") -> float:
+def _check_level(t: float) -> float:
     t = float(t)
     if not 0.0 <= t <= 1.0 or math.isnan(t):
-        raise ValueError(f"{name} must lie in [0, 1], got {t!r}")
+        raise ValueError(f"t must lie in [0, 1], got {t!r}")
     return t
+
+
+def _store_floats(obj, *names: str) -> None:
+    """Store each named field of a frozen dataclass as a Python float, numpy
+    scalars included, so equal values have one wire form. A non-number is
+    stored as nan, which the class's own finiteness check then rejects."""
+    for name in names:
+        value = getattr(obj, name)
+        object.__setattr__(obj, name, float(value) if isinstance(value, numbers.Real) else math.nan)
 
 
 def _square(x: float) -> float:
@@ -330,26 +340,35 @@ class DiscreteDistribution(Distribution):
     def _sums_before(self) -> tuple[np.ndarray, np.ndarray]:
         return np.concatenate(([0.0], self._prefix)), np.concatenate(([0.0], self._cum))
 
+    # At t = 0 the search lands on the first atom, the essential infimum; at
+    # t = 1 the last atom is taken without a search, so the level slack
+    # cannot drop top atoms of mass below it.
     def quantile(self, t: float) -> float:
-        # At t = 0 the search lands on the first atom, the essential infimum.
-        return float(self._ppf(_check_level(t)))
+        t = _check_level(t)
+        return self._atoms.item(-1) if t == 1.0 else float(self._ppf(t))
 
     def _ppf(self, t):
         idx = np.searchsorted(self._cum, t - _LEVEL_TOL, side="left")
         return self._atoms[np.minimum(idx, self._atoms.size - 1)]
 
     # The search is capped at the last atom, which takes every level above
-    # the cumulative mass before it. Every cumulative mass before atom j
-    # lies below lam - _LEVEL_TOL, so lam - prev is positive.
+    # the cumulative mass before it, and level 1 itself. Every cumulative
+    # mass before atom j lies below lam - _LEVEL_TOL (or below lam = 1,
+    # the masses being positive), so lam - prev is positive.
     def _tail_integral(self, lam: float) -> float:
         cum = self._cum
-        j = min(int(cum.searchsorted(lam - _LEVEL_TOL)), cum.size - 1)
+        j = cum.size - 1 if lam == 1.0 else min(int(cum.searchsorted(lam - _LEVEL_TOL)), cum.size - 1)
         below, prev = (self._prefix.item(j - 1), cum.item(j - 1)) if j else (0.0, 0.0)
         return below + min(lam - prev, self._masses.item(j)) * self._atoms.item(j)
 
-    # The array form searches all but the last cumulative mass instead.
+    # The array form searches all but the last cumulative mass instead. Its
+    # search misses the last atom at level 1 only when the masses before
+    # it reach 1 - _LEVEL_TOL, so only such a law pays for the fix.
     def _tail_integrals(self, lam: np.ndarray) -> np.ndarray:
-        j = self._cum[:-1].searchsorted(lam - _LEVEL_TOL)
+        search = self._cum[:-1]
+        j = search.searchsorted(lam - _LEVEL_TOL)
+        if search.size and search.item(-1) >= 1.0 - _LEVEL_TOL:
+            j[lam == 1.0] = search.size
         prefix, cum = self._sums_before
         return prefix[j] + np.minimum(lam - cum[j], self._masses[j]) * self._atoms[j]
 
@@ -636,6 +655,7 @@ class Normal(Distribution):
     scale: float
 
     def __post_init__(self):
+        _store_floats(self, "loc", "scale")
         if not (math.isfinite(self.loc) and math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError("normal law requires finite loc and scale > 0")
 
@@ -688,6 +708,7 @@ class Uniform(Distribution):
     high: float
 
     def __post_init__(self):
+        _store_floats(self, "low", "high")
         if not (math.isfinite(self.low) and math.isfinite(self.high) and self.high > self.low):
             raise ValueError("uniform law requires finite bounds with high > low")
 
@@ -728,6 +749,7 @@ class Exponential(Distribution):
     shift: float = 0.0
 
     def __post_init__(self):
+        _store_floats(self, "rate", "shift")
         if not (math.isfinite(self.rate) and self.rate > 0.0 and math.isfinite(self.shift)):
             raise ValueError("exponential law requires rate > 0 and finite shift")
 

@@ -41,6 +41,7 @@ writes them beside the curve.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -48,11 +49,20 @@ from functools import partial
 import numpy as np
 
 from .asymptotics import RateFit, fit_rate, theorem1_limit
-from .distributions import Distribution, Normal, PoolSampler, RngSpec, pool_average_sample
+from .distributions import Distribution, Normal, PoolSampler, RngSpec, _store_floats, pool_average_sample
 from .preferences import CaraUtility, LinearUtility, UtilityDomainError, UtilityFunction, risk_premium
 from .risk_measures import KusuokaFamily, MixtureMeasure, is_delta_one
 
 DEFAULT_N_GRID = (4, 16, 64, 256, 1024, 4096)
+
+
+def _count(value, name: str) -> int:
+    """``value`` as a Python int, numpy ints included; anything else, a
+    float such as 400.0 among them, is an error that names the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -78,9 +88,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.mixture is None) == (self.family is None):
             raise ValueError("exactly one of mixture and family must be set")
+        _store_floats(self, "wealth")
         if not math.isfinite(self.wealth):
             raise ValueError("wealth must be finite")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        for name in ("replications", "batches"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
+        n_grid = tuple(_count(n, f"n_grid[{i}]") for i, n in enumerate(self.n_grid))
+        object.__setattr__(self, "n_grid", n_grid)
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid must be nonempty with positive pool sizes")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, Distribution, Normal, quantile_grid_sample
+from .distributions import DiscreteDistribution, Distribution, Normal, _store_floats, quantile_grid_sample
 from .risk_measures import KusuokaFamily, MixtureMeasure, is_delta_one, preference_value
 
 DEFAULT_CE_GRID_POINTS = 2**14
@@ -77,6 +77,7 @@ class LinearUtility(UtilityFunction):
     intercept: float = 0.0
 
     def __post_init__(self):
+        _store_floats(self, "slope", "intercept")
         if not (math.isfinite(self.slope) and self.slope > 0.0 and math.isfinite(self.intercept)):
             raise ValueError("linear utility requires slope > 0")
 
@@ -94,6 +95,7 @@ class CaraUtility(UtilityFunction):
     alpha: float
 
     def __post_init__(self):
+        _store_floats(self, "alpha")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("cara utility requires alpha > 0")
 
@@ -117,6 +119,7 @@ class LogUtility(UtilityFunction):
     shift: float = 0.0
 
     def __post_init__(self):
+        _store_floats(self, "shift")
         if not math.isfinite(self.shift):
             raise ValueError("log utility requires a finite shift")
 
@@ -139,6 +142,7 @@ class CrraUtility(UtilityFunction):
     shift: float = 0.0
 
     def __post_init__(self):
+        _store_floats(self, "gamma", "shift")
         ok = math.isfinite(self.gamma) and self.gamma != 1.0 and math.isfinite(self.shift)
         if not ok:
             raise ValueError("crra utility requires finite gamma != 1")

@@ -246,11 +246,12 @@ class TestFitRate:
 
     def test_drop_smallest_recorded(self):
         points = [(4, 10.0), (16, 0.25), (64, 0.125), (256, 0.0625)]
-        fit = fit_rate(points)
-        assert fit.points[0][0] == 16
-        full = fit_rate(points, drop_smallest=0)
-        assert full.points[0][0] == 4
-        assert full.r_squared < fit.r_squared
+        # The smallest pool size is dropped, so its outlying 10.0 leaves the
+        # fit an exact n^(-1/2) law on the points it records.
+        fit = fit_rate(points[::-1])
+        assert fit.points == ((16, 0.25), (64, 0.125), (256, 0.0625))
+        assert fit.slope == pytest.approx(-0.5, abs=1e-12)
+        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -13,13 +13,14 @@ import riskpool.verify
 from riskpool.cli import build_parser, main, parse_family_text, parse_mixture_text
 from riskpool.config import (
     ConfigError,
+    config_hash,
     experiment_config_from_dict,
     experiment_config_to_dict,
     utility_to_dict,
 )
-from riskpool.distributions import DiscreteDistribution, EmpiricalSample, TwoPoint
+from riskpool.distributions import DiscreteDistribution, EmpiricalSample, Normal, TwoPoint
 from riskpool.mc_engine import ExperimentConfig
-from riskpool.preferences import UtilityFunction
+from riskpool.preferences import CaraUtility, UtilityFunction
 from riskpool.risk_measures import KusuokaFamily, MixtureMeasure
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -658,9 +659,24 @@ class TestInputErrors:
          "limit: exactly one of --mu, --family is required"),
         (["limit", "--sigma", "1"], "limit: exactly one of --mu, --family is required"),
         (["verify", "duality", "--trials", "-1"], "trials: must be nonnegative"),
+        (["measure", "--dist", "normal01", "--mu", "deltax"], "mu: bad point-mass level in 'deltax'"),
+        (["measure", "--dist", "normal01", "--mu", "delta1.5"],
+         "mu: mixture atoms must have levels in (0, 1], got 1.5; an atom at 0 is outside the supported class"),
+        (["measure", "--dist", "normal01", "--mu", "δ0"],
+         "mu: mixture atoms must have levels in (0, 1], got 0.0; an atom at 0 is outside the supported class"),
+        (["measure", "--dist", "normal01", "--lambda", "0"], "lambda: tail level must lie in (0, 1], got 0.0"),
+        (["measure", "--dist", "normal01", "--lambda", "2"], "lambda: tail level must lie in (0, 1], got 2.0"),
+        (["measure", "--dist", '{"family":"normal","mean":0,"sd":-1}', "--lambda", "0.5"],
+         "dist: normal law requires finite loc and scale > 0"),
+        (["measure", "--dist", '{"family":"bernoulli","p":1}', "--lambda", "0.5"],
+         "dist: bernoulli law requires 0 < p < 1 and scale > 0"),
+        (["measure", "--dist", "normal01", "--mu", '{"atoms":[]}'], "mu.atoms: at least one atom is required"),
+        (["measure", "--dist", "normal01", "--family", '{"members":[]}'],
+         "family.members: family must contain at least one member"),
     ], ids=["mu-json", "dist-json", "grid-x", "grid-0", "non-numeric-term", "weights-sum", "empty-family",
             "dist-list", "unknown-dist-family", "non-string-family", "limit-both", "limit-neither",
-            "negative-trials"])
+            "negative-trials", "delta-x", "delta-above-1", "delta-0", "lambda-0", "lambda-2",
+            "normal-negative-sd", "bernoulli-p-1", "mu-no-atoms", "family-no-members"])
     def test_exits_2_naming_the_input(self, capsys, argv, message):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -904,6 +920,17 @@ class TestConfigRoundTrip:
     def test_bernoulli_alias_validation(self, bad):
         with pytest.raises(ConfigError, match="bernoulli law requires"):
             experiment_config_from_dict(dict(MC_CONFIG, distribution={"family": "bernoulli", **bad}))
+
+    # A config built in Python from ints hashes like its JSON form.
+    def test_python_built_config_hashes_like_its_json(self):
+        config = ExperimentConfig(distribution=Normal(0, 1), utility=CaraUtility(1),
+                                  mixture=MixtureMeasure.point(0.5))
+        emitted = experiment_config_to_dict(config)
+        again = experiment_config_from_dict(json.loads(json.dumps(emitted)))
+        assert again == config
+        assert config_hash(experiment_config_to_dict(again)) == config_hash(emitted)
+        assert emitted["distribution"] == {"family": "normal", "mean": 0.0, "sd": 1.0}
+        assert type(emitted["utility"]["alpha"]) is float
 
     def test_omitted_fields_take_the_dataclass_defaults(self):
         payload = {key: EXACT_CONFIG[key] for key in ("distribution", "mixture", "utility")}

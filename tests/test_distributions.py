@@ -80,6 +80,18 @@ class TestQuantile:
             values = [dist.quantile(t) for t in grid]
             assert all(a <= b for a, b in zip(values, values[1:]))
 
+    # Top atoms of mass below the level slack stay in at level 1: the exact
+    # law of 40 fair coins puts 2**-40 on the average 1.0.
+    def test_level_one_keeps_top_atoms_below_the_slack(self):
+        law = TwoPoint(0.0, 1.0, 0.5).pool_sampler(40).law
+        assert law.probabilities[-1] < 1e-12
+        assert law.quantile(1.0) == 1.0
+        assert law.lower_quantile_integral(1.0) == pytest.approx(law.mean(), abs=1e-15)
+        levels = np.array([0.5, 1.0 - 1e-13, 1.0])
+        assert law._tail_integrals(levels).tolist() == [
+            law.lower_quantile_integral(t) for t in levels.tolist()
+        ]
+
     def test_left_continuity_at_atom_boundaries(self):
         law = DiscreteDistribution((0.0, 1.0, 5.0), (0.2, 0.3, 0.5))
         cum = [0.2, 0.5, 1.0]
@@ -235,6 +247,28 @@ class TestConstruction:
             TwoPoint(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             Exponential(0.0)
+
+    # Ints and numpy scalars are stored as Python floats, so a law built in
+    # Python returns floats and writes the wire form of its JSON twin.
+    @pytest.mark.parametrize("law, fields", [
+        (Normal(0, 1), ("loc", "scale")),
+        (Normal(np.float32(0.5), np.int64(2)), ("loc", "scale")),
+        (Uniform(0, np.float64(1)), ("low", "high")),
+        (Exponential(np.int32(2), shift=1), ("rate", "shift")),
+    ])
+    def test_parameters_are_floats(self, law, fields):
+        assert all(type(getattr(law, name)) is float for name in fields)
+        for value in (law.mean(), law.quantile(1.0), law.lower_quantile_integral(1.0)):
+            assert type(value) is float
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Normal("0", 1.0), "normal law requires"),
+        (lambda: Uniform(0.0, None), "uniform law requires"),
+        (lambda: Exponential(1.0, shift=np.array([1.0])), "exponential law requires"),
+    ])
+    def test_non_number_parameters_fail_the_law_check(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     # Rejections keep their exact type and message, so merging or reordering
     # the checks cannot change what a caller sees.

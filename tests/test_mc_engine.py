@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +82,28 @@ class TestConfigValidation:
     def test_wealth_must_be_finite(self, wealth):
         with pytest.raises(ValueError, match="wealth must be finite"):
             make_config(wealth=wealth)
+
+    # Counts are stored as Python ints and the wealth as a float, so numpy
+    # scalars hash like the ints and floats of the wire form.
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        config = make_config(replications=np.int64(2000), batches=np.int32(10),
+                             n_grid=(np.int64(4), 16, np.uint8(64)), wealth=np.float32(0.5))
+        assert type(config.replications) is int and type(config.batches) is int
+        assert [type(n) for n in config.n_grid] == [int, int, int]
+        assert type(config.wealth) is float
+        assert config_hash(experiment_config_to_dict(config)) == config_hash(
+            experiment_config_to_dict(make_config(wealth=0.5))
+        )
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"replications": 2000.0}, "replications must be an integer, got 2000.0"),
+        ({"batches": 10.0}, "batches must be an integer, got 10.0"),
+        ({"n_grid": (4.7, 16.2)}, "n_grid[0] must be an integer, got 4.7"),
+        ({"n_grid": (4, "16")}, "n_grid[1] must be an integer, got '16'"),
+    ])
+    def test_counts_must_be_integers(self, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_config(**overrides)
 
     def test_hash_tracks_semantic_fields(self):
         a = config_hash(experiment_config_to_dict(make_config()))

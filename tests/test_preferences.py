@@ -40,6 +40,25 @@ ALL_UTILITIES = [
 
 
 class TestUtilityFamilies:
+    @pytest.mark.parametrize("u, fields", [
+        (LinearUtility(2, np.int64(1)), ("slope", "intercept")),
+        (CaraUtility(1), ("alpha",)),
+        (LogUtility(np.float32(0.5)), ("shift",)),
+        (CrraUtility(np.int8(2), shift=3), ("gamma", "shift")),
+    ])
+    def test_parameters_are_floats(self, u, fields):
+        assert all(type(getattr(u, name)) is float for name in fields)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: LinearUtility("1"), "linear utility requires"),
+        (lambda: CaraUtility(None), "cara utility requires"),
+        (lambda: LogUtility("0"), "log utility requires"),
+        (lambda: CrraUtility(2.0, shift="1"), "crra utility requires"),
+    ])
+    def test_non_number_parameters_fail_the_utility_check(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_cara_values_at_zero(self):
         u = CaraUtility(1.0)
         assert u.apply(0.0) == 0.0
