@@ -15,7 +15,6 @@ from .distributions import (
     Uniform,
     inv_normal_cdf,
     pool_average_sample,
-    quantile_grid_sample,
 )
 from .mc_engine import (
     CurvePoint,

@@ -11,10 +11,11 @@ q(t) = inf{m : P[X <= m] >= t}; integration of the quantile over a lower
 tail is exact (up to rounding) for finite laws and closed-form for every
 parametric family. Only finite laws take an array of tail levels in one
 call; a parametric law evaluates its closed form level by level, with the
-same bits at any number of levels. All types are immutable and all
-operations are pure given their inputs and an :class:`RngSpec`; a pool
-size's sampler holds what it needs (a lattice pool law, say) and nothing
-else keeps it.
+same bits at any number of levels, and states q(Phi(z)), which one
+Gauss-Legendre rule in z integrates under a utility (:class:`_ScoreImage`).
+All types are immutable and all operations are pure given their inputs
+and an :class:`RngSpec`; a pool size's sampler holds what it needs (a
+lattice pool law, say) and nothing else keeps it.
 
 Unbounded laws (normal, exponential) are admitted even though the limit
 theory is phrased for bounded risks; the only operational consequence is
@@ -27,7 +28,7 @@ import math
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from statistics import NormalDist
 
 import numpy as np
@@ -177,9 +178,8 @@ class Distribution:
         """
         raise NotImplementedError
 
-    def _ppf(self, t):
-        """Quantile at levels strictly inside (0, 1), elementwise on arrays: the
-        one inverse CDF, called by :meth:`quantile` and :func:`quantile_grid_sample`."""
+    def _score_quantile(self, z):
+        """q(Phi(z)) elementwise on normal scores z, as :class:`_ScoreImage` reads it."""
         raise NotImplementedError
 
     def lower_quantile_integral(self, lam: float) -> float:
@@ -345,11 +345,8 @@ class DiscreteDistribution(Distribution):
     # cannot drop top atoms of mass below it.
     def quantile(self, t: float) -> float:
         t = _check_level(t)
-        return self._atoms.item(-1) if t == 1.0 else float(self._ppf(t))
-
-    def _ppf(self, t):
-        idx = np.searchsorted(self._cum, t - _LEVEL_TOL, side="left")
-        return self._atoms[np.minimum(idx, self._atoms.size - 1)]
+        last = self._atoms.size - 1
+        return self._atoms.item(last if t == 1.0 else min(int(self._cum.searchsorted(t - _LEVEL_TOL)), last))
 
     # The search is capped at the last atom, which takes every level above
     # the cumulative mass before it, and level 1 itself. Every cumulative
@@ -649,6 +646,55 @@ def inv_normal_cdf(p):
     return values[0] if levels.ndim == 0 else np.array(values).reshape(levels.shape)
 
 
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Phi(z) = erfc(-z / sqrt 2) / 2 elementwise (``NormalDist().cdf`` is 0 from z = -8.5)."""
+    return 0.5 * np.array(list(map(math.erfc, (z / -math.sqrt(2.0)).ravel().tolist()))).reshape(z.shape)
+
+
+# The score rule: 24-node Gauss-Legendre on each of 96 equal panels of
+# [-38, 38] in z = Phi^-1(t), where Phi(-38) = 2.9e-316 leaves out no mass.
+_SCORE_EDGE, _SCORE_PANELS = 38.0, 96
+_SCORE_WIDTH = 2.0 * _SCORE_EDGE / _SCORE_PANELS
+
+
+@cache
+def _unit_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1]; numpy.polynomial takes 4 ms to import."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(24)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def _score_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on panels [lo, hi], one row each, and their weights times phi."""
+    x, w = _unit_rule()
+    lo, width = np.reshape(lo, (-1, 1)), np.reshape(hi - lo, (-1, 1))
+    z = lo + width * x
+    return z, width * w * normal_pdf(z)
+
+
+class _ScoreImage(Distribution):
+    """Law of g(Z), Z standard normal, for g = u(q(Phi(z))) on arrays: its
+    tail integral at lam sums the fixed whole panels below Phi^-1(lam) and
+    one partial panel, at least a panel wide, so no level loses mass."""
+
+    def __init__(self, g: Callable[[np.ndarray], np.ndarray]):
+        # Each panel ends where the next starts, bit for bit.
+        ends = -_SCORE_EDGE + _SCORE_WIDTH * np.arange(_SCORE_PANELS + 1)
+        z, weights = _score_nodes(ends[:-1], ends[1:])
+        self._g = g
+        self._below = np.concatenate(([0.0], np.cumsum((weights * g(z)).sum(axis=1))))
+
+    def _tail_integral(self, lam: float) -> float:
+        if lam == 1.0:
+            return self._below.item(-1)
+        top = _inv_cdf(lam)
+        panel = max(0, int((top + _SCORE_EDGE) / _SCORE_WIDTH))
+        z, weights = _score_nodes(-_SCORE_EDGE + _SCORE_WIDTH * panel if panel else top - _SCORE_WIDTH, top)
+        return self._below.item(panel) + float((weights * self._g(z)).sum())
+
+
 @dataclass(frozen=True)
 class Normal(Distribution):
     loc: float
@@ -665,10 +711,10 @@ class Normal(Distribution):
             raise ValueError("t = 0: a normal law is unbounded below, essential infimum is -inf")
         if t == 1.0:
             return math.inf
-        return float(self._ppf(t))
+        return self._score_quantile(_inv_cdf(t))
 
-    def _ppf(self, t):
-        return self.loc + self.scale * inv_normal_cdf(t)
+    def _score_quantile(self, z):
+        return self.loc + self.scale * z
 
     def _tail_integral(self, lam: float) -> float:
         if lam == 1.0:
@@ -716,10 +762,10 @@ class Uniform(Distribution):
     # integral past the mean, so both are returned as they are.
     def quantile(self, t: float) -> float:
         t = _check_level(t)
-        return self.high if t == 1.0 else float(self._ppf(t))
+        return self.high if t == 1.0 else self.low + (self.high - self.low) * t
 
-    def _ppf(self, t):
-        return self.low + (self.high - self.low) * t
+    def _score_quantile(self, z):
+        return self.low + (self.high - self.low) * _normal_cdf(z)
 
     def _tail_integral(self, lam: float) -> float:
         return self.mean() if lam == 1.0 else self.low * lam + 0.5 * (self.high - self.low) * lam**2
@@ -757,10 +803,12 @@ class Exponential(Distribution):
         t = _check_level(t)
         if t == 1.0:
             return math.inf
-        return float(self._ppf(t))
+        return float(self.shift - np.log1p(-t) / self.rate)
 
-    def _ppf(self, t):
-        return self.shift - np.log1p(-t) / self.rate
+    # Above the median 1 - t is Phi(-z), so its log stays exact and finite.
+    def _score_quantile(self, z):
+        tail = _normal_cdf(-np.abs(z))
+        return self.shift - np.where(z < 0.0, np.log1p(-tail), np.log(tail)) / self.rate
 
     def _tail_integral(self, lam: float) -> float:
         if lam == 1.0:
@@ -790,20 +838,6 @@ class Exponential(Distribution):
             return _empirical(np.sort(self.shift + draws / (n * self.rate)))
 
         return PoolSampler("gamma", gamma)
-
-
-def quantile_grid_sample(dist: Distribution, n_points: int) -> EmpiricalSample:
-    """Equal-probability discretization on the midpoint grid t_i = (i-1/2)/N.
-
-    The returned sample has exactly these quantile values with weight 1/N
-    each; it is the deterministic stand-in used when a law has no closed
-    form for a downstream functional. Quantile values are nondecreasing in
-    t, so the sample is built without a sort.
-    """
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
-    t = (np.arange(n_points) + 0.5) / n_points
-    return _empirical(dist._ppf(t))
 
 
 def pool_average_sample(sampler: PoolSampler, replications: int, rng: RngSpec) -> DiscreteDistribution:

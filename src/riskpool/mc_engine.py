@@ -57,12 +57,11 @@ DEFAULT_N_GRID = (4, 16, 64, 256, 1024, 4096)
 
 
 def _count(value, name: str) -> int:
-    """``value`` as a Python int, numpy ints included; anything else, a
-    float such as 400.0 among them, is an error that names the field."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as a Python int, numpy ints included; anything else, a bool
+    or a float such as 400.0 among them, is an error that names the field."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,11 @@ class ExperimentConfig:
         _store_floats(self, "wealth")
         if not math.isfinite(self.wealth):
             raise ValueError("wealth must be finite")
-        for name in ("replications", "batches"):
+        for name in ("replications", "batches", "master_seed"):
             object.__setattr__(self, name, _count(getattr(self, name), name))
+        if self.exact is not None and not isinstance(self.exact, (bool, np.bool_)):
+            raise ValueError(f"exact must be True, False or None, got {self.exact!r}")
+        object.__setattr__(self, "exact", None if self.exact is None else bool(self.exact))
         n_grid = tuple(_count(n, f"n_grid[{i}]") for i, n in enumerate(self.n_grid))
         object.__setattr__(self, "n_grid", n_grid)
         if not self.n_grid or any(n < 1 for n in self.n_grid):

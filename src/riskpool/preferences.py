@@ -12,14 +12,12 @@ average.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, Distribution, Normal, _store_floats, quantile_grid_sample
+from .distributions import DiscreteDistribution, Distribution, Exponential, Normal, Uniform, _ScoreImage, _store_floats
 from .risk_measures import KusuokaFamily, MixtureMeasure, is_delta_one, preference_value
-
-DEFAULT_CE_GRID_POINTS = 2**14
 
 
 class UtilityDomainError(ValueError):
@@ -62,7 +60,9 @@ class UtilityFunction:
         return out if arr.ndim else float(out)
 
     def _overflow(self, at: float) -> UtilityDomainError:
-        return UtilityDomainError(f"{self!r} overflows at argument {at!r}")
+        error = UtilityDomainError(f"{self!r} overflows at argument {at!r}")
+        error.argument = at
+        return error
 
     @property
     def domain_lower(self) -> float:
@@ -163,21 +163,22 @@ class CrraUtility(UtilityFunction):
         return np.power(base, 1.0 / g) - self.shift
 
 
-def _check_parametric_support(dist: Distribution, u: UtilityFunction) -> None:
-    # Continuous laws put no mass on the support boundary, so equality with
-    # the open domain endpoint is admitted; anything below is rejected.
-    if u.domain_lower > -math.inf and dist.support_lower_bound() < u.domain_lower:
+def _transformed_law(dist: Distribution, u: UtilityFunction) -> Distribution:
+    # u is strictly increasing, so a finite law's image keeps the atoms'
+    # order (rounding may tie neighbours, which the nondecreasing-atom law
+    # admits), and apply has rejected any non-finite value.
+    if isinstance(dist, DiscreteDistribution):
+        return DiscreteDistribution._finite_sorted(u.apply(dist._atoms), dist._masses, dist._cum)
+    # A continuous law's edge may be the domain's open edge. A shifted u takes
+    # the law shifted instead, so that nodes near that edge do not round onto it.
+    lowest = dist.support_lower_bound()
+    if lowest < u.domain_lower:
         raise UtilityDomainError(
-            f"support of the law reaches {dist.support_lower_bound()!r}, "
-            f"below the utility domain (x > {u.domain_lower!r})"
+            f"support of the law reaches {lowest!r}, below the utility domain (x > {u.domain_lower!r})"
         )
-
-
-def _transformed_law(dist: DiscreteDistribution, u: UtilityFunction) -> DiscreteDistribution:
-    # u is strictly increasing, so the image keeps the atoms' order (rounding
-    # may tie neighbours, which the nondecreasing-atom law admits), and apply
-    # has rejected any non-finite value.
-    return DiscreteDistribution._finite_sorted(u.apply(dist._atoms), dist._masses, dist._cum)
+    if getattr(u, "shift", 0.0):
+        dist, u = dist.translate(u.shift), replace(u, shift=0.0)
+    return _ScoreImage(lambda z: u.apply(dist._score_quantile(z)))
 
 
 def _pullback_value(law, preference, u: UtilityFunction) -> float:
@@ -186,22 +187,24 @@ def _pullback_value(law, preference, u: UtilityFunction) -> float:
     # functional is affine-equivariant), so the law is centred first: on its
     # mean, where the exp/log round trip never saturates, but at most
     # reach = max(0, 700 + min(0, log alpha)) / alpha above its lowest atom,
-    # so that every |u| <= e^(alpha * reach) / alpha stays below e^700.
-    # Where the lowest atom's ulp exceeds the reach, lowest + reach can
-    # round up past it, so the centre steps back one ulp. Cara's u
-    # overflows only at its smallest argument, which an overflow names as
-    # the law's own value, uncentred.
+    # so that every |u| <= e^(alpha * reach) / alpha stays below e^700; a
+    # law unbounded below is centred on its mean. Where the lowest atom's
+    # ulp exceeds the reach, lowest + reach can round up past it, so the
+    # centre steps back one ulp. Cara's u overflows only at its smallest
+    # argument, which an overflow names as the law's own value, uncentred.
     if isinstance(u, CaraUtility):
         lowest = law.support_lower_bound()
         reach = max(0.0, 700.0 + min(0.0, math.log(u.alpha))) / u.alpha
-        center = min(law.mean(), lowest + reach)
-        if center - lowest > reach:
-            center = math.nextafter(center, -math.inf)
+        center = law.mean()
+        if lowest > -math.inf:
+            center = min(center, lowest + reach)
+            if center - lowest > reach:
+                center = math.nextafter(center, -math.inf)
         shifted = law.translate(-center)
         try:
             image = _transformed_law(shifted, u)
         except UtilityDomainError as exc:
-            raise u._overflow(center + shifted.support_lower_bound()) from exc
+            raise u._overflow(center + exc.argument) from exc
         return center + float(u.invert(preference_value(image, preference)))
     return float(u.invert(preference_value(_transformed_law(law, u), preference)))
 
@@ -214,23 +217,25 @@ def certainty_equivalent(
     """Sure amount with the same distorted expected utility as the risk.
 
     ``mu`` is a mixture, or a family whose minimum replaces the mixture.
-    The closed-form table answers first. It has two entries: linear u on
-    any law, finite or parametric (the functional of the law itself, u
-    being affine), and cara u on a normal law under the point mass at
-    level 1, or a family of it alone (loc - alpha * scale^2 / 2).
-    Otherwise finite laws (discrete, empirical, two-point) are evaluated
-    exactly by transforming their outcomes, and parametric laws through
-    the equal-probability quantile grid of ``DEFAULT_CE_GRID_POINTS``
-    midpoints.
+    The closed-form table answers first: linear u on any law (the law's own
+    functional); cara u on a normal law under the point mass at level 1, or
+    a family of it alone (loc - alpha * scale^2 / 2); and crra u with
+    gamma >= 2 on a uniform or exponential law starting at u's domain edge,
+    where u(q(t)) ~ t^(1 - gamma) makes every tail average -inf, so the
+    value is that edge. Otherwise u's image of the law is valued and pulled
+    back: on a finite law's atoms, and on a parametric law by a composite
+    Gauss-Legendre rule in z = Phi^-1(t), exact to rounding unless u
+    overflows on its nodes (cara on a normal law from alpha * scale = 18.7,
+    crra near gamma = 2 on a law at the domain edge), which is raised.
     """
     if isinstance(u, LinearUtility):
         return preference_value(dist, mu)
     if isinstance(u, CaraUtility) and isinstance(dist, Normal) and is_delta_one(mu):
         return dist.loc - u.alpha * dist.variance() / 2.0
-    if isinstance(dist, DiscreteDistribution):
-        return _pullback_value(dist, mu, u)
-    _check_parametric_support(dist, u)
-    return _pullback_value(quantile_grid_sample(dist, DEFAULT_CE_GRID_POINTS), mu, u)
+    if isinstance(u, CrraUtility) and u.gamma >= 2.0 and isinstance(dist, (Uniform, Exponential)):
+        if dist.support_lower_bound() == u.domain_lower:
+            return u.domain_lower
+    return _pullback_value(dist, mu, u)
 
 
 def risk_premium(

