@@ -247,23 +247,28 @@ def _cmd_premium_curve(args) -> int:
         text = config_path.read_text()
     except FileNotFoundError as exc:
         raise ConfigError("config", f"no such file: {config_path}") from exc
+    except OSError as exc:
+        raise ConfigError("config", f"cannot read {config_path}: {exc.strerror or exc}") from exc
     raw = _read_json(text, "config")
     config = experiment_config_from_dict(raw)
     if args.seed is not None:
         config = with_master_seed(config, args.seed)
     elif "master_seed" not in raw and os.environ.get(SEED_ENV_VAR) is not None:
         config = with_master_seed(config, _resolve_seed(None))
+    # A file where the output directory or one of its parents should go is
+    # refused before sampling.
+    out_dir = Path(args.out_dir)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError("out-dir", f"not a directory: {existing}")
 
     started = datetime.now(timezone.utc).isoformat()
     curve = run_curve(config, threads=args.threads)
     finished = datetime.now(timezone.utc).isoformat()
     comparison = compare_to_limit(curve)
 
-    # Made only now, so a run that fails leaves no empty directory behind.
-    out_dir = Path(args.out_dir)
     config_dict = experiment_config_to_dict(config)
     digest = config_hash(config_dict)
-    write_curve(out_dir, config_dict, digest, curve, comparison)
     manifest = {  # provenance written alongside every result file
         "tool": "riskpool",
         "tool_version": __version__,
@@ -276,7 +281,12 @@ def _cmd_premium_curve(args) -> int:
         "machine": _machine(),
         "config": config_dict,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    # Made only now, so a run that fails leaves no empty directory behind.
+    try:
+        write_curve(out_dir, config_dict, digest, curve, comparison)
+        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    except OSError as exc:
+        raise ConfigError("out-dir", f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from exc
 
     print(f"curve written to {out_dir} (limit {_fmt(curve.limit)})")
     if not comparison.trend_ok:

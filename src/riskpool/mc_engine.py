@@ -27,10 +27,11 @@ run; its ``method`` is the one the point records.
 
 Normal risks with linear utility (any mixture or family) or cara utility
 (the point mass at level 1, or a family of it alone) take an exact path
-with zero standard error: the limit itself, or :func:`risk_premium` on the
-sampler's centred pool law. The rule reads kinds, never a certainty
-equivalent. The flag auto-enables there and can be forced off to exercise
-the sampler.
+with zero standard error: the limit itself, or sqrt(n) * (0 - CE) of the
+sampler's pool law centred on its own mean. One function decides the
+path, takes the limit and prices the exact points; its rule reads kinds,
+never a certainty equivalent. The flag auto-enables there and can be
+forced off to exercise the sampler.
 
 A :class:`PremiumCurve` holds only what the run computed: its points, the
 limit and the rate fit. The config's seed, wire form and hash live with
@@ -50,7 +51,9 @@ import numpy as np
 
 from .asymptotics import RateFit, fit_rate, theorem1_limit
 from .distributions import Distribution, Normal, PoolSampler, RngSpec, _store_floats, pool_average_sample
-from .preferences import CaraUtility, LinearUtility, UtilityDomainError, UtilityFunction, risk_premium
+from .preferences import (
+    CaraUtility, LinearUtility, UtilityDomainError, UtilityFunction, certainty_equivalent, risk_premium
+)
 from .risk_measures import KusuokaFamily, MixtureMeasure, is_delta_one
 
 DEFAULT_N_GRID = (4, 16, 64, 256, 1024, 4096)
@@ -99,6 +102,8 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", n_grid)
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid must be nonempty with positive pool sizes")
+        if any(n >= 2**63 for n in self.n_grid):  # the samplers count copies in int64
+            raise ValueError(f"n_grid pool sizes must be below 2**63, got {max(self.n_grid)}")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         if self.batches < 2:
@@ -157,19 +162,11 @@ _TOLERANCE_NOTE = (
 )
 
 
-def theorem_limit(config: ExperimentConfig) -> float:
-    """Limit constant of the config's mixture or family, at the law's sd()."""
-    variance = config.distribution.variance()
-    if not math.isfinite(variance):
-        raise ValueError(f"the law's variance is not finite, got {variance!r}")
-    return theorem1_limit(config.distribution.sd(), config.preference)
-
-
-def _limit_and_exact_premiums(config: ExperimentConfig) -> tuple[float, list[float] | None]:
-    """The curve's limit, and its closed-form scaled premiums on the n grid
-    or None where the curve is sampled: the one statement of the auto-exact
-    rule, on the kinds of law, utility and preference. exact=True without
-    a closed form fails before the variance check."""
+def _limit_and_exact_premiums(config: ExperimentConfig) -> tuple[float, list[CurvePoint] | None]:
+    """The curve's limit, and its exact points on the n grid or None where
+    the curve is sampled: the one statement of the auto-exact rule, on the
+    kinds of law, utility and preference. exact=True without a closed form
+    fails before the variance check."""
     dist, mu, utility = config.distribution, config.preference, config.utility
     closed = isinstance(dist, Normal) and (
         isinstance(utility, LinearUtility) or (isinstance(utility, CaraUtility) and is_delta_one(mu))
@@ -179,19 +176,25 @@ def _limit_and_exact_premiums(config: ExperimentConfig) -> tuple[float, list[flo
             "exact=True requires a closed-form configuration "
             "(normal risks with linear utility, or cara utility with the point mass at 1)"
         )
-    limit = theorem_limit(config)
+    variance = dist.variance()
+    if not math.isfinite(variance):
+        raise ValueError(f"the law's variance is not finite, got {variance!r}")
+    limit = theorem1_limit(dist.sd(), mu)
     if not closed or config.exact is False:
         return limit, None
-    if isinstance(utility, LinearUtility):
-        # Premium (sigma/sqrt(n)) * constant; the sqrt(n) scaling cancels,
-        # so the Taylor error of the expansion argument vanishes identically.
-        return limit, [limit] * len(config.n_grid)
-    # Cara is translation-equivariant, so the centred pool law at zero
-    # wealth avoids the cancellation in wealth + mean - CE.
-    return limit, [
-        math.sqrt(n) * risk_premium(0.0, dist.pool_sampler(n).law.translate(-dist.loc), mu, utility)
-        for n in config.n_grid
-    ]
+    points = []
+    for n in config.n_grid:
+        if isinstance(utility, LinearUtility):
+            # Premium (sigma/sqrt(n)) * constant; the sqrt(n) scaling cancels,
+            # so the Taylor error of the expansion argument vanishes identically.
+            estimate = limit
+        else:
+            # Cara is translation-equivariant, so the pool law centred on its
+            # mean has premium 0 - CE, free of the cancellation in wealth + mean - CE.
+            law = dist.pool_sampler(n).law
+            estimate = math.sqrt(n) * (0.0 - certainty_equivalent(law.translate(-law.mean()), mu, utility))
+        points.append(CurvePoint(n, estimate, 0.0, config.replications, "exact"))
+    return limit, points
 
 
 def _batch_scaled_premium(
@@ -239,11 +242,9 @@ def run_curve(config: ExperimentConfig, *, threads: int = 1) -> PremiumCurve:
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
-    limit, exact = _limit_and_exact_premiums(config)
-    if exact is None:
+    limit, points = _limit_and_exact_premiums(config)
+    if points is None:
         points = _curve_points(config, threads)
-    else:
-        points = [CurvePoint(n, v, 0.0, config.replications, "exact") for n, v in zip(config.n_grid, exact)]
     unscaled = [(p.n, p.estimate / math.sqrt(p.n)) for p in points]
     rate = None
     if len(unscaled) >= 3 and all(v > 0.0 for _, v in unscaled):

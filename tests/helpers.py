@@ -94,7 +94,8 @@ def cara_normal_mixture_ce(loc: float, scale: float, atoms, alpha: float) -> flo
     """Closed-form CE of a normal law under constant absolute risk aversion.
 
     Uses the Gaussian identity for the tail integral of exp(-a*ppf(t)); an
-    algebraic route entirely separate from the package's grid path.
+    algebraic route entirely separate from the package's quadrature in the
+    normal score.
     """
     U = 0.0
     mgf = math.exp(-alpha * loc + 0.5 * alpha * alpha * scale * scale)

@@ -9,7 +9,6 @@ from riskpool import inv_normal_cdf
 from riskpool.asymptotics import fit_rate, theorem1_limit
 from riskpool.config import experiment_config_from_dict
 from riskpool.distributions import Normal, RngSpec
-from riskpool.mc_engine import theorem_limit
 from riskpool.risk_measures import KusuokaFamily, MixtureMeasure, kusuoka_value
 
 from helpers import bisect_inv_normal_cdf, quad_avar_normal
@@ -213,7 +212,7 @@ class TestIndependentForm:
 ])
 def test_shipped_config_limits_pinned(name, bits):
     config = experiment_config_from_dict(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
-    assert theorem_limit(config).hex() == bits
+    assert theorem1_limit(config.distribution.sd(), config.preference).hex() == bits
 
 
 class TestFitRate:

@@ -454,6 +454,48 @@ class TestPremiumCurve:
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["premium-curve", "--config", str(tmp_path / "nope.json")]) == 2
+        assert capsys.readouterr().err == f"config error: config: no such file: {tmp_path / 'nope.json'}\n"
+
+    # Any other failure to read the config, such as a directory given for
+    # it, is a config error too, not a traceback.
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["premium-curve", "--config", str(tmp_path), "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: config: cannot read {tmp_path}: ")
+        assert not out.exists()
+
+    # A file where the output directory or a parent of it should go is
+    # refused before the curve is sampled.
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_dir_under_a_file_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, out):
+        (tmp_path / "taken").write_text("")
+        config = self.write_config(tmp_path, EXACT_CONFIG)
+        monkeypatch.setattr("riskpool.cli.run_curve", lambda *args, **kwargs: pytest.fail("the curve was sampled"))
+        assert main(["premium-curve", "--config", str(config), "--out-dir", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: out-dir: not a directory: {tmp_path / 'taken'}\n"
+
+    @pytest.mark.parametrize("name", ["curve.csv", "curve.json", "manifest.json"])
+    def test_write_failure_exits_2_naming_the_file(self, tmp_path, capsys, name):
+        out = tmp_path / "results"
+        (out / name).mkdir(parents=True)
+        config = self.write_config(tmp_path, EXACT_CONFIG)
+        assert main(["premium-curve", "--config", str(config), "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: out-dir: cannot write {out / name}: ")
+
+    def test_pool_size_of_2_to_the_63_exits_2(self, tmp_path, capsys):
+        law = {"family": "discrete", "outcomes": [0.0, 1.0, 3.5], "probs": [0.2, 0.3, 0.5]}
+        config = self.write_config(tmp_path, {**MC_CONFIG, "distribution": law, "n_grid": [4, 2**63]})
+        out = tmp_path / "results"
+        assert main(["premium-curve", "--config", str(config), "--out-dir", str(out)]) == 2
+        message = f"config: n_grid pool sizes must be below 2**63, got {2**63}"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_trend_failure_exits_3_with_results_written(self, tmp_path, capsys):
         # Pooled fair coins on a tiny consecutive n grid: the lattice parity
@@ -533,6 +575,51 @@ class TestPremiumCurve:
         assert code == 2
         assert "threads must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestWorkflowPins:
+    """The values the console-script step of the CI workflow pins, checked
+    here as well, so a change to them shows in the test suite."""
+
+    @staticmethod
+    def value(capsys, *argv):
+        assert main([*argv, "--json"]) == 0
+        return strict_json(capsys.readouterr().out)["value"]
+
+    # The far tail reads the interpreter's inverse normal CDF; at 64 levels
+    # a normal law's value runs its closed form level by level.
+    @pytest.mark.parametrize("argv, value", [
+        (["--lambda", "1e-300"], -37.07404977673145),
+        (["--mu", "grid:64"], -0.9016563952635054),
+    ])
+    def test_normal_values(self, capsys, argv, value):
+        assert self.value(capsys, "measure", "--dist", "normal01", *argv) == value
+
+    # Every finite law family of the wire table, bernoulli with and without its defaults.
+    @pytest.mark.parametrize("law, value", [
+        ('{"family":"discrete","outcomes":[2.0,1.0,0.5],"probs":[0.25,0.5,0.25]}', 0.8541666666666667),
+        ('{"family":"empirical","values":[3.0,1.0,1.0,0.25]}', 0.84375),
+        ('{"family":"bernoulli","p":0.3,"loc":1.0,"scale":2.0}', 1.2999999999999998),
+        ('{"family":"bernoulli","p":0.3}', 0.15),
+    ])
+    def test_wire_family_values(self, capsys, law, value):
+        assert self.value(capsys, "measure", "--dist", law, "--mu", "0.5@0.3 + 0.5@1") == value
+
+    # The limit is -sigma times the preference's value on a standard normal, exactly.
+    @pytest.mark.parametrize("preference", [
+        "--mu=0.5@0.3 + 0.5@1", "--mu=grid:64", "--family={delta0.3, 0.5@0.2 + 0.5@1}",
+    ])
+    def test_limit_is_minus_sigma_times_the_normal_value(self, capsys, preference):
+        limit = self.value(capsys, "limit", "--sigma", "2", preference)
+        assert limit == -2 * self.value(capsys, "measure", "--dist", "normal01", preference)
+
+    # The score rule loads numpy.polynomial only when first used.
+    def test_import_loads_no_numpy_polynomial(self):
+        src = Path(riskpool.verify.__file__).parents[1]
+        code = "import sys, riskpool; print('numpy.polynomial' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.stdout.strip() == "False"
 
 
 class TestVerifyCommand:

@@ -20,11 +20,11 @@ from riskpool.distributions import (
     pool_average_sample,
 )
 from riskpool.mc_engine import (
+    DEFAULT_N_GRID,
     ExperimentConfig,
     _limit_and_exact_premiums,
     compare_to_limit,
     run_curve,
-    theorem_limit,
 )
 from riskpool.asymptotics import theorem1_limit
 from riskpool.config import config_hash, experiment_config_to_dict
@@ -110,6 +110,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=re.escape(f"exact must be True, False or None, got {exact!r}")):
             make_config(exact=exact)
 
+    # The pooled samplers count copies in int64: a pool of 2**63 copies
+    # would reach numpy as an OverflowError (multinomial counts) or a bare
+    # size error (summed uniform draws).
+    @pytest.mark.parametrize("distribution", [
+        DiscreteDistribution((0.0, 1.0, 3.5), (0.2, 0.3, 0.5)), Uniform(0.0, 1.0), Normal(0.0, 1.0),
+    ])
+    @pytest.mark.parametrize("n_grid", [(2**63,), (4, 2**64)])
+    def test_pool_sizes_lie_below_2_to_the_63(self, distribution, n_grid):
+        with pytest.raises(ValueError, match=re.escape(f"n_grid pool sizes must be below 2**63, got {n_grid[-1]}")):
+            make_config(distribution=distribution, n_grid=n_grid)
+        assert make_config(distribution=distribution, n_grid=(2**63 - 1,)).n_grid == (2**63 - 1,)
+
     @pytest.mark.parametrize("wealth", [math.nan, math.inf, -math.inf])
     def test_wealth_must_be_finite(self, wealth):
         with pytest.raises(ValueError, match="wealth must be finite"):
@@ -177,7 +189,7 @@ class TestExactPath:
             family=preference if is_family else None,
         )
         curve = run_curve(config)
-        assert all(p.estimate == theorem_limit(config) for p in curve.points)
+        assert all(p.estimate == theorem1_limit(config.distribution.sd(), config.preference) for p in curve.points)
         assert all(row.abs_gap == 0.0 for row in compare_to_limit(curve).rows)
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
@@ -192,6 +204,29 @@ class TestExactPath:
         )
         for p in run_curve(config).points:
             assert p.estimate == pytest.approx(alpha / (2.0 * math.sqrt(p.n)), rel=1e-14)
+
+    # The exact cara points bit for bit. The CI's cara_exact config (sd 2,
+    # alpha 1, default grid) gives powers of two, which any route keeps; the
+    # grid above gives fractions that forming wealth + mean - CE moves by
+    # up to 1e-7 relative.
+    @pytest.mark.parametrize("scale, alpha, wealth, n_grid, bits", [
+        (2.0, 1.0, 2.5, DEFAULT_N_GRID, [f"0x1.0000000000000p{e:+d}" for e in range(0, -6, -1)]),
+        (1.0, 0.3, 5.0, (3, 10, 100, 1000, 4096),
+         ["0x1.62b9586ad0a23p-4", "0x1.8494a75f057acp-5", "0x1.eb851eb851ebap-7", "0x1.36dd52b26ac88p-8",
+          "0x1.3333333333333p-9"]),
+        (1.0, 1.0, 5.0, (3, 10, 100, 1000, 4096),
+         ["0x1.279a74590331dp-2", "0x1.43d1362484910p-3", "0x1.999999999999bp-5", "0x1.030dc4ea03a71p-6",
+          "0x1.0000000000000p-7"]),
+        (1.0, 2.5, 5.0, (3, 10, 100, 1000, 4096),
+         ["0x1.7181116f43fe5p-1", "0x1.94c583ada5b53p-2", "0x1.0000000000001p-3", "0x1.43d136248490ep-5",
+          "0x1.4000000000000p-6"]),
+    ])
+    def test_cara_exact_points_pinned(self, scale, alpha, wealth, n_grid, bits):
+        config = make_config(
+            distribution=Normal(1e6, scale), utility=CaraUtility(alpha), wealth=wealth,
+            mixture=MixtureMeasure.point(1.0), n_grid=n_grid,
+        )
+        assert [p.estimate.hex() for p in run_curve(config).points] == bits
 
     def test_family_exact_path(self):
         family = KusuokaFamily((MixtureMeasure.point(0.3), MixtureMeasure.point(0.7)))
@@ -236,7 +271,7 @@ class TestExactPath:
         with monkeypatch.context() as patched:
             patched.setattr("riskpool.preferences.preference_value", pytest.fail)
             limit, points = _limit_and_exact_premiums(config)
-        assert limit == theorem_limit(config)
+        assert limit == theorem1_limit(config.distribution.sd(), config.preference)
         assert (points is not None) == exact
         curve = run_curve(config)
         assert [p.method == "exact" for p in curve.points] == [exact, exact]
